@@ -12,7 +12,8 @@ Seven standing invariants, enforced at zero findings by the CI
    entry point declared in a ``src/**`` header has a reference-path sibling
    in the same header (``<base>()`` or ``<base>_reference()``) and is pinned
    by an equivalence test in ``tests/``. Fast paths must stay pure
-   performance changes.
+   performance changes. A ``FLAG_PINNED`` or ``IRREGULAR_SIBLINGS`` key
+   that names neither such a declaration nor a rule-5 knob is stale.
 3. **fp-flags** — no ``-ffast-math`` family flag anywhere, and the
    ``-ffp-contract=off`` guard stays in CMakeLists.txt. FMA contraction
    would silently break the <=1e-10 batched/reference equivalence contract.
@@ -74,8 +75,8 @@ FAST_SUFFIXES = ("_batched", "_cached", "_batch")
 # Entry points whose reference sibling does not follow the <base>() /
 # <base>_reference() naming convention.
 IRREGULAR_SIBLINGS = {
-    # The per-event replay loop is the reference for the one-tape batch.
-    "score_replay_batch": "score_replay_events",
+    # The per-action path is the reference for the agent's scoring core.
+    "score_batch": "schedule_reference",
 }
 
 # Entry points pinned through a config flag rather than by name: the named
@@ -85,13 +86,18 @@ IRREGULAR_SIBLINGS = {
 # their "reference path" is the knob's sequential setting, and the
 # registered test pins bit-identity across its values.
 FLAG_PINNED = {
-    "embed_nodes_batched": ("test_batched_equivalence.cpp", "GnnConfig::batched"),
-    "score_replay_batch": ("test_batched_equivalence.cpp", "batched_replay"),
+    # The scoring core against the per-action reference: sampled choices
+    # and replay gradients (batched_inference / batched_replay off).
+    "score_batch": ("test_batched_equivalence.cpp", "batched_inference"),
     "rollout_threads": ("test_parallel_rollout.cpp", "rollout_threads"),
     # shards=1 must stay bit-identical to the pre-shard single dispatcher;
     # the pin compares full concurrent-session results at shards 1 vs 4.
     "shards": ("test_serve.cpp", "Shards4MatchesShards1"),
 }
+
+# Rule 5's parallelism knobs: ``int <name>_threads = ...`` and
+# ``int shards = ...`` declared in a src/** header.
+KNOB_RE = re.compile(r"\bint\s+(\w*_threads|shards)\s*=")
 
 # Suffix matches that are not fast paths at all (documented here, not
 # silently skipped): sample_tpch_batch draws a batch of workload samples —
@@ -228,14 +234,18 @@ def findings_fast_path_pairing():
         r"\b([A-Za-z_]\w*?)(" + "|".join(FAST_SUFFIXES) + r")\s*\(")
     tests_dir = REPO / "tests"
     test_texts = {p.name: p.read_text() for p in sorted(tests_dir.glob("*.cpp"))}
+    declared = set()  # every fast-path name declared in a src/** header
+    knobs = set()     # every rule-5 parallelism knob
 
     for path in sorted((REPO / "src").rglob("*.h")):
         rel = path.relative_to(REPO)
         code = strip_comments_and_strings(path.read_text())
+        knobs.update(m.group(1) for m in KNOB_RE.finditer(code))
         seen = set()
         for m in decl_re.finditer(code):
             base, suffix = m.group(1), m.group(2)
             name = base + suffix
+            declared.add(name)
             if name in seen or name in EXEMPT_FAST_PATHS:
                 continue
             seen.add(name)
@@ -265,6 +275,16 @@ def findings_fast_path_pairing():
                      f"{name}() appears in no tests/*.cpp — add it to the "
                      f"equivalence suite (or register a config-flag pin in "
                      f"scripts/check_invariants.py FLAG_PINNED)"))
+
+    lint = Path(__file__).resolve().relative_to(REPO)
+    for table, keys in (("FLAG_PINNED", FLAG_PINNED),
+                        ("IRREGULAR_SIBLINGS", IRREGULAR_SIBLINGS)):
+        for key in sorted(set(keys) - declared - knobs):
+            found.append(
+                (lint, 1, "fast-path-pairing",
+                 f"{table} lists '{key}', which names neither a fast-path "
+                 f"declaration in a src/** header nor a parallelism knob — "
+                 f"stale entry"))
     return found
 
 
@@ -327,12 +347,11 @@ def findings_thread_knob_pinning():
     mention the knob. Parallelism knobs may only change wall-clock; the
     registered test is what pins that."""
     found = []
-    knob_re = re.compile(r"\bint\s+(\w*_threads|shards)\s*=")
     tests_dir = REPO / "tests"
     for path in sorted((REPO / "src").rglob("*.h")):
         rel = path.relative_to(REPO)
         code = strip_comments_and_strings(path.read_text())
-        for m in knob_re.finditer(code):
+        for m in KNOB_RE.finditer(code):
             knob = m.group(1)
             lineno = code.count("\n", 0, m.start()) + 1
             if knob not in FLAG_PINNED:

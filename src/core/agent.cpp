@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace decima::core {
 
@@ -10,6 +12,34 @@ namespace {
 // Sizing hint for the per-limit-output ablation head (Fig. 15a): one output
 // per possible limit value up to this many executors.
 constexpr std::size_t kMaxSeparateLimitOutputs = 128;
+
+// A recorded choice indexes its replayed event's candidate, limit or class
+// list; one recorded on another workload or configuration can index past it.
+int checked_choice(int choice, std::size_t count, const char* head) {
+  if (choice < 0 || static_cast<std::size_t>(choice) >= count) {
+    throw std::out_of_range("replayed " + std::string(head) + " choice " +
+                            std::to_string(choice) + " is outside the " +
+                            std::to_string(count) + " options of its event");
+  }
+  return choice;
+}
+
+// Resolves one head's choice over logits[0, n): the first maximum of the
+// softmax probabilities (kGreedy), a draw from them (kSample), or the
+// recorded choice (kReplay). Greedy argmaxes the probabilities, not the raw
+// logits: distinct logits can round to equal probabilities, and every path
+// must break that tie the same way.
+int choose(Mode how, const double* logits, std::size_t n, int recorded,
+           Rng* rng, const char* head) {
+  if (how == Mode::kReplay) return checked_choice(recorded, n, head);
+  const std::vector<double> probs = nn::softmax(logits, n);
+  if (how == Mode::kSample) return static_cast<int>(rng->weighted_index(probs));
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (probs[i] > probs[best]) best = i;
+  }
+  return static_cast<int>(best);
+}
 }  // namespace
 
 DecimaAgent::DecimaAgent(const AgentConfig& config)
@@ -70,47 +100,20 @@ void DecimaAgent::start_replay(std::vector<RecordedAction> actions,
   // Leftover snapshots mean the previous batched replay was never finished —
   // its tail chunk (< replay_batch events) contributed no gradients. Fail
   // loudly instead of silently training on partial gradients.
-  assert(replay_events_.empty() &&
-         "batched replay not finished: call finish_replay() after env.run()");
-  replay_events_.clear();
+  if (!replay_events_.empty()) {
+    throw std::logic_error(
+        "batched replay not finished: call finish_replay() after env.run()");
+  }
+  if (weights.size() != actions.size()) {
+    throw std::invalid_argument(
+        "start_replay: " + std::to_string(weights.size()) + " weights for " +
+        std::to_string(actions.size()) + " actions");
+  }
   replay_actions_ = std::move(actions);
   replay_weights_ = std::move(weights);
   entropy_weight_ = entropy_weight;
   replay_cursor_ = 0;
   mode_ = Mode::kReplay;
-}
-
-void DecimaAgent::finish_replay() {
-  score_replay_events(replay_events_);
-  replay_events_.clear();
-}
-
-void DecimaAgent::score_replay_events(std::vector<ReplayEvent>& events) {
-  const std::size_t chunk = config_.replay_batch > 0
-                                ? static_cast<std::size_t>(config_.replay_batch)
-                                : events.size();
-  for (std::size_t begin = 0; begin < events.size(); begin += chunk) {
-    score_replay_batch(events, begin, std::min(begin + chunk, events.size()));
-  }
-}
-
-int DecimaAgent::pick(const std::vector<double>& probs, int recorded_choice) {
-  switch (mode_) {
-    case Mode::kGreedy: {
-      int best = 0;
-      for (std::size_t i = 1; i < probs.size(); ++i) {
-        if (probs[i] > probs[static_cast<std::size_t>(best)]) {
-          best = static_cast<int>(i);
-        }
-      }
-      return best;
-    }
-    case Mode::kSample:
-      return static_cast<int>(sample_rng_.weighted_index(probs));
-    case Mode::kReplay:
-      return recorded_choice;
-  }
-  return 0;
 }
 
 sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
@@ -120,55 +123,320 @@ sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
     replayed = &replay_actions_[replay_cursor_];
   }
 
-  auto graphs = gnn::extract_graphs(env, config_.features, observed_iat_);
-  if (graphs.empty()) return sim::Action::none();
+  Event ev;
+  if (!make_event(env, ev)) return sim::Action::none();
+  const bool batched = mode_ == Mode::kReplay ? config_.batched_replay
+                                              : config_.batched_inference;
+  if (!batched) {
+    return schedule_reference(env, ev.graphs, ev.candidates, replayed);
+  }
 
-  const int total_execs = env.total_executors();
-  const bool multi = multi_class(env);
-
-  std::vector<Candidate> candidates = build_candidates(env, graphs);
-  if (candidates.empty()) return sim::Action::none();
-
-  if (mode_ == Mode::kReplay && config_.batched_replay) {
+  if (mode_ == Mode::kReplay) {
     // Batched replay, phase 1: the action is already recorded, so no scoring
     // is needed to drive the environment — snapshot the event (graphs,
     // candidate set, head inputs, advantage) and move on. finish_replay()
-    // scores every snapshot on one tape and runs a single backward pass.
-    ReplayEvent ev;
-    ev.node_choice = replayed->node_choice;
-    ev.limit_choice = replayed->limit_choice;
-    ev.class_choice = replayed->class_choice;
-    const Candidate& chosen =
-        candidates[static_cast<std::size_t>(ev.node_choice)];
-    ev.chosen_graph = chosen.graph;
-    ev.chosen_node = chosen.node;
-    const auto& chosen_job =
-        env.jobs()[static_cast<std::size_t>(chosen.ref.job)];
-    if (config_.parallelism_control) {
-      ev.limit_values = limit_values_for(chosen_job, total_execs);
-      assert(!ev.limit_values.empty() && ev.limit_choice >= 0);
-      ev.limit_feat = limit_feature_col(ev.limit_values, total_execs);
-    }
-    if (multi) {
-      const std::vector<int> class_values = valid_classes(
-          env, chosen_job.spec.stages[static_cast<std::size_t>(chosen.ref.stage)]
-                   .mem_req);
-      assert(!class_values.empty() && ev.class_choice >= 0);
-      ev.class_feat = class_feature_mat(env, class_values);
+    // scores a chunk of snapshots on one tape with a single backward pass.
+    try {
+      ev.node_choice = checked_choice(replayed->node_choice,
+                                      ev.candidates.size(), "node");
+      fill_head_inputs(env, ev);
+      ev.limit_choice =
+          config_.parallelism_control
+              ? checked_choice(replayed->limit_choice, ev.limit_values.size(),
+                               "limit")
+              : replayed->limit_choice;
+      ev.class_choice = ev.class_values.empty()
+                            ? replayed->class_choice
+                            : checked_choice(replayed->class_choice,
+                                             ev.class_values.size(), "class");
+    } catch (const std::out_of_range&) {
+      replay_events_.clear();  // the replay is abandoned, not left pending
+      throw;
     }
     ev.weight = replay_weights_[replay_cursor_];
-    ev.graphs = std::move(graphs);
-    ev.candidates = std::move(candidates);
     replay_events_.push_back(std::move(ev));
     ++replay_cursor_;
     if (config_.replay_batch > 0 &&
         replay_events_.size() >=
             static_cast<std::size_t>(config_.replay_batch)) {
-      score_replay_batch(replay_events_, 0, replay_events_.size());
-      replay_events_.clear();
+      finish_replay();
     }
     return replayed->action;
   }
+
+  ev.env = &env;
+  std::vector<Event> events;
+  events.push_back(std::move(ev));
+  nn::Tape tape(/*track_gradients=*/false);
+  score_batch(tape, events, {&embed_cache_}, mode_, &sample_rng_);
+  const Event& scored = events[0];
+  const sim::Action action = action_of(scored);
+  if (recording_ && mode_ == Mode::kSample) {
+    recorded_.push_back(RecordedAction{scored.node_choice, scored.limit_choice,
+                                       scored.class_choice, action});
+  }
+  return action;
+}
+
+DecimaAgent::Scores DecimaAgent::score_batch(
+    nn::Tape& tape, std::vector<Event>& events,
+    const std::vector<gnn::EmbeddingCache*>& caches, Mode how,
+    Rng* rng) const {
+  const std::size_t K = events.size();
+
+  // Flatten every event's graphs into one list; event t is embed_episode's
+  // event t, so global_mat row t is its z.
+  std::vector<const gnn::JobGraph*> graphs;
+  std::vector<std::size_t> event_of_graph;
+  std::vector<std::size_t> graph_base(K);  // first flat graph of event t
+  for (std::size_t t = 0; t < K; ++t) {
+    graph_base[t] = graphs.size();
+    for (const auto& g : events[t].graphs) {
+      graphs.push_back(&g);
+      event_of_graph.push_back(t);
+    }
+  }
+  const bool cached =
+      config_.use_gnn && config_.embed_cache && !caches.empty();
+  if (cached) {
+    for (gnn::EmbeddingCache* c : caches) {
+      if (c) c->ensure_param_version(params_.version());
+    }
+  }
+  gnn::EpisodeEmbeddings emb;
+  if (!config_.use_gnn) {
+    // Zero embedding stand-ins (the no-GNN ablation); q still sees raw x_v.
+    const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
+    emb = gnn::stack_features(tape, graphs);
+    emb.node_all =
+        tape.constant(nn::Matrix(tape.value(emb.feat_all).rows(), d));
+    emb.job_mat = tape.constant(nn::Matrix(graphs.size(), d));
+    emb.global_mat = tape.constant(nn::Matrix(K, d));
+  } else if (cached) {
+    emb = gnn_.embed_episode_cached(tape, graphs, event_of_graph, K, caches);
+  } else {
+    emb = gnn_.embed_episode(tape, graphs, event_of_graph, K);
+  }
+  Scores s;
+
+  // --- Stage head: every candidate of every event through one q pass -------
+  std::vector<std::size_t> cand_rows, cand_graphs, cand_events;
+  s.node_starts.resize(K);
+  for (std::size_t t = 0; t < K; ++t) {
+    s.node_starts[t] = cand_rows.size();
+    for (const Candidate& c : events[t].candidates) {
+      const std::size_t gg = graph_base[t] + static_cast<std::size_t>(c.graph);
+      cand_rows.push_back(emb.node_offset[gg] +
+                          static_cast<std::size_t>(c.node));
+      cand_graphs.push_back(gg);
+      cand_events.push_back(t);
+    }
+  }
+  std::vector<std::vector<std::size_t>> q_picks;
+  q_picks.push_back(cand_rows);             // x_v
+  q_picks.push_back(std::move(cand_rows));  // e_v (same rows)
+  q_picks.push_back(std::move(cand_graphs));
+  q_picks.push_back(std::move(cand_events));
+  s.node = q_.apply(
+      tape, tape.gather_concat_cols(
+                {emb.feat_all, emb.node_all, emb.job_mat, emb.global_mat},
+                std::move(q_picks)));
+  std::vector<std::size_t> chosen_graph(K);  // job_mat row of the choice
+  for (std::size_t t = 0; t < K; ++t) {
+    Event& ev = events[t];
+    ev.node_choice = choose(how, tape.value(s.node).raw().data() +
+                                     s.node_starts[t],
+                            ev.candidates.size(), ev.node_choice, rng, "node");
+    const Candidate& chosen =
+        ev.candidates[static_cast<std::size_t>(ev.node_choice)];
+    chosen_graph[t] = graph_base[t] + static_cast<std::size_t>(chosen.graph);
+    if (ev.env) fill_head_inputs(*ev.env, ev);
+  }
+
+  // --- Parallelism head: every event's candidate limits in one pass ---------
+  if (config_.parallelism_control) {
+    if (config_.limit_encoding == LimitEncoding::kSeparateOutputs) {
+      // One w_sep pass over the per-event [y_i, z] rows; each event's logits
+      // are picked out of its output row.
+      std::vector<std::size_t> ev_events(K);
+      for (std::size_t t = 0; t < K; ++t) ev_events[t] = t;
+      const nn::Var all = w_sep_.apply(
+          tape, tape.gather_concat_cols({emb.job_mat, emb.global_mat},
+                                        {chosen_graph, std::move(ev_events)}));
+      for (std::size_t t = 0; t < K; ++t) {
+        Event& ev = events[t];
+        std::vector<nn::Var> scores;
+        scores.reserve(ev.limit_values.size());
+        for (int l : ev.limit_values) {
+          const std::size_t idx = std::min<std::size_t>(
+              static_cast<std::size_t>(l - 1), kMaxSeparateLimitOutputs - 1);
+          scores.push_back(tape.element(all, t, idx));
+        }
+        s.limit_rows.push_back(tape.concat_scalars(scores));
+        ev.limit_choice =
+            choose(how, tape.value(s.limit_rows.back()).raw().data(),
+                   ev.limit_values.size(), ev.limit_choice, rng, "limit");
+      }
+    } else {
+      const bool stage_level =
+          config_.limit_encoding == LimitEncoding::kStageLevel;
+      std::vector<std::size_t> l_graphs, l_events, l_nodes;
+      s.limit_starts.resize(K);
+      std::size_t total_l = 0;
+      for (const Event& ev : events) total_l += ev.limit_values.size();
+      nn::Matrix l_all(total_l, 1);
+      std::size_t r = 0;
+      for (std::size_t t = 0; t < K; ++t) {
+        const Event& ev = events[t];
+        s.limit_starts[t] = r;
+        const std::size_t node_row =
+            emb.node_offset[chosen_graph[t]] +
+            static_cast<std::size_t>(
+                ev.candidates[static_cast<std::size_t>(ev.node_choice)].node);
+        for (std::size_t i = 0; i < ev.limit_values.size(); ++i, ++r) {
+          l_all(r, 0) = ev.limit_feat(i, 0);
+          l_graphs.push_back(chosen_graph[t]);
+          l_events.push_back(t);
+          if (stage_level) l_nodes.push_back(node_row);
+        }
+      }
+      std::vector<nn::Var> srcs;
+      std::vector<std::vector<std::size_t>> w_picks;
+      if (stage_level) {
+        srcs.push_back(emb.node_all);
+        w_picks.push_back(std::move(l_nodes));
+      }
+      srcs.push_back(emb.job_mat);
+      w_picks.push_back(std::move(l_graphs));
+      srcs.push_back(emb.global_mat);
+      w_picks.push_back(std::move(l_events));
+      srcs.push_back(tape.constant(std::move(l_all)));
+      std::vector<std::size_t> ident(total_l);
+      for (std::size_t i = 0; i < total_l; ++i) ident[i] = i;
+      w_picks.push_back(std::move(ident));
+      s.limit =
+          w_.apply(tape, tape.gather_concat_cols(srcs, std::move(w_picks)));
+      for (std::size_t t = 0; t < K; ++t) {
+        Event& ev = events[t];
+        ev.limit_choice = choose(how, tape.value(s.limit).raw().data() +
+                                          s.limit_starts[t],
+                                 ev.limit_values.size(), ev.limit_choice, rng,
+                                 "limit");
+      }
+    }
+  }
+
+  // --- Executor-class head: every multi-class event's classes in one pass ---
+  std::size_t total_c = 0;
+  for (const Event& ev : events) total_c += ev.class_values.size();
+  if (total_c > 0) {
+    std::vector<std::size_t> c_graphs, c_events;
+    nn::Matrix c_all(total_c, 2);
+    std::size_t r = 0;
+    for (std::size_t t = 0; t < K; ++t) {
+      const Event& ev = events[t];
+      if (ev.class_values.empty()) continue;
+      s.class_starts.push_back(r);
+      s.class_events.push_back(t);
+      for (std::size_t i = 0; i < ev.class_values.size(); ++i, ++r) {
+        c_all(r, 0) = ev.class_feat(i, 0);
+        c_all(r, 1) = ev.class_feat(i, 1);
+        c_graphs.push_back(chosen_graph[t]);
+        c_events.push_back(t);
+      }
+    }
+    std::vector<std::size_t> c_ident(total_c);
+    for (std::size_t i = 0; i < total_c; ++i) c_ident[i] = i;
+    s.cls = class_head_.apply(
+        tape,
+        tape.gather_concat_cols(
+            {emb.job_mat, emb.global_mat, tape.constant(std::move(c_all))},
+            {std::move(c_graphs), std::move(c_events), std::move(c_ident)}));
+    for (std::size_t i = 0; i < s.class_events.size(); ++i) {
+      Event& ev = events[s.class_events[i]];
+      ev.class_choice = choose(how, tape.value(s.cls).raw().data() +
+                                        s.class_starts[i],
+                               ev.class_values.size(), ev.class_choice, rng,
+                               "class");
+    }
+  }
+  return s;
+}
+
+void DecimaAgent::finish_replay() {
+  if (replay_events_.empty()) return;
+  std::vector<Event>& events = replay_events_;
+  const std::size_t K = events.size();
+  nn::Tape tape(/*track_gradients=*/true);
+  const Scores s = score_batch(tape, events, {}, Mode::kReplay, nullptr);
+
+  // Advantage column shared by the head losses: d(loss)/d(logp_t) = -A_t.
+  nn::Matrix neg_w(K, 1);
+  for (std::size_t t = 0; t < K; ++t) neg_w(t, 0) = -events[t].weight;
+  const nn::Var neg_w_col = tape.constant(std::move(neg_w));
+  std::vector<nn::Var> loss_parts;
+
+  std::vector<std::size_t> node_picks(K);
+  for (std::size_t t = 0; t < K; ++t) {
+    node_picks[t] = static_cast<std::size_t>(events[t].node_choice);
+  }
+  loss_parts.push_back(tape.matmul(
+      tape.log_prob_pick_segments(s.node, s.node_starts, std::move(node_picks)),
+      neg_w_col));
+  if (entropy_weight_ > 0.0) {
+    // Single-candidate events contribute exactly zero entropy and gradient,
+    // matching the reference path's candidates-size guard.
+    loss_parts.push_back(
+        tape.matmul(tape.entropy_segments(s.node, s.node_starts),
+                    tape.constant(nn::Matrix(K, 1, -entropy_weight_))));
+  }
+
+  if (config_.parallelism_control) {
+    if (config_.limit_encoding == LimitEncoding::kSeparateOutputs) {
+      std::vector<nn::Var> lps;
+      lps.reserve(K);
+      for (std::size_t t = 0; t < K; ++t) {
+        lps.push_back(tape.log_prob_pick(
+            s.limit_rows[t], static_cast<std::size_t>(events[t].limit_choice)));
+      }
+      loss_parts.push_back(tape.matmul(tape.concat_scalars(lps), neg_w_col));
+    } else {
+      std::vector<std::size_t> l_picks(K);
+      for (std::size_t t = 0; t < K; ++t) {
+        l_picks[t] = static_cast<std::size_t>(events[t].limit_choice);
+      }
+      loss_parts.push_back(tape.matmul(
+          tape.log_prob_pick_segments(s.limit, s.limit_starts,
+                                      std::move(l_picks)),
+          neg_w_col));
+    }
+  }
+
+  if (s.cls.valid()) {
+    std::vector<std::size_t> c_picks;
+    nn::Matrix neg_cw(s.class_events.size(), 1);
+    for (std::size_t i = 0; i < s.class_events.size(); ++i) {
+      const Event& ev = events[s.class_events[i]];
+      c_picks.push_back(static_cast<std::size_t>(ev.class_choice));
+      neg_cw(i, 0) = -ev.weight;
+    }
+    loss_parts.push_back(tape.matmul(
+        tape.log_prob_pick_segments(s.cls, s.class_starts, std::move(c_picks)),
+        tape.constant(std::move(neg_cw))));
+  }
+
+  // --- One backward for the whole batch -------------------------------------
+  const nn::Var loss =
+      loss_parts.size() == 1 ? loss_parts[0] : tape.addn(loss_parts);
+  tape.backward(loss);
+  replay_events_.clear();
+}
+
+sim::Action DecimaAgent::schedule_reference(
+    const sim::ClusterEnv& env, const std::vector<gnn::JobGraph>& graphs,
+    const std::vector<Candidate>& candidates, const RecordedAction* replayed) {
+  const int total_execs = env.total_executors();
+  const bool multi = multi_class(env);
 
   const bool train = mode_ == Mode::kReplay;
   nn::Tape tape(/*track_gradients=*/train);
@@ -178,17 +446,7 @@ sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
   // one global row.
   const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
   std::optional<gnn::Embeddings> emb;
-  if (config_.use_gnn) {
-    // Inference reuses the previous event's activations when the cache is
-    // on; replay scoring differentiates through the embedding and must
-    // rebuild the tape (and the reference sweep is its own baseline).
-    if (config_.embed_cache && config_.batched_inference && !train) {
-      embed_cache_.ensure_param_version(params_.version());
-      emb = gnn_.embed_cached(tape, graphs, embed_cache_);
-    } else {
-      emb = gnn_.embed(tape, graphs);
-    }
-  }
+  if (config_.use_gnn) emb = gnn_.embed(tape, graphs);
   std::vector<nn::Var> node_mats(graphs.size());
   nn::Var job_mat, glob;
   if (config_.use_gnn) {
@@ -235,9 +493,9 @@ sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
   const nn::Var q_in =
       blocks.size() == 1 ? blocks[0] : tape.concat_rows(blocks);
   const nn::Var node_logits = tape.as_row(q_.apply(tape, q_in));
-  const std::vector<double> node_probs = tape.softmax_values(node_logits);
   const int node_choice =
-      pick(node_probs, replayed ? replayed->node_choice : 0);
+      choose(mode_, tape.value(node_logits).raw().data(), candidates.size(),
+             replayed ? replayed->node_choice : 0, &sample_rng_, "node");
   const Candidate& chosen = candidates[static_cast<std::size_t>(node_choice)];
   const auto& chosen_job =
       env.jobs()[static_cast<std::size_t>(chosen.ref.job)];
@@ -280,8 +538,10 @@ sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
       }
       limit_logits = tape.as_row(w_.apply(tape, tape.concat_cols(parts)));
     }
-    const std::vector<double> limit_probs = tape.softmax_values(limit_logits);
-    limit_choice = pick(limit_probs, replayed ? replayed->limit_choice : 0);
+    limit_choice =
+        choose(mode_, tape.value(limit_logits).raw().data(),
+               limit_values.size(), replayed ? replayed->limit_choice : 0,
+               &sample_rng_, "limit");
     limit = limit_values[static_cast<std::size_t>(limit_choice)];
   }
 
@@ -301,8 +561,10 @@ sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
     class_logits = tape.as_row(class_head_.apply(
         tape, tape.concat_cols({tape.broadcast_row(job_mat, cg, nc),
                                 tape.broadcast_row(glob, 0, nc), cvar})));
-    const std::vector<double> class_probs = tape.softmax_values(class_logits);
-    class_choice = pick(class_probs, replayed ? replayed->class_choice : 0);
+    class_choice =
+        choose(mode_, tape.value(class_logits).raw().data(),
+               class_values.size(), replayed ? replayed->class_choice : 0,
+               &sample_rng_, "class");
     exec_class = class_values[static_cast<std::size_t>(class_choice)];
   }
 
@@ -349,191 +611,45 @@ sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
   return action;
 }
 
-void DecimaAgent::score_replay_batch(const std::vector<ReplayEvent>& all,
-                                     std::size_t begin, std::size_t end) {
-  if (begin >= end) return;
-  const std::size_t K = end - begin;
-  const ReplayEvent* events = all.data() + begin;  // chunk window
+bool DecimaAgent::make_event(const sim::ClusterEnv& env, Event& ev) const {
+  ev.graphs = gnn::extract_graphs(env, config_.features, observed_iat_);
+  if (ev.graphs.empty()) return false;
+  ev.candidates = build_candidates(env, ev.graphs);
+  return !ev.candidates.empty();
+}
 
-  // Flatten every event's graphs into one episode-wide list.
-  std::vector<const gnn::JobGraph*> graphs;
-  std::vector<std::size_t> event_of_graph;
-  std::vector<std::size_t> graph_base(K);  // first global graph of event t
-  for (std::size_t t = 0; t < K; ++t) {
-    graph_base[t] = graphs.size();
-    for (const auto& g : events[t].graphs) {
-      graphs.push_back(&g);
-      event_of_graph.push_back(t);
-    }
-  }
-
-  nn::Tape tape(/*track_gradients=*/true);
-  const gnn::EpisodeEmbeddings emb =
-      config_.use_gnn ? gnn_.embed_episode(tape, graphs, event_of_graph, K)
-                      : zero_episode_embeddings(tape, graphs, K);
-
-  // Advantage column shared by the head losses: d(loss)/d(logp_t) = -A_t.
-  nn::Matrix neg_w(K, 1);
-  for (std::size_t t = 0; t < K; ++t) neg_w(t, 0) = -events[t].weight;
-  const nn::Var neg_w_col = tape.constant(std::move(neg_w));
-  std::vector<nn::Var> loss_parts;
-
-  // --- Stage head: every candidate of every event through one q pass -------
-  std::vector<std::size_t> cand_rows, cand_graphs, cand_events;
-  std::vector<std::size_t> node_starts(K), node_picks(K);
-  for (std::size_t t = 0; t < K; ++t) {
-    node_starts[t] = cand_rows.size();
-    node_picks[t] = static_cast<std::size_t>(events[t].node_choice);
-    for (const Candidate& c : events[t].candidates) {
-      const std::size_t gg = graph_base[t] + static_cast<std::size_t>(c.graph);
-      cand_rows.push_back(emb.node_offset[gg] +
-                          static_cast<std::size_t>(c.node));
-      cand_graphs.push_back(gg);
-      cand_events.push_back(t);
-    }
-  }
-  std::vector<std::vector<std::size_t>> q_picks;
-  q_picks.push_back(cand_rows);             // x_v
-  q_picks.push_back(std::move(cand_rows));  // e_v (same rows)
-  q_picks.push_back(std::move(cand_graphs));
-  q_picks.push_back(std::move(cand_events));
-  const nn::Var q_in = tape.gather_concat_cols(
-      {emb.feat_all, emb.node_all, emb.job_mat, emb.global_mat},
-      std::move(q_picks));
-  const nn::Var q_out = q_.apply(tape, q_in);  // total candidates x 1
-  loss_parts.push_back(tape.matmul(
-      tape.log_prob_pick_segments(q_out, node_starts, std::move(node_picks)),
-      neg_w_col));
-  if (entropy_weight_ > 0.0) {
-    // Single-candidate events contribute exactly zero entropy and gradient,
-    // matching the reference path's candidates-size guard.
-    loss_parts.push_back(
-        tape.matmul(tape.entropy_segments(q_out, std::move(node_starts)),
-                    tape.constant(nn::Matrix(K, 1, -entropy_weight_))));
-  }
-
-  // --- Parallelism head -----------------------------------------------------
+void DecimaAgent::fill_head_inputs(const sim::ClusterEnv& env,
+                                   Event& ev) const {
+  const Candidate& chosen =
+      ev.candidates[static_cast<std::size_t>(ev.node_choice)];
+  const auto& job = env.jobs()[static_cast<std::size_t>(chosen.ref.job)];
+  const int total_execs = env.total_executors();
   if (config_.parallelism_control) {
-    if (config_.limit_encoding == LimitEncoding::kSeparateOutputs) {
-      // One w_sep pass over the per-event [y_i, z] rows; per-event logits
-      // are picked out of the shared output exactly as the reference does.
-      std::vector<std::size_t> ev_graphs(K), ev_events(K);
-      for (std::size_t t = 0; t < K; ++t) {
-        ev_graphs[t] =
-            graph_base[t] + static_cast<std::size_t>(events[t].chosen_graph);
-        ev_events[t] = t;
-      }
-      const nn::Var all = w_sep_.apply(
-          tape, tape.gather_concat_cols(
-                    {emb.job_mat, emb.global_mat},
-                    {std::move(ev_graphs), std::move(ev_events)}));
-      std::vector<nn::Var> lps;
-      lps.reserve(K);
-      for (std::size_t t = 0; t < K; ++t) {
-        std::vector<nn::Var> scores;
-        scores.reserve(events[t].limit_values.size());
-        for (int l : events[t].limit_values) {
-          const std::size_t idx = std::min<std::size_t>(
-              static_cast<std::size_t>(l - 1), kMaxSeparateLimitOutputs - 1);
-          scores.push_back(tape.element(all, t, idx));
-        }
-        lps.push_back(tape.log_prob_pick(
-            tape.concat_scalars(scores),
-            static_cast<std::size_t>(events[t].limit_choice)));
-      }
-      loss_parts.push_back(tape.matmul(tape.concat_scalars(lps), neg_w_col));
-    } else {
-      // Every event's candidate limits stacked into one w pass.
-      std::vector<std::size_t> l_graphs, l_events, l_nodes;
-      std::vector<std::size_t> l_starts(K), l_picks(K);
-      std::size_t total_l = 0;
-      for (std::size_t t = 0; t < K; ++t) total_l += events[t].limit_values.size();
-      nn::Matrix l_all(total_l, 1);
-      std::size_t r = 0;
-      const bool stage_level =
-          config_.limit_encoding == LimitEncoding::kStageLevel;
-      for (std::size_t t = 0; t < K; ++t) {
-        l_starts[t] = r;
-        l_picks[t] = static_cast<std::size_t>(events[t].limit_choice);
-        const std::size_t gg =
-            graph_base[t] + static_cast<std::size_t>(events[t].chosen_graph);
-        for (std::size_t i = 0; i < events[t].limit_values.size(); ++i, ++r) {
-          l_all(r, 0) = events[t].limit_feat(i, 0);
-          l_graphs.push_back(gg);
-          l_events.push_back(t);
-          if (stage_level) {
-            l_nodes.push_back(emb.node_offset[gg] +
-                              static_cast<std::size_t>(events[t].chosen_node));
-          }
-        }
-      }
-      std::vector<nn::Var> srcs;
-      std::vector<std::vector<std::size_t>> w_picks;
-      if (stage_level) {
-        srcs.push_back(emb.node_all);
-        w_picks.push_back(std::move(l_nodes));
-      }
-      srcs.push_back(emb.job_mat);
-      w_picks.push_back(std::move(l_graphs));
-      srcs.push_back(emb.global_mat);
-      w_picks.push_back(std::move(l_events));
-      srcs.push_back(tape.constant(std::move(l_all)));
-      std::vector<std::size_t> ident(total_l);
-      for (std::size_t i = 0; i < total_l; ++i) ident[i] = i;
-      w_picks.push_back(std::move(ident));
-      const nn::Var w_out =
-          w_.apply(tape, tape.gather_concat_cols(srcs, std::move(w_picks)));
-      loss_parts.push_back(
-          tape.matmul(tape.log_prob_pick_segments(w_out, std::move(l_starts),
-                                                  std::move(l_picks)),
-                      neg_w_col));
-    }
+    ev.limit_values = limit_values_for(job, total_execs);
+    assert(!ev.limit_values.empty());
+    ev.limit_feat = limit_feature_col(ev.limit_values, total_execs);
   }
-
-  // --- Executor-class head (multi-resource) ---------------------------------
-  std::size_t total_c = 0;
-  for (std::size_t t = 0; t < K; ++t) total_c += events[t].class_feat.rows();
-  if (total_c > 0) {
-    std::vector<std::size_t> c_graphs, c_events, c_starts, c_picks;
-    std::vector<double> c_weights;
-    nn::Matrix c_all(total_c, 2);
-    std::size_t r = 0;
-    for (std::size_t t = 0; t < K; ++t) {
-      const std::size_t nc = events[t].class_feat.rows();
-      if (nc == 0) continue;
-      c_starts.push_back(r);
-      c_picks.push_back(static_cast<std::size_t>(events[t].class_choice));
-      c_weights.push_back(events[t].weight);
-      const std::size_t gg =
-          graph_base[t] + static_cast<std::size_t>(events[t].chosen_graph);
-      for (std::size_t i = 0; i < nc; ++i, ++r) {
-        c_all(r, 0) = events[t].class_feat(i, 0);
-        c_all(r, 1) = events[t].class_feat(i, 1);
-        c_graphs.push_back(gg);
-        c_events.push_back(t);
-      }
-    }
-    std::vector<std::size_t> c_ident(total_c);
-    for (std::size_t i = 0; i < total_c; ++i) c_ident[i] = i;
-    const nn::Var class_out = class_head_.apply(
-        tape, tape.gather_concat_cols(
-                  {emb.job_mat, emb.global_mat, tape.constant(std::move(c_all))},
-                  {std::move(c_graphs), std::move(c_events),
-                   std::move(c_ident)}));
-    nn::Matrix neg_cw(c_weights.size(), 1);
-    for (std::size_t i = 0; i < c_weights.size(); ++i) {
-      neg_cw(i, 0) = -c_weights[i];
-    }
-    loss_parts.push_back(
-        tape.matmul(tape.log_prob_pick_segments(class_out, std::move(c_starts),
-                                                std::move(c_picks)),
-                    tape.constant(std::move(neg_cw))));
+  if (multi_class(env)) {
+    ev.class_values = valid_classes(
+        env,
+        job.spec.stages[static_cast<std::size_t>(chosen.ref.stage)].mem_req);
+    assert(!ev.class_values.empty());
+    ev.class_feat = class_feature_mat(env, ev.class_values);
   }
+}
 
-  // --- One backward for the whole batch -------------------------------------
-  const nn::Var loss =
-      loss_parts.size() == 1 ? loss_parts[0] : tape.addn(loss_parts);
-  tape.backward(loss);
+sim::Action DecimaAgent::action_of(const Event& ev) {
+  sim::Action action;
+  action.node = ev.candidates[static_cast<std::size_t>(ev.node_choice)].ref;
+  action.limit =
+      ev.limit_values.empty()
+          ? ev.env->total_executors()
+          : ev.limit_values[static_cast<std::size_t>(ev.limit_choice)];
+  if (!ev.class_values.empty()) {
+    action.exec_class =
+        ev.class_values[static_cast<std::size_t>(ev.class_choice)];
+  }
+  return action;
 }
 
 bool DecimaAgent::multi_class(const sim::ClusterEnv& env) const {
@@ -609,34 +725,6 @@ std::vector<DecimaAgent::Candidate> DecimaAgent::build_candidates(
   return candidates;
 }
 
-gnn::EpisodeEmbeddings DecimaAgent::zero_episode_embeddings(
-    nn::Tape& tape, const std::vector<const gnn::JobGraph*>& graphs,
-    std::size_t num_events) const {
-  // Zero embedding stand-ins (the no-GNN ablation); q still sees raw x_v.
-  const std::size_t G = graphs.size();
-  const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
-  gnn::EpisodeEmbeddings emb;
-  emb.node_offset.resize(G);
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < G; ++g) {
-    emb.node_offset[g] = total;
-    total += graphs[g]->features.rows();
-  }
-  const std::size_t fd = static_cast<std::size_t>(config_.features.dim());
-  nn::Matrix X(total, fd);
-  for (std::size_t g = 0; g < G; ++g) {
-    std::copy(graphs[g]->features.raw().begin(),
-              graphs[g]->features.raw().end(),
-              X.raw().begin() +
-                  static_cast<std::ptrdiff_t>(emb.node_offset[g] * fd));
-  }
-  emb.feat_all = tape.constant(std::move(X));
-  emb.node_all = tape.constant(nn::Matrix(total, d));
-  emb.job_mat = tape.constant(nn::Matrix(G, d));
-  emb.global_mat = tape.constant(nn::Matrix(num_events, d));
-  return emb;
-}
-
 sim::Action DecimaAgent::decide(const sim::ClusterEnv& env,
                                 gnn::EmbeddingCache* cache) const {
   return decide_batch({&env}, {cache})[0];
@@ -647,255 +735,30 @@ std::vector<sim::Action> DecimaAgent::decide_batch(
     const std::vector<gnn::EmbeddingCache*>& caches) const {
   assert(caches.empty() || caches.size() == envs.size());
   std::vector<sim::Action> out(envs.size(), sim::Action::none());
-
-  // Per-session scoring inputs; sessions with nothing to schedule answer
-  // none() and drop out of the batch.
-  struct SessionEvent {
-    std::size_t session = 0;
-    std::vector<gnn::JobGraph> graphs;
-    std::vector<Candidate> candidates;
-  };
-  std::vector<SessionEvent> events;
-  for (std::size_t s = 0; s < envs.size(); ++s) {
-    SessionEvent ev;
-    ev.session = s;
-    ev.graphs = gnn::extract_graphs(*envs[s], config_.features, observed_iat_);
-    if (ev.graphs.empty()) continue;
-    ev.candidates = build_candidates(*envs[s], ev.graphs);
-    if (ev.candidates.empty()) continue;
-    events.push_back(std::move(ev));
-  }
-  if (events.empty()) return out;
-  const std::size_t K = events.size();
-
-  // Flatten every session's graphs; session index = "event" of embed_episode,
-  // so global_mat row t is session t's z exactly as decide() computes it.
-  std::vector<const gnn::JobGraph*> graphs;
-  std::vector<std::size_t> event_of_graph;
-  std::vector<std::size_t> graph_base(K);
-  for (std::size_t t = 0; t < K; ++t) {
-    graph_base[t] = graphs.size();
-    for (const auto& g : events[t].graphs) {
-      graphs.push_back(&g);
-      event_of_graph.push_back(t);
-    }
-  }
-
-  nn::Tape tape(/*track_gradients=*/false);
   // The size check repeats the precondition assert so a mismatched caches
   // vector degrades to uncached inference in release builds instead of
   // indexing out of bounds.
-  const bool cached = config_.use_gnn && config_.embed_cache &&
-                      caches.size() == envs.size();
+  const bool cached = caches.size() == envs.size();
+
+  // One event per session; sessions with nothing to schedule answer none()
+  // and drop out of the batch.
+  std::vector<Event> events;
+  std::vector<std::size_t> session_of;
   std::vector<gnn::EmbeddingCache*> event_caches;
-  if (cached) {
-    event_caches.resize(K);
-    for (std::size_t t = 0; t < K; ++t) {
-      event_caches[t] = caches[events[t].session];
-      if (event_caches[t]) {
-        event_caches[t]->ensure_param_version(params_.version());
-      }
-    }
+  for (std::size_t s = 0; s < envs.size(); ++s) {
+    Event ev;
+    if (!make_event(*envs[s], ev)) continue;
+    ev.env = envs[s];
+    events.push_back(std::move(ev));
+    session_of.push_back(s);
+    if (cached) event_caches.push_back(caches[s]);
   }
-  const gnn::EpisodeEmbeddings emb =
-      !config_.use_gnn ? zero_episode_embeddings(tape, graphs, K)
-      : cached         ? gnn_.embed_episode_cached(tape, graphs,
-                                                   event_of_graph, K,
-                                                   event_caches)
-                       : gnn_.embed_episode(tape, graphs, event_of_graph, K);
+  if (events.empty()) return out;
 
-  // Greedy choice over raw logits, replicating pick()'s argmax over
-  // Tape::softmax_values exactly — same max/exp/normalize sequence, same
-  // first-maximum tie-break. Argmaxing the raw logits instead would be only
-  // weakly order-preserving (distinct logits can round to equal
-  // probabilities), which could flip an ulp-level tie against schedule().
-  const auto greedy_pick = [](const std::vector<double>& logits) {
-    double max_logit = logits[0];
-    for (std::size_t i = 1; i < logits.size(); ++i) {
-      max_logit = std::max(max_logit, logits[i]);
-    }
-    std::vector<double> p(logits.size());
-    double denom = 0.0;
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      p[i] = std::exp(logits[i] - max_logit);
-      denom += p[i];
-    }
-    for (double& v : p) v /= denom;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < p.size(); ++i) {
-      if (p[i] > p[best]) best = i;
-    }
-    return best;
-  };
-  const auto argmax_segment = [&greedy_pick](const nn::Matrix& col,
-                                             std::size_t begin,
-                                             std::size_t end) {
-    std::vector<double> logits(end - begin);
-    for (std::size_t r = begin; r < end; ++r) logits[r - begin] = col(r, 0);
-    return greedy_pick(logits);
-  };
-
-  // --- Stage head: every candidate of every session through one q pass -----
-  std::vector<std::size_t> cand_rows, cand_graphs, cand_events;
-  std::vector<std::size_t> node_starts(K);
-  for (std::size_t t = 0; t < K; ++t) {
-    node_starts[t] = cand_rows.size();
-    for (const Candidate& c : events[t].candidates) {
-      const std::size_t gg = graph_base[t] + static_cast<std::size_t>(c.graph);
-      cand_rows.push_back(emb.node_offset[gg] +
-                          static_cast<std::size_t>(c.node));
-      cand_graphs.push_back(gg);
-      cand_events.push_back(t);
-    }
-  }
-  const std::size_t total_cands = cand_rows.size();
-  std::vector<std::vector<std::size_t>> q_picks;
-  q_picks.push_back(cand_rows);
-  q_picks.push_back(std::move(cand_rows));
-  q_picks.push_back(std::move(cand_graphs));
-  q_picks.push_back(std::move(cand_events));
-  const nn::Var q_out = q_.apply(
-      tape, tape.gather_concat_cols(
-                {emb.feat_all, emb.node_all, emb.job_mat, emb.global_mat},
-                std::move(q_picks)));
-  const nn::Matrix& q_vals = tape.value(q_out);
-
-  // Per-session chosen candidate (greedy within the session's segment).
-  std::vector<const Candidate*> chosen(K);
-  std::vector<std::size_t> chosen_graph_row(K);  // row into emb.job_mat
-  for (std::size_t t = 0; t < K; ++t) {
-    const std::size_t seg_end =
-        t + 1 < K ? node_starts[t + 1] : total_cands;
-    const std::size_t choice = argmax_segment(q_vals, node_starts[t], seg_end);
-    chosen[t] = &events[t].candidates[choice];
-    chosen_graph_row[t] =
-        graph_base[t] + static_cast<std::size_t>(chosen[t]->graph);
-    out[events[t].session].node = chosen[t]->ref;
-    out[events[t].session].limit = envs[events[t].session]->total_executors();
-  }
-
-  // --- Parallelism head: every session's candidate limits in one w pass ----
-  if (config_.parallelism_control) {
-    std::vector<std::vector<int>> limit_values(K);
-    for (std::size_t t = 0; t < K; ++t) {
-      const sim::ClusterEnv& env = *envs[events[t].session];
-      limit_values[t] = limit_values_for(
-          env.jobs()[static_cast<std::size_t>(chosen[t]->ref.job)],
-          env.total_executors());
-      assert(!limit_values[t].empty());
-    }
-    if (config_.limit_encoding == LimitEncoding::kSeparateOutputs) {
-      // One w_sep pass over the per-session [y_i, z] rows; each session's
-      // logits are picked out of its output row.
-      std::vector<std::size_t> ev_events(K);
-      for (std::size_t t = 0; t < K; ++t) ev_events[t] = t;
-      const nn::Var all = w_sep_.apply(
-          tape, tape.gather_concat_cols({emb.job_mat, emb.global_mat},
-                                        {chosen_graph_row, ev_events}));
-      const nn::Matrix& w_vals = tape.value(all);
-      for (std::size_t t = 0; t < K; ++t) {
-        std::vector<double> scores(limit_values[t].size());
-        for (std::size_t i = 0; i < limit_values[t].size(); ++i) {
-          const std::size_t idx = std::min<std::size_t>(
-              static_cast<std::size_t>(limit_values[t][i] - 1),
-              kMaxSeparateLimitOutputs - 1);
-          scores[i] = w_vals(t, idx);
-        }
-        out[events[t].session].limit = limit_values[t][greedy_pick(scores)];
-      }
-    } else {
-      const bool stage_level =
-          config_.limit_encoding == LimitEncoding::kStageLevel;
-      std::vector<std::size_t> l_graphs, l_events, l_nodes, l_starts(K);
-      std::size_t total_l = 0;
-      for (std::size_t t = 0; t < K; ++t) total_l += limit_values[t].size();
-      nn::Matrix l_all(total_l, 1);
-      std::size_t r = 0;
-      for (std::size_t t = 0; t < K; ++t) {
-        l_starts[t] = r;
-        const int total_execs = envs[events[t].session]->total_executors();
-        for (std::size_t i = 0; i < limit_values[t].size(); ++i, ++r) {
-          l_all(r, 0) = static_cast<double>(limit_values[t][i]) /
-                        static_cast<double>(total_execs);
-          l_graphs.push_back(chosen_graph_row[t]);
-          l_events.push_back(t);
-          if (stage_level) {
-            l_nodes.push_back(emb.node_offset[chosen_graph_row[t]] +
-                              static_cast<std::size_t>(chosen[t]->node));
-          }
-        }
-      }
-      std::vector<nn::Var> srcs;
-      std::vector<std::vector<std::size_t>> w_picks;
-      if (stage_level) {
-        srcs.push_back(emb.node_all);
-        w_picks.push_back(std::move(l_nodes));
-      }
-      srcs.push_back(emb.job_mat);
-      w_picks.push_back(std::move(l_graphs));
-      srcs.push_back(emb.global_mat);
-      w_picks.push_back(std::move(l_events));
-      srcs.push_back(tape.constant(std::move(l_all)));
-      std::vector<std::size_t> ident(total_l);
-      for (std::size_t i = 0; i < total_l; ++i) ident[i] = i;
-      w_picks.push_back(std::move(ident));
-      const nn::Var w_out =
-          w_.apply(tape, tape.gather_concat_cols(srcs, std::move(w_picks)));
-      const nn::Matrix& w_vals = tape.value(w_out);
-      for (std::size_t t = 0; t < K; ++t) {
-        const std::size_t seg_end = t + 1 < K ? l_starts[t + 1] : total_l;
-        const std::size_t choice =
-            argmax_segment(w_vals, l_starts[t], seg_end);
-        out[events[t].session].limit = limit_values[t][choice];
-      }
-    }
-  }
-
-  // --- Executor-class head (multi-resource sessions) ------------------------
-  std::vector<std::vector<int>> class_values(K);
-  std::size_t total_c = 0;
-  for (std::size_t t = 0; t < K; ++t) {
-    const sim::ClusterEnv& env = *envs[events[t].session];
-    if (!multi_class(env)) continue;
-    class_values[t] = valid_classes(
-        env, env.jobs()[static_cast<std::size_t>(chosen[t]->ref.job)]
-                 .spec.stages[static_cast<std::size_t>(chosen[t]->ref.stage)]
-                 .mem_req);
-    assert(!class_values[t].empty());
-    total_c += class_values[t].size();
-  }
-  if (total_c > 0) {
-    std::vector<std::size_t> c_graphs, c_events, c_starts, c_sessions;
-    nn::Matrix c_all(total_c, 2);
-    std::size_t r = 0;
-    for (std::size_t t = 0; t < K; ++t) {
-      if (class_values[t].empty()) continue;
-      c_starts.push_back(r);
-      c_sessions.push_back(t);
-      const nn::Matrix cf =
-          class_feature_mat(*envs[events[t].session], class_values[t]);
-      for (std::size_t i = 0; i < class_values[t].size(); ++i, ++r) {
-        c_all(r, 0) = cf(i, 0);
-        c_all(r, 1) = cf(i, 1);
-        c_graphs.push_back(chosen_graph_row[t]);
-        c_events.push_back(t);
-      }
-    }
-    std::vector<std::size_t> c_ident(total_c);
-    for (std::size_t i = 0; i < total_c; ++i) c_ident[i] = i;
-    const nn::Var class_out = class_head_.apply(
-        tape,
-        tape.gather_concat_cols(
-            {emb.job_mat, emb.global_mat, tape.constant(std::move(c_all))},
-            {std::move(c_graphs), std::move(c_events), std::move(c_ident)}));
-    const nn::Matrix& c_vals = tape.value(class_out);
-    for (std::size_t i = 0; i < c_starts.size(); ++i) {
-      const std::size_t seg_end =
-          i + 1 < c_starts.size() ? c_starts[i + 1] : total_c;
-      const std::size_t t = c_sessions[i];
-      const std::size_t choice = argmax_segment(c_vals, c_starts[i], seg_end);
-      out[events[t].session].exec_class = class_values[t][choice];
-    }
+  nn::Tape tape(/*track_gradients=*/false);
+  score_batch(tape, events, event_caches, Mode::kGreedy, nullptr);
+  for (std::size_t t = 0; t < events.size(); ++t) {
+    out[session_of[t]] = action_of(events[t]);
   }
   return out;
 }

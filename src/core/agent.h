@@ -37,8 +37,10 @@ struct AgentConfig {
   bool parallelism_control = true;
   LimitEncoding limit_encoding = LimitEncoding::kScalarInput;
   bool multi_resource = false;  // adds the executor-class head (§7.3)
-  // false falls back to the one-node-at-a-time GNN sweep (the pre-batching
-  // reference path; used by equivalence tests and latency benchmarks).
+  // true scores greedy and sampled decisions through the episode-batched
+  // scoring core that serving and the batched replay share; false falls back
+  // to the per-action reference path over the one-node-at-a-time GNN sweep
+  // (used by equivalence tests and latency benchmarks).
   bool batched_inference = true;
   // Incremental embedding cache (docs/incremental_embedding.md): inference
   // keeps the previous event's per-job GNN activations and re-embeds only
@@ -49,9 +51,10 @@ struct AgentConfig {
   bool embed_cache = true;
   // Episode-batched REINFORCE replay (docs/training.md): while the recorded
   // actions re-drive the simulator, each scheduling event is snapshotted
-  // instead of scored; the snapshots are then evaluated in replay_batch-event
-  // chunks, each chunk one tape with one backward pass. false falls back to
-  // the one-tape-per-action reference loop (equivalence tests).
+  // instead of scored; the snapshots are then scored by the inference core
+  // in replay_batch-event chunks, each chunk one tape with one loss and one
+  // backward pass. false falls back to the one-tape-per-action reference
+  // loop (equivalence tests).
   bool batched_replay = true;
   // Events per batched-replay tape: the episode is scored in chunks of this
   // many scheduling events (one backward per chunk) so the tape's working
@@ -92,12 +95,11 @@ class DecimaAgent : public sim::Scheduler {
   sim::Action decide(const sim::ClusterEnv& env,
                      gnn::EmbeddingCache* cache = nullptr) const;
   // Greedy decisions for many *independent sessions'* scheduling events,
-  // batched into one forward evaluation: a cross-session embed_episode (each
-  // session = one "event") plus one batched pass per policy head — the
-  // serving analogue of the episode-batched replay. Entry i is the decision
-  // for envs[i], bit-identical to decide(*envs[i]). `caches`, when
-  // non-empty, must be envs-aligned per-session caches (entries may be
-  // null: that session computes without caching).
+  // scored by the same core as schedule() and the batched replay, with each
+  // session one event of the batch. Entry i is the decision for envs[i],
+  // bit-identical to decide(*envs[i]). `caches`, when non-empty, must be
+  // envs-aligned per-session caches (entries may be null: that session
+  // computes without caching).
   std::vector<sim::Action> decide_batch(
       const std::vector<const sim::ClusterEnv*>& envs,
       const std::vector<gnn::EmbeddingCache*>& caches = {}) const;
@@ -116,11 +118,17 @@ class DecimaAgent : public sim::Scheduler {
   // gradients (a *descent* direction for Adam; weights are the advantages).
   // With config().batched_replay the gradients land in finish_replay();
   // the reference path accumulates them action by action during the run.
+  // Throws std::logic_error in every build when the previous batched replay
+  // was never finished (its pending tail would lose its gradients) or when
+  // weights and actions differ in length. During the run, a recorded choice
+  // outside its event's candidate, limit or class count throws
+  // std::out_of_range and abandons the replay.
   void start_replay(std::vector<RecordedAction> actions,
                     std::vector<double> weights, double entropy_weight);
-  // Scores the pending batched-replay snapshots (chunked per replay_batch)
-  // and accumulates the episode's gradients. Call after the replayed
-  // episode's env.run(); a no-op on the reference path.
+  // Scores the pending batched-replay snapshots on one tape and accumulates
+  // their gradients with one backward pass (schedule() calls it whenever
+  // replay_batch snapshots are pending). Call after the replayed episode's
+  // env.run() for the tail; a no-op on the reference path.
   void finish_replay();
   // Number of replay actions consumed so far.
   std::size_t replay_cursor() const { return replay_cursor_; }
@@ -165,31 +173,68 @@ class DecimaAgent : public sim::Scheduler {
     sim::NodeRef ref;
   };
 
-  // Snapshot of one scheduling event, taken while the recorded actions drive
-  // the environment (batched replay phase 1); phase 2 scores a batch of these
-  // on one tape in score_replay_batch().
-  struct ReplayEvent {
+  // One scheduling event as the scoring core sees it: the state's graphs and
+  // action set A_t, the limit and class head inputs of its chosen node, and
+  // the choices. A decision-time event carries `env`, from which the core
+  // fills the head inputs once it has picked the node. A replay snapshot
+  // fills them at snapshot time from the recorded node and carries no env
+  // (the simulator has moved on), plus the recorded choices and advantage.
+  struct Event {
+    const sim::ClusterEnv* env = nullptr;
     std::vector<gnn::JobGraph> graphs;
     std::vector<Candidate> candidates;
     int node_choice = 0;
     int limit_choice = -1;
     int class_choice = -1;
-    int chosen_graph = 0;  // graph/node of the chosen candidate
-    int chosen_node = 0;
     std::vector<int> limit_values;  // candidate limits (empty: control off)
-    nn::Matrix limit_feat;  // |limit_values| x 1 scaled limit inputs
-    nn::Matrix class_feat;  // |valid classes| x 2 [mem, free fraction]
-    double weight = 0.0;    // advantage A_k of the replayed action
+    nn::Matrix limit_feat;          // |limit_values| x 1 scaled limit inputs
+    std::vector<int> class_values;  // valid classes (empty: single class)
+    nn::Matrix class_feat;          // |class_values| x 2 [mem, free fraction]
+    double weight = 0.0;            // advantage A_k of a replayed action
   };
 
-  int pick(const std::vector<double>& probs, int recorded_choice);
-  // Scores events [begin, end) on one tape with a single backward pass.
-  void score_replay_batch(const std::vector<ReplayEvent>& events,
-                          std::size_t begin, std::size_t end);
-  // Chunked scoring of a whole snapshot list per config_.replay_batch.
-  void score_replay_events(std::vector<ReplayEvent>& events);
+  // Each head's logits over a batch of events, stacked event by event
+  // (segment t of a head starts at its *_starts[t]); the replay loss reads
+  // them.
+  struct Scores {
+    nn::Var node;  // candidates x 1 q logits
+    std::vector<std::size_t> node_starts;
+    nn::Var limit;  // limits x 1 w logits (scalar-input and stage-level)
+    std::vector<std::size_t> limit_starts;
+    std::vector<nn::Var> limit_rows;  // per-event 1 x n w_sep logits
+    nn::Var cls;  // classes x 1, multi-class events only
+    std::vector<std::size_t> class_starts;
+    std::vector<std::size_t> class_events;  // event of each class segment
+  };
 
-  // --- Shared, state-free scoring inputs (schedule() and the serving path) --
+  // The scoring core behind schedule(), decide_batch() and the batched
+  // replay. Embeds every event's graphs on `tape` (through the per-event
+  // `caches` when given and config().embed_cache is on), scores every
+  // candidate of every event in one q pass, then every event's limits in one
+  // w/w_sep pass and its classes in one class-head pass. Each head's choice
+  // is resolved per event before the next head reads it: greedy argmax
+  // (kGreedy), a draw from `rng` (kSample), or the recorded choice
+  // (kReplay).
+  Scores score_batch(nn::Tape& tape, std::vector<Event>& events,
+                     const std::vector<gnn::EmbeddingCache*>& caches,
+                     Mode how, Rng* rng) const;
+  // The per-action reference path (batched_inference = false, or
+  // batched_replay = false in kReplay): one tape per action, heads built
+  // inline over embed(). The equivalence suites compare score_batch()
+  // against it.
+  sim::Action schedule_reference(const sim::ClusterEnv& env,
+                                 const std::vector<gnn::JobGraph>& graphs,
+                                 const std::vector<Candidate>& candidates,
+                                 const RecordedAction* replayed);
+
+  // --- Shared, state-free scoring inputs ------------------------------------
+  // Extracts `env`'s graphs and action set into `ev`; false when there is
+  // nothing to schedule.
+  bool make_event(const sim::ClusterEnv& env, Event& ev) const;
+  // Fills ev's limit and class head inputs for its chosen node.
+  void fill_head_inputs(const sim::ClusterEnv& env, Event& ev) const;
+  // The concrete action of a scored decision-time event.
+  static sim::Action action_of(const Event& ev);
   bool multi_class(const sim::ClusterEnv& env) const;
   // Executor classes with enough memory for `mem_req` and free capacity.
   std::vector<int> valid_classes(const sim::ClusterEnv& env,
@@ -205,10 +250,6 @@ class DecimaAgent : public sim::Scheduler {
   // and (multi-resource) have a fitting class with free capacity.
   std::vector<Candidate> build_candidates(
       const sim::ClusterEnv& env, const std::vector<gnn::JobGraph>& graphs) const;
-  // Zero-embedding stand-ins for the no-GNN ablation in episode-batched form.
-  gnn::EpisodeEmbeddings zero_episode_embeddings(
-      nn::Tape& tape, const std::vector<const gnn::JobGraph*>& graphs,
-      std::size_t num_events) const;
 
   AgentConfig config_;
   Rng init_rng_;
@@ -229,7 +270,7 @@ class DecimaAgent : public sim::Scheduler {
   std::vector<RecordedAction> recorded_;
   std::vector<RecordedAction> replay_actions_;
   std::vector<double> replay_weights_;
-  std::vector<ReplayEvent> replay_events_;  // pending batched-replay snapshots
+  std::vector<Event> replay_events_;  // pending batched-replay snapshots
   double entropy_weight_ = 0.0;
   std::size_t replay_cursor_ = 0;
   double observed_iat_ = 0.0;

@@ -1,9 +1,9 @@
-// The incremental refresh behind GraphEmbedding::embed_cached (see
-// embedding_cache.h for the dirty-tracking contract). Everything here is
-// tape-free numeric evaluation through Mlp::forward, whose per-row
-// arithmetic is bit-identical to the Tape::linear forward the full batched
-// pass runs — so a cached event and a full re-embedding agree exactly, not
-// just within tolerance.
+// The incremental refresh behind GraphEmbedding::embed_cached and
+// embed_episode_cached (see embedding_cache.h for the dirty-tracking
+// contract). Everything here is tape-free numeric evaluation through
+// Mlp::forward, whose per-row arithmetic is bit-identical to the
+// Tape::linear forward the full batched pass runs — so a cached event and a
+// full re-embedding agree exactly, not just within tolerance.
 #include "gnn/embedding_cache.h"
 
 #include <algorithm>
@@ -305,12 +305,10 @@ EpisodeEmbeddings GraphEmbedding::embed_episode_cached(
     nn::Tape& tape, const std::vector<const JobGraph*>& graphs,
     const std::vector<std::size_t>& event_of_graph, std::size_t num_events,
     const std::vector<EmbeddingCache*>& caches) const {
-  assert(!graphs.empty());
   assert(event_of_graph.size() == graphs.size());
   assert(caches.size() == num_events);
   const std::size_t G = graphs.size();
   const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
-  const std::size_t fd = static_cast<std::size_t>(config_.feat_dim);
 
   // Sessions without a caller-provided cache run through a scratch cache:
   // a full compute whose entries die with this call.
@@ -323,24 +321,13 @@ EpisodeEmbeddings GraphEmbedding::embed_episode_cached(
     ++per_event[t]->stats_.events;
   }
 
-  EpisodeEmbeddings out;
-  out.node_offset.resize(G);
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < G; ++g) {
-    out.node_offset[g] = total;
-    total += graphs[g]->features.rows();
-  }
-  nn::Matrix X(total, fd);
-  nn::Matrix node_all(total, d);
+  EpisodeEmbeddings out = stack_features(tape, graphs);
+  nn::Matrix node_all(tape.value(out.feat_all).rows(), d);
   nn::Matrix job_mat(G, d);
   nn::Matrix glob_sum(num_events, d);
   for (std::size_t g = 0; g < G; ++g) {
     const std::size_t t = event_of_graph[g];
     ++live[t];
-    std::copy(graphs[g]->features.raw().begin(),
-              graphs[g]->features.raw().end(),
-              X.raw().begin() +
-                  static_cast<std::ptrdiff_t>(out.node_offset[g] * fd));
     const EmbeddingCache::Entry& e =
         refresh_cache_entry(*graphs[g], *per_event[t]);
     std::copy(e.E.raw().begin(), e.E.raw().end(),
@@ -354,7 +341,6 @@ EpisodeEmbeddings GraphEmbedding::embed_episode_cached(
       glob_sum(t, c) += e.fg(0, c);
     }
   }
-  out.feat_all = tape.constant(std::move(X));
   out.node_all = tape.constant(std::move(node_all));
   out.job_mat = tape.constant(std::move(job_mat));
   out.global_mat = tape.constant(config_.two_level_aggregation

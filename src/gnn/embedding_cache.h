@@ -40,7 +40,7 @@ namespace decima::gnn {
 class GraphEmbedding;
 
 struct EmbeddingCacheStats {
-  std::uint64_t events = 0;            // embed_cached calls served
+  std::uint64_t events = 0;            // events embedded through the cache
   std::uint64_t graphs_seen = 0;       // per-event per-graph refreshes
   std::uint64_t graphs_reused = 0;     // fully clean: no MLP work at all
   std::uint64_t graphs_rebuilt = 0;    // new job / structure change: full
@@ -103,7 +103,7 @@ class EmbeddingCache {
     std::vector<int> topo;                   // parents before children
     // Levelization (computed once per structure): level 0 = leaves, each
     // node's children at strictly lower levels — identical to the grouping
-    // GraphEmbedding::embed_nodes_batched sweeps by.
+    // GraphEmbedding::embed_episode sweeps by.
     std::vector<std::vector<std::size_t>> levels;
 
     nn::Matrix P;   // proj(x_v)

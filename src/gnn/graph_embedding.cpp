@@ -39,6 +39,28 @@ namespace {
 using detail::levelize;
 }  // namespace
 
+EpisodeEmbeddings stack_features(nn::Tape& tape,
+                                 const std::vector<const JobGraph*>& graphs) {
+  assert(!graphs.empty());
+  EpisodeEmbeddings out;
+  out.node_offset.resize(graphs.size());
+  std::size_t total = 0;
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    out.node_offset[g] = total;
+    total += graphs[g]->features.rows();
+  }
+  const std::size_t fd = graphs[0]->features.cols();
+  nn::Matrix X(total, fd);
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    std::copy(graphs[g]->features.raw().begin(),
+              graphs[g]->features.raw().end(),
+              X.raw().begin() +
+                  static_cast<std::ptrdiff_t>(out.node_offset[g] * fd));
+  }
+  out.feat_all = tape.constant(std::move(X));
+  return out;
+}
+
 GraphEmbedding::GraphEmbedding(const GnnConfig& config, decima::Rng& rng)
     : config_(config),
       proj_("gnn/proj", static_cast<std::size_t>(config.feat_dim),
@@ -62,77 +84,6 @@ GraphEmbedding::GraphEmbedding(const GnnConfig& config, decima::Rng& rng)
   g_job_.init(rng);
   f_glob_.init(rng);
   g_glob_.init(rng);
-}
-
-nn::Var GraphEmbedding::embed_nodes_batched(
-    nn::Tape& tape, const JobGraph& graph, nn::Var* proj_mat,
-    std::vector<nn::Var>* node_rows) const {
-  const std::size_t n = graph.features.rows();
-  const nn::Var x = tape.constant(graph.features);
-  const nn::Var P = proj_.apply(tape, x);  // one batched lift for all nodes
-
-  // Leaves-to-roots sweep (Fig. 5a), one level at a time. Eq. 1's message
-  // f(e_u) depends only on the child u, so f runs ONCE per node (one f_node
-  // pass over each source level's embedding matrix, built lazily) and its
-  // rows are gathered per edge — the same dedup embed_episode uses, instead
-  // of re-evaluating f for every extra parent of u. Gathered rows equal
-  // per-edge evaluation bit for bit (f is row-independent), and the
-  // per-source-level scatter positions each message at its (destination,
-  // child) slot exactly once, so the final segment-sum adds children in the
-  // original order — bit-identical to the pre-dedup sweep.
-  const auto levels = levelize(graph);
-  std::vector<std::size_t> level_of(n), row_in_level(n);
-  for (std::size_t L = 0; L < levels.size(); ++L) {
-    for (std::size_t i = 0; i < levels[L].size(); ++i) {
-      level_of[levels[L][i]] = L;
-      row_in_level[levels[L][i]] = i;
-    }
-  }
-  std::vector<nn::Var> level_mat(levels.size());
-  std::vector<nn::Var> f_mat(levels.size());
-  auto f_of_level = [&](std::size_t S) {
-    if (!f_mat[S].valid()) f_mat[S] = f_node_.apply(tape, level_mat[S]);
-    return f_mat[S];
-  };
-  level_mat[0] = tape.rows(P, levels[0]);
-  for (std::size_t L = 1; L < levels.size(); ++L) {
-    const auto& level = levels[L];
-    std::vector<std::size_t> seg_dst;
-    std::vector<std::vector<std::size_t>> src_rows(L), src_pos(L);
-    std::size_t n_children = 0;
-    for (std::size_t i = 0; i < level.size(); ++i) {
-      for (int u : graph.children[level[i]]) {
-        const std::size_t uu = static_cast<std::size_t>(u);
-        const std::size_t S = level_of[uu];
-        src_rows[S].push_back(row_in_level[uu]);
-        src_pos[S].push_back(n_children);
-        seg_dst.push_back(i);
-        ++n_children;
-      }
-    }
-    std::vector<nn::Var> parts;
-    for (std::size_t S = 0; S < L; ++S) {
-      if (src_rows[S].empty()) continue;
-      const nn::Var got = tape.rows(f_of_level(S), std::move(src_rows[S]));
-      parts.push_back(
-          tape.segment_sum_rows(got, std::move(src_pos[S]), n_children));
-    }
-    const nn::Var F = parts.size() == 1 ? parts[0] : tape.addn(parts);
-    nn::Var agg = tape.segment_sum_rows(F, std::move(seg_dst), level.size());
-    if (config_.two_level_aggregation) agg = g_node_.apply(tape, agg);
-    level_mat[L] = tape.add(agg, tape.rows(P, level));
-  }
-
-  std::vector<nn::Var> emb(n);
-  for (std::size_t L = 0; L < levels.size(); ++L) {
-    for (std::size_t i = 0; i < levels[L].size(); ++i) {
-      emb[levels[L][i]] = tape.row(level_mat[L], i);
-    }
-  }
-  const nn::Var E = tape.concat_rows(emb);
-  if (proj_mat) *proj_mat = P;
-  if (node_rows) *node_rows = std::move(emb);
-  return E;
 }
 
 std::vector<nn::Var> GraphEmbedding::embed_nodes_reference(
@@ -171,13 +122,15 @@ std::vector<nn::Var> GraphEmbedding::embed_nodes(
     nn::Tape& tape, const JobGraph& graph,
     std::vector<nn::Var>* proj_out) const {
   if (!config_.batched) return embed_nodes_reference(tape, graph, proj_out);
-  nn::Var proj_mat;
-  std::vector<nn::Var> rows;
-  embed_nodes_batched(tape, graph, &proj_mat, &rows);
+  const EpisodeEmbeddings ep = embed_episode(tape, {&graph}, {0}, 1);
+  const std::size_t n = graph.features.rows();
+  std::vector<nn::Var> rows(n);
+  for (std::size_t v = 0; v < n; ++v) rows[v] = tape.row(ep.node_all, v);
   if (proj_out) {
-    const std::size_t n = graph.features.rows();
     proj_out->resize(n);
-    for (std::size_t v = 0; v < n; ++v) (*proj_out)[v] = tape.row(proj_mat, v);
+    for (std::size_t v = 0; v < n; ++v) {
+      (*proj_out)[v] = tape.row(ep.proj_all, v);
+    }
   }
   return rows;
 }
@@ -227,42 +180,32 @@ Embeddings GraphEmbedding::embed(nn::Tape& tape,
     return out;
   }
 
-  // Per-graph aggregates, stacked so g' / f'' / g'' each run once over all
-  // jobs instead of once per job.
-  std::vector<nn::Var> job_aggs;
-  job_aggs.reserve(graphs.size());
-
-  for (const JobGraph& g : graphs) {
-    nn::Var P;
-    std::vector<nn::Var> node_rows;
-    const nn::Var E = embed_nodes_batched(tape, g, &P, &node_rows);
-    out.node_mat.push_back(E);
-    out.proj_mat.push_back(P);
+  // Batched path: the graphs are one event of embed_episode, sliced back
+  // into per-graph views.
+  std::vector<const JobGraph*> ptrs;
+  ptrs.reserve(graphs.size());
+  for (const JobGraph& g : graphs) ptrs.push_back(&g);
+  const EpisodeEmbeddings ep = embed_episode(
+      tape, ptrs, std::vector<std::size_t>(graphs.size(), 0), 1);
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const std::size_t n = graphs[g].features.rows();
+    std::vector<std::size_t> rows(n);
+    std::vector<nn::Var> node_rows(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      rows[v] = ep.node_offset[g] + v;
+      node_rows[v] = tape.row(ep.node_all, rows[v]);
+    }
+    out.node_mat.push_back(tape.rows(ep.node_all, rows));
+    out.proj_mat.push_back(tape.rows(ep.proj_all, std::move(rows)));
     out.node_emb.push_back(std::move(node_rows));
     // proj row views are left empty on the batched path: no batched consumer
     // reads them (slice proj_mat instead), and materializing n views per
     // graph would tax every scheduling event.
     out.proj.emplace_back();
-
-    // Per-job summary: the DAG-level summary node takes every node of the
-    // DAG as a child (Fig. 5b squares); its inputs are [proj(x_v), e_v],
-    // batched as one n x 2d matrix through f'.
-    const nn::Var joined = tape.concat_cols({P, E});
-    job_aggs.push_back(tape.sum_rows(f_job_.apply(tape, joined)));
+    out.job_emb.push_back(tape.row(ep.job_mat, g));
   }
-
-  nn::Var job_stack = tape.concat_rows(job_aggs);
-  if (config_.two_level_aggregation) job_stack = g_job_.apply(tape, job_stack);
-  out.job_mat = job_stack;
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    out.job_emb.push_back(tape.row(out.job_mat, g));
-  }
-
-  // Global summary: the cluster-level node takes every DAG summary as a
-  // child (Fig. 5b triangle); f'' runs once over the stacked job rows.
-  nn::Var agg = tape.sum_rows(f_glob_.apply(tape, out.job_mat));
-  if (config_.two_level_aggregation) agg = g_glob_.apply(tape, agg);
-  out.global_emb = agg;
+  out.job_mat = ep.job_mat;
+  out.global_emb = ep.global_mat;
   return out;
 }
 
@@ -270,18 +213,10 @@ EpisodeEmbeddings GraphEmbedding::embed_episode(
     nn::Tape& tape, const std::vector<const JobGraph*>& graphs,
     const std::vector<std::size_t>& event_of_graph,
     std::size_t num_events) const {
-  assert(!graphs.empty());
   assert(event_of_graph.size() == graphs.size());
   const std::size_t G = graphs.size();
-  const std::size_t fd = static_cast<std::size_t>(config_.feat_dim);
-
-  EpisodeEmbeddings out;
-  out.node_offset.resize(G);
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < G; ++g) {
-    out.node_offset[g] = total;
-    total += graphs[g]->features.rows();
-  }
+  EpisodeEmbeddings out = stack_features(tape, graphs);
+  const std::size_t total = tape.value(out.feat_all).rows();
   std::vector<std::size_t> graph_of(total);  // node row -> graph index
   for (std::size_t g = 0; g < G; ++g) {
     std::fill(graph_of.begin() + static_cast<std::ptrdiff_t>(out.node_offset[g]),
@@ -292,14 +227,8 @@ EpisodeEmbeddings GraphEmbedding::embed_episode(
   }
 
   // One feature lift for every node of every event.
-  nn::Matrix X(total, fd);
-  for (std::size_t g = 0; g < G; ++g) {
-    std::copy(graphs[g]->features.raw().begin(), graphs[g]->features.raw().end(),
-              X.raw().begin() +
-                  static_cast<std::ptrdiff_t>(out.node_offset[g] * fd));
-  }
-  out.feat_all = tape.constant(std::move(X));
   const nn::Var P = proj_.apply(tape, out.feat_all);
+  out.proj_all = P;
 
   // Cross-graph levelization: depth is a per-graph property, so nodes of one
   // depth are independent across every graph and every event — each level of
@@ -323,9 +252,8 @@ EpisodeEmbeddings GraphEmbedding::embed_episode(
   std::vector<nn::Var> level_mat(glevels.size());
   // f(e_u) depends only on the child u, so it is computed ONCE per node (one
   // f_node pass over each level's rows, built lazily) and its rows are
-  // gathered per edge — the same dedup embed_nodes_batched applies per graph,
-  // here amortized across every graph of every event. The gathered rows are
-  // bit-identical to per-edge evaluation.
+  // gathered per edge, amortized across every graph of every event. The
+  // gathered rows are bit-identical to per-edge evaluation.
   std::vector<nn::Var> f_mat(glevels.size());
   auto f_of_level = [&](std::size_t S) {
     if (!f_mat[S].valid()) f_mat[S] = f_node_.apply(tape, level_mat[S]);

@@ -26,7 +26,7 @@ namespace decima::gnn {
 namespace detail {
 // Groups nodes by message-passing depth: level 0 = leaves, every node's
 // children at strictly lower levels (graph_embedding.cpp). Shared by the
-// batched sweeps and the incremental embedding cache.
+// batched sweep (embed_episode) and the incremental embedding cache.
 std::vector<std::vector<std::size_t>> levelize(const JobGraph& graph);
 }  // namespace detail
 
@@ -35,9 +35,11 @@ struct GnnConfig {
   int emb_dim = 8;
   bool two_level_aggregation = true;  // false = Fig. 19 ablation
   std::vector<std::size_t> hidden = {32, 16};  // §6.1's layer sizes
-  // true (default) evaluates each message-passing level as one row-batched
-  // matrix per MLP; false keeps the original one-node-at-a-time reference
-  // implementation (used by equivalence tests and latency benchmarks).
+  // true (default) runs embed() and embed_nodes() as views over
+  // embed_episode, which evaluates each message-passing level as one
+  // row-batched matrix per MLP; false keeps the original one-node-at-a-time
+  // reference implementation (used by equivalence tests and latency
+  // benchmarks).
   bool batched = true;
 };
 
@@ -62,11 +64,19 @@ struct Embeddings {
 // `node_offset[g]` locates graph g's rows inside the stacked matrices.
 struct EpisodeEmbeddings {
   nn::Var feat_all;    // total_nodes x feat_dim constant (stacked raw x_v)
+  nn::Var proj_all;    // total_nodes x emb_dim proj(x_v), same rows; set by
+                       // embed_episode only (the cached form leaves it unset)
   nn::Var node_all;    // total_nodes x emb_dim; row node_offset[g] + v = e_v
   nn::Var job_mat;     // num_graphs x emb_dim (row g = y of graph g)
   nn::Var global_mat;  // num_events x emb_dim (row t = z of event t)
   std::vector<std::size_t> node_offset;  // first row of graph g
 };
+
+// Stacks every graph's raw feature rows into one total_nodes x feat_dim tape
+// constant: returns an EpisodeEmbeddings with only feat_all and node_offset
+// set. The batched sweep, its cached form and the no-GNN stand-ins share it.
+EpisodeEmbeddings stack_features(nn::Tape& tape,
+                                 const std::vector<const JobGraph*>& graphs);
 
 class GraphEmbedding {
  public:
@@ -81,17 +91,19 @@ class GraphEmbedding {
   // and run fully batched — each of the six MLPs is applied once per
   // message-passing depth (not once per graph per event); the global level
   // segment-sums per event, so global_mat row t is exactly the z the
-  // inference path computes for event t. Always uses the batched kernels
-  // regardless of config().batched (callers gate on their own replay flag).
+  // inference path computes for event t. The one batched sweep: always
+  // batched regardless of config().batched, and embed() / embed_nodes()
+  // with config().batched are views over it.
   EpisodeEmbeddings embed_episode(
       nn::Tape& tape, const std::vector<const JobGraph*>& graphs,
       const std::vector<std::size_t>& event_of_graph,
       std::size_t num_events) const;
 
-  // Incremental inference path (src/gnn/embedding_cache.h): refreshes
-  // `cache` against `graphs` — re-embedding only dirty nodes and their
-  // ancestors in message flow — and returns the embeddings as forward-only
-  // constants on `tape`. Numerically identical to embed() with
+  // Incremental embedding of one event (src/gnn/embedding_cache.h), kept for
+  // tests and benches — the agent refreshes through embed_episode_cached.
+  // Refreshes `cache` against `graphs` — re-embedding only dirty nodes and
+  // their ancestors in message flow — and returns the embeddings as
+  // forward-only constants on `tape`. Numerically identical to embed() with
   // config().batched (the cache evaluates the same kernels in the same
   // order on the dirty rows and re-reduces summaries over mixed
   // cached/fresh rows). Unlike embed(), the per-node row views (node_emb,
@@ -102,16 +114,18 @@ class GraphEmbedding {
   Embeddings embed_cached(nn::Tape& tape, const std::vector<JobGraph>& graphs,
                           EmbeddingCache& cache) const;
 
-  // Cross-session cached embedding (the serving path): graphs of session t
-  // are those with event_of_graph[g] == t and refresh caches[t] (one
-  // per-session cache, nullptr = compute without caching). Produces the
-  // same stacked layout as embed_episode, as tape constants.
+  // Cached embedding of a batch of events (schedule() with one event, the
+  // serving path with one event per session): graphs of event t are those
+  // with event_of_graph[g] == t and refresh caches[t] (one per-session
+  // cache, nullptr = compute without caching). Produces the same stacked
+  // layout as embed_episode, as tape constants.
   EpisodeEmbeddings embed_episode_cached(
       nn::Tape& tape, const std::vector<const JobGraph*>& graphs,
       const std::vector<std::size_t>& event_of_graph, std::size_t num_events,
       const std::vector<EmbeddingCache*>& caches) const;
 
-  // Per-node embeddings only (used by the supervised expressiveness study).
+  // Per-node embeddings only (used by the supervised expressiveness study);
+  // `proj_out` receives the per-node proj(x_v) rows.
   std::vector<nn::Var> embed_nodes(nn::Tape& tape, const JobGraph& graph,
                                    std::vector<nn::Var>* proj_out = nullptr) const;
 
@@ -119,13 +133,6 @@ class GraphEmbedding {
   const GnnConfig& config() const { return config_; }
 
  private:
-  // Batched per-node sweep: returns the n x emb_dim node matrix; also exposes
-  // the n x emb_dim projection matrix and per-node row views. Applies Eq. 1's
-  // f once per node per level and gathers the rows per edge (the same message
-  // dedup as embed_episode), so multi-parent nodes cost one f evaluation.
-  nn::Var embed_nodes_batched(nn::Tape& tape, const JobGraph& graph,
-                              nn::Var* proj_mat,
-                              std::vector<nn::Var>* node_rows) const;
   // Original one-node-at-a-time sweep (config_.batched = false).
   std::vector<nn::Var> embed_nodes_reference(
       nn::Tape& tape, const JobGraph& graph,

@@ -572,18 +572,24 @@ Var Tape::entropy_segments(Var logits, std::vector<std::size_t> seg_start) {
   })};
 }
 
-std::vector<double> Tape::softmax_values(Var logits) const {
-  const Matrix& L = value(logits);
-  std::vector<double> out(L.cols());
-  double max_logit = L(0, 0);
-  for (std::size_t c = 1; c < L.cols(); ++c) max_logit = std::max(max_logit, L(0, c));
+std::vector<double> softmax(const double* logits, std::size_t n) {
+  std::vector<double> out(n);
+  double max_logit = logits[0];
+  for (std::size_t c = 1; c < n; ++c) {
+    max_logit = std::max(max_logit, logits[c]);
+  }
   double denom = 0.0;
-  for (std::size_t c = 0; c < L.cols(); ++c) {
-    out[c] = std::exp(L(0, c) - max_logit);
+  for (std::size_t c = 0; c < n; ++c) {
+    out[c] = std::exp(logits[c] - max_logit);
     denom += out[c];
   }
   for (double& v : out) v /= denom;
   return out;
+}
+
+std::vector<double> Tape::softmax_values(Var logits) const {
+  const Matrix& L = value(logits);
+  return softmax(L.raw().data(), L.cols());
 }
 
 void Tape::backward(Var output, double seed) {

@@ -31,6 +31,12 @@ struct Param {
 
 class Tape;
 
+// Softmax probabilities of logits[0, n): max-shifted exponentials over their
+// sum. Tape::softmax_values and every policy head's greedy and sampled picks
+// read this one sequence, so the probabilities they compare agree bit for
+// bit.
+std::vector<double> softmax(const double* logits, std::size_t n);
+
 // Lightweight handle to a node on the tape.
 struct Var {
   int idx = -1;
@@ -121,7 +127,8 @@ class Tape {
   Var entropy_segments(Var logits, std::vector<std::size_t> seg_start);
 
   // Softmax probabilities of a 1 x n logits row (forward value only; the
-  // backward path flows through log_prob_pick in training).
+  // backward path flows through log_prob_pick in training). Same sequence as
+  // nn::softmax below.
   std::vector<double> softmax_values(Var logits) const;
 
   // --- Access / backward ------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -231,44 +230,16 @@ DecideResult PolicyServer::degraded_answer(const sim::ClusterEnv& env,
   return result;
 }
 
-PolicyServer::Shard& PolicyServer::shard_for_cache(
-    const gnn::EmbeddingCache* cache) {
-  if (shards_.size() == 1) return *shards_[0];
-  const std::size_t idx =
-      cache != nullptr
-          ? std::hash<const void*>{}(cache) % shards_.size()
-          : raw_rr_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  return *shards_[idx];
-}
-
-DecideResult PolicyServer::decide_with_status(Session& session,
-                                              const sim::ClusterEnv& env) {
-  if (!session.open() || session.server_ != this) {
-    // Closed/foreign handle: serve uncached, like a raw call without a
-    // cache. Keeps moved-from handles harmless instead of UB.
-    return decide_on_shard(shard_for_cache(nullptr), env, nullptr);
-  }
-  return decide_on_shard(*shards_[static_cast<std::size_t>(session.shard_)],
-                         env, session.cache_);
-}
-
 sim::Action PolicyServer::decide(Session& session, const sim::ClusterEnv& env) {
   return decide_with_status(session, env).action;
 }
 
-DecideResult PolicyServer::decide_with_status(const sim::ClusterEnv& env,
-                                              gnn::EmbeddingCache* cache) {
-  return decide_on_shard(shard_for_cache(cache), env, cache);
-}
-
-sim::Action PolicyServer::decide(const sim::ClusterEnv& env,
-                                 gnn::EmbeddingCache* cache) {
-  return decide_with_status(env, cache).action;
-}
-
-DecideResult PolicyServer::decide_on_shard(Shard& sh,
-                                           const sim::ClusterEnv& env,
-                                           gnn::EmbeddingCache* cache) {
+DecideResult PolicyServer::decide_with_status(Session& session,
+                                              const sim::ClusterEnv& env) {
+  // A closed, moved-from or foreign handle is served uncached on shard 0
+  // instead of being UB.
+  const bool own = session.open() && session.server_ == this;
+  Shard& sh = *shards_[own ? static_cast<std::size_t>(session.shard_) : 0];
   ServeMetrics& metrics = ServeMetrics::get();
   // End-to-end latency as this session sees it, every outcome included.
   obs::ScopedLatencyUs decide_latency(metrics.decide_latency_us);
@@ -276,7 +247,7 @@ DecideResult PolicyServer::decide_on_shard(Shard& sh,
   // this frame if the session abandons it on deadline expiry.
   auto req = std::make_shared<Request>();
   req->env = &env;
-  req->cache = cache;
+  req->cache = own ? session.cache_ : nullptr;
   if (obs::metrics_enabled()) {
     req->enqueue_tp = std::chrono::steady_clock::now();
     req->enqueue_timed = true;

@@ -21,9 +21,8 @@
 //
 // Sessions are first-class: PolicyServer::open_session() returns a
 // serve::Session handle that owns the session's incremental embedding cache
-// and its shard affinity; decide_with_status(session, env) replaces the old
-// caller-threaded EmbeddingCache* plumbing (which survives one release as a
-// thin compatibility wrapper below).
+// and its shard affinity; every query goes through
+// decide_with_status(session, env).
 //
 // Snapshots are hot-swappable: swap_policy() publishes a new agent under the
 // server lock without draining sessions — every shard's dispatcher pins the
@@ -237,7 +236,8 @@ class PolicyServer {
   // The session's embedding cache rides along: consecutive queries re-embed
   // only what changed between them, even inside a cross-session batch. The
   // fallback path never touches the cache, so a degraded answer cannot
-  // stale it. A closed/empty handle serves uncached.
+  // stale it. A closed, moved-from or foreign handle serves uncached on
+  // shard 0.
   DecideResult decide_with_status(Session& session, const sim::ClusterEnv& env)
       EXCLUDES(mu_);
   // Action-only convenience wrapper. NOTE the historical ambiguity this API
@@ -245,17 +245,6 @@ class PolicyServer {
   // "no runnable work" — callers that care use decide_with_status.
   sim::Action decide(Session& session, const sim::ClusterEnv& env)
       EXCLUDES(mu_);
-
-  // --- Deprecated raw-cache-pointer compatibility (one release) ------------
-  // The pre-Session API: the caller threads its own EmbeddingCache* through
-  // every call. Kept as a thin wrapper — shard affinity comes from hashing
-  // the cache pointer (uncached callers rotate round-robin), so a caller
-  // reusing one cache still lands on one shard. New code opens a Session.
-  DecideResult decide_with_status(const sim::ClusterEnv& env,
-                                  gnn::EmbeddingCache* cache = nullptr)
-      EXCLUDES(mu_);
-  sim::Action decide(const sim::ClusterEnv& env,
-                     gnn::EmbeddingCache* cache = nullptr) EXCLUDES(mu_);
 
   // Publishes `policy` as the snapshot answering every *subsequent* batch;
   // batches already dispatched (on any shard) finish on the snapshot they
@@ -304,7 +293,7 @@ class PolicyServer {
   struct Request {
     enum State : int { kQueued = 0, kClaimed, kDone, kAbandoned };
     const sim::ClusterEnv* env = nullptr;
-    gnn::EmbeddingCache* cache = nullptr;  // session-owned, may be null
+    gnn::EmbeddingCache* cache = nullptr;  // the session's; null = uncached
     // Queue-wait observability (docs/observability.md): stamped at enqueue
     // when metrics were enabled; the dispatcher reads it after claiming.
     std::chrono::steady_clock::time_point enqueue_tp{};
@@ -347,13 +336,6 @@ class PolicyServer {
   // immediately when the ring is already deep, the shard is stopping, or a
   // lone session could never be joined by another.
   void bounded_batch_wait(Shard& sh) REQUIRES(sh.mu);
-  // The shared enqueue/wait/degrade path behind both decide APIs.
-  DecideResult decide_on_shard(Shard& sh, const sim::ClusterEnv& env,
-                               gnn::EmbeddingCache* cache);
-  // Shard affinity for the deprecated raw-pointer API: hash of the cache
-  // pointer when present (a stable caller-owned cache keeps landing on one
-  // shard), round-robin otherwise.
-  Shard& shard_for_cache(const gnn::EmbeddingCache* cache);
   void close_session(const Session& session);
   // Builds the degraded (rejected/timed-out) answer: SJF-CP when
   // heuristic_fallback is on, Action::none() otherwise.
@@ -370,9 +352,6 @@ class PolicyServer {
   std::shared_ptr<const core::DecimaAgent> policy_ GUARDED_BY(mu_);
   std::uint64_t snapshot_swaps_ GUARDED_BY(mu_) = 0;
   std::uint64_t next_session_id_ GUARDED_BY(mu_) = 0;
-  // Round-robin cursor for uncached raw-API calls; relaxed atomic (like the
-  // obs counters) so the deprecated hot path does not serialize on mu_.
-  std::atomic<std::uint64_t> raw_rr_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::once_flag join_once_;  // concurrent stop(): exactly one caller joins
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/agent.h"
 #include "sim/validate.h"
@@ -145,6 +146,90 @@ TEST(Agent, ZeroAdvantageGivesEntropyOnlyGradient) {
   for (const auto* p : clone->params().params()) {
     EXPECT_DOUBLE_EQ(p->grad.squared_norm(), 0.0);
   }
+}
+
+// --- Replay preconditions (checked in every build, not by assert) ----------
+
+// A sampled episode of `cfg` on two jobs, and a fresh env to replay it on.
+std::vector<RecordedAction> record_episode(const AgentConfig& cfg,
+                                           const sim::EnvConfig& env_cfg) {
+  DecimaAgent agent(cfg);
+  agent.set_mode(Mode::kSample);
+  agent.set_sample_seed(5);
+  agent.start_recording();
+  sim::ClusterEnv env(env_cfg);
+  env.add_job(job("a", 8, 1.0), 0.0);
+  env.add_job(job("b", 3, 2.0), 0.5);
+  env.run(agent);
+  return agent.take_recorded();
+}
+
+void replay_episode(DecimaAgent& agent, const sim::EnvConfig& env_cfg) {
+  sim::ClusterEnv env(env_cfg);
+  env.add_job(job("a", 8, 1.0), 0.0);
+  env.add_job(job("b", 3, 2.0), 0.5);
+  env.run(agent);
+}
+
+TEST(AgentReplay, StartReplayThrowsOverUnfinishedBatchedTail) {
+  AgentConfig cfg = agent_config();
+  cfg.replay_batch = 8;
+  const auto recorded = record_episode(cfg, config(4));
+  ASSERT_NE(recorded.size() % 8, 0u) << "no pending tail to lose";
+  DecimaAgent agent(cfg);
+  const std::vector<double> weights(recorded.size(), 1.0);
+  agent.start_replay(recorded, weights, 0.0);
+  replay_episode(agent, config(4));
+  // finish_replay() skipped: the tail's gradients are still pending.
+  EXPECT_THROW(agent.start_replay(recorded, weights, 0.0), std::logic_error);
+  agent.finish_replay();
+  EXPECT_NO_THROW(agent.start_replay(recorded, weights, 0.0));
+}
+
+TEST(AgentReplay, StartReplayThrowsOnWeightCountMismatch) {
+  const auto recorded = record_episode(agent_config(), config(4));
+  DecimaAgent agent(agent_config());
+  EXPECT_THROW(agent.start_replay(recorded,
+                                  std::vector<double>(recorded.size() - 1, 1.0),
+                                  0.0),
+               std::logic_error);
+}
+
+// Corrupts one recorded choice and expects both replay paths to reject it
+// with std::out_of_range, leaving nothing pending behind.
+void expect_out_of_range_replay(AgentConfig cfg, const sim::EnvConfig& env_cfg,
+                                int RecordedAction::*choice) {
+  auto recorded = record_episode(cfg, env_cfg);
+  ASSERT_GE(recorded.front().*choice, 0);
+  recorded.front().*choice = 1000;
+  const std::vector<double> weights(recorded.size(), 1.0);
+  for (bool batched : {true, false}) {
+    cfg.batched_replay = batched;
+    DecimaAgent agent(cfg);
+    agent.start_replay(recorded, weights, 0.0);
+    EXPECT_THROW(replay_episode(agent, env_cfg), std::out_of_range)
+        << "batched_replay=" << batched;
+    EXPECT_NO_THROW(agent.start_replay(recorded, weights, 0.0));
+  }
+}
+
+TEST(AgentReplay, OutOfRangeNodeChoiceThrows) {
+  expect_out_of_range_replay(agent_config(), config(4),
+                             &RecordedAction::node_choice);
+}
+
+TEST(AgentReplay, OutOfRangeLimitChoiceThrows) {
+  expect_out_of_range_replay(agent_config(), config(4),
+                             &RecordedAction::limit_choice);
+}
+
+TEST(AgentReplay, OutOfRangeClassChoiceThrows) {
+  AgentConfig cfg = agent_config();
+  cfg.multi_resource = true;
+  sim::EnvConfig env_cfg = config(4);
+  env_cfg.classes = {sim::ExecutorClass{0.5, "s"},
+                     sim::ExecutorClass{1.0, "l"}};
+  expect_out_of_range_replay(cfg, env_cfg, &RecordedAction::class_choice);
 }
 
 TEST(Agent, CloneSharesValuesNotState) {

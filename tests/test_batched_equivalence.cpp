@@ -182,6 +182,21 @@ void expect_replay_grads_match(const core::AgentConfig& base,
   const auto recorded = batched.take_recorded();
   ASSERT_FALSE(recorded.empty());
 
+  // The reference agent samples the same choices from the same seed.
+  reference.set_mode(core::Mode::kSample);
+  reference.set_sample_seed(31);
+  reference.start_recording();
+  sim::ClusterEnv ref_env(env_config);
+  workload::load(ref_env, jobs);
+  ref_env.run(reference);
+  const auto ref_recorded = reference.take_recorded();
+  ASSERT_EQ(ref_recorded.size(), recorded.size());
+  for (std::size_t k = 0; k < recorded.size(); ++k) {
+    EXPECT_EQ(ref_recorded[k].node_choice, recorded[k].node_choice) << k;
+    EXPECT_EQ(ref_recorded[k].limit_choice, recorded[k].limit_choice) << k;
+    EXPECT_EQ(ref_recorded[k].class_choice, recorded[k].class_choice) << k;
+  }
+
   std::vector<double> weights(recorded.size());
   for (std::size_t k = 0; k < weights.size(); ++k) {
     weights[k] = (k % 2 ? 1.0 : -1.0) * (0.5 + 0.1 * static_cast<double>(k));

@@ -171,7 +171,8 @@ std::vector<workload::ArrivingJob> staggered_jobs(std::uint64_t seed,
   return jobs;
 }
 
-// Runs one greedy episode and returns the (job, stage, limit, class) trace.
+// Runs one episode in the agent's mode and returns the (job, stage, limit,
+// class) trace.
 std::vector<std::array<int, 4>> run_trace(core::DecimaAgent& agent,
                                           const sim::EnvConfig& env_config,
                                           const std::vector<workload::ArrivingJob>& jobs) {
@@ -195,18 +196,33 @@ std::vector<std::array<int, 4>> run_trace(core::DecimaAgent& agent,
   return trace;
 }
 
+// Cached, uncached and per-action reference agents (batched_inference off:
+// inline heads over the per-node GNN sweep) must produce the same greedy
+// trace, and the same sampled trace from a shared sample seed.
 void expect_same_trace(const core::AgentConfig& config,
                        const sim::EnvConfig& env_config,
                        const std::vector<workload::ArrivingJob>& jobs) {
-  core::AgentConfig on = config, off = config;
+  core::AgentConfig on = config, off = config, ref = config;
   on.embed_cache = true;
   off.embed_cache = false;
-  core::DecimaAgent agent_on(on), agent_off(off);
-  const auto ta = run_trace(agent_on, env_config, jobs);
-  const auto tb = run_trace(agent_off, env_config, jobs);
-  ASSERT_EQ(ta.size(), tb.size());
-  for (std::size_t i = 0; i < ta.size(); ++i) EXPECT_EQ(ta[i], tb[i]) << i;
-  // The episode had real reuse to validate, not wall-to-wall rebuilds: some
+  ref.batched_inference = false;
+  core::DecimaAgent agent_on(on), agent_off(off), agent_ref(ref);
+  for (core::Mode mode : {core::Mode::kGreedy, core::Mode::kSample}) {
+    std::vector<std::vector<std::array<int, 4>>> traces;
+    for (core::DecimaAgent* agent : {&agent_on, &agent_off, &agent_ref}) {
+      agent->set_mode(mode);
+      agent->set_sample_seed(17);
+      traces.push_back(run_trace(*agent, env_config, jobs));
+    }
+    for (std::size_t a = 1; a < traces.size(); ++a) {
+      ASSERT_EQ(traces[0].size(), traces[a].size()) << "agent " << a;
+      for (std::size_t i = 0; i < traces[0].size(); ++i) {
+        EXPECT_EQ(traces[0][i], traces[a][i])
+            << "agent " << a << " action " << i;
+      }
+    }
+  }
+  // The episodes had real reuse to validate, not wall-to-wall rebuilds: some
   // node embeddings were served from cache rather than recomputed.
   const auto& stats = agent_on.embed_cache_stats();
   EXPECT_LT(stats.nodes_recomputed, stats.nodes_total);

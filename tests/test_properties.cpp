@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "core/agent.h"
 #include "sched/heuristics.h"
@@ -36,6 +38,13 @@ struct Case {
   std::string scheduler;
   std::uint64_t seed;
 };
+
+// gtest_discover_tests folds the printed parameter into the ctest name of a
+// custom-named case. Without a printer gtest dumps Case's raw bytes, which
+// hold the string's heap pointer, so the name would change with every build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.scheduler << " seed " << c.seed;
+}
 
 class ScheduleInvariants : public ::testing::TestWithParam<Case> {};
 

@@ -298,7 +298,8 @@ TEST(PolicyServer, StopIsIdempotentAndAnswersAfterStopAreNone) {
   server->stop();
   sim::ClusterEnv env(serve_env());
   workload::load(env, session_jobs(0));
-  EXPECT_FALSE(server->decide(env).valid());
+  serve::Session session = server->open_session();
+  EXPECT_FALSE(server->decide(session, env).valid());
 }
 
 // The stop-vs-no-action ambiguity fix: an empty action from a live server
@@ -308,14 +309,15 @@ TEST(PolicyServer, StatusDistinguishesStoppedFromEmptyAction) {
   const std::string ckpt = checkpoint_of_fresh_agent("serve_status.ckpt");
   auto server = serve::PolicyServer::from_checkpoint(ckpt);
   sim::ClusterEnv empty_env(serve_env());  // no jobs: nothing to schedule
+  serve::Session session = server->open_session();
 
-  const auto live = server->decide_with_status(empty_env);
+  const auto live = server->decide_with_status(session, empty_env);
   EXPECT_EQ(live.status, serve::DecideStatus::kOk);
   EXPECT_FALSE(live.action.valid());
   EXPECT_FALSE(live.fallback);
 
   server->stop();
-  const auto stopped = server->decide_with_status(empty_env);
+  const auto stopped = server->decide_with_status(session, empty_env);
   EXPECT_EQ(stopped.status, serve::DecideStatus::kStopped);
   EXPECT_FALSE(stopped.action.valid());
   EXPECT_FALSE(stopped.fallback);  // stopped servers never fall back
@@ -337,9 +339,10 @@ TEST(PolicyServer, ShutdownWithQueuedRequestsDrainsOrReportsStopped) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
+      serve::Session session = server->open_session();
       for (int i = 0; i < 40; ++i) {
-        const auto r = server->decide_with_status(*envs[
-            static_cast<std::size_t>(t)]);
+        const auto r = server->decide_with_status(
+            session, *envs[static_cast<std::size_t>(t)]);
         switch (r.status) {
           case serve::DecideStatus::kOk: ++ok; break;
           case serve::DecideStatus::kStopped: ++stopped; break;
@@ -388,9 +391,10 @@ TEST(PolicyServer, SaturationDegradesToSjfCpWithExactAccounting) {
     for (int t = 0; t < 8; ++t) {
       threads.emplace_back([&, t] {
         const auto& env = *envs[static_cast<std::size_t>(t)];
+        serve::Session session = server->open_session();
         for (int i = 0; i < 10; ++i) {
           ++issued;
-          const auto r = server->decide_with_status(env);
+          const auto r = server->decide_with_status(session, env);
           ++resolved;
           if (r.status == serve::DecideStatus::kRejected ||
               r.status == serve::DecideStatus::kTimedOut) {
@@ -436,9 +440,10 @@ TEST(PolicyServer, FallbackOffReturnsNoneOnRejection) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 6; ++t) {
       threads.emplace_back([&, t] {
+        serve::Session session = server->open_session();
         for (int i = 0; i < 10; ++i) {
-          const auto r =
-              server->decide_with_status(*envs[static_cast<std::size_t>(t)]);
+          const auto r = server->decide_with_status(
+              session, *envs[static_cast<std::size_t>(t)]);
           if (r.status == serve::DecideStatus::kRejected &&
               (r.fallback || r.action.valid())) {
             bad_reject = true;

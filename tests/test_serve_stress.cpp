@@ -176,7 +176,8 @@ TEST(ServeStress, ConcurrentStopIsIdempotent) {
 
   sim::ClusterEnv env(serve_env());
   workload::load(env, session_jobs(2));
-  EXPECT_FALSE(server->decide(env).valid());
+  serve::Session session = server->open_session();
+  EXPECT_FALSE(server->decide(session, env).valid());
 }
 
 // Overload/saturation: hundreds of sessions against a tiny bounded queue and
