@@ -110,11 +110,19 @@ double train_and_test(bool two_level, int iterations, int batch,
       const LabeledDag d = random_dag(data);
       nn::Tape tape;
       const auto emb = gnn.embed_nodes(tape, d.graph);
+      // Squared-error gradient: each node's prediction scaled by its
+      // d(loss)/d(pred), summed, then ONE backward pass per DAG (backward
+      // never clears interior grads, so a pass per node would re-propagate
+      // every earlier node's seed).
+      std::vector<nn::Var> terms;
+      terms.reserve(emb.size());
       for (std::size_t v = 0; v < emb.size(); ++v) {
         nn::Var pred = readout.apply(tape, emb[v]);
         const double err = tape.value(pred)(0, 0) - d.cp[v] / 10.0;
-        tape.backward(pred, 2.0 * err / (batch * static_cast<double>(emb.size())));
+        terms.push_back(tape.scale(
+            pred, 2.0 * err / (batch * static_cast<double>(emb.size()))));
       }
+      tape.backward(tape.addn(terms));
     }
     params.clip_grad_norm(10.0);
     adam.step();

@@ -74,7 +74,7 @@ int main() {
   bench::print_header(
       "Sharded serving plane (ROADMAP: shard the serving plane)",
       "PolicyServer decisions/sec across dispatcher shards x concurrent\n"
-      "sessions — per-shard SPSC rings, session shard affinity, adaptive\n"
+      "sessions — per-shard request queues, session shard affinity, adaptive\n"
       "bounded-wait batching (writes BENCH_serve_sharded.json).");
 
   const int dag_jobs = env_int("DECIMA_SERVE_JOBS", 3);

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
 
   // ---- 3. Serve concurrent sessions ----------------------------------------
   // Sharded serving plane: `shards` dispatcher threads, each draining its
-  // own SPSC request ring, with the adaptive bounded wait coalescing
+  // own request queue, with the adaptive bounded wait coalescing
   // shallow batches. shards=1 is the bit-identical reference dispatcher.
   serve::ServeConfig serve_cfg;
   serve_cfg.shards = shards;

@@ -44,10 +44,11 @@ BENCH_REGISTRY = {
     "BENCH_fig12.json": {},
     "BENCH_observability.json": {
         # Instrumentation-overhead gate (docs/observability.md): serving
-        # throughput with metrics+tracing ON over OFF, interleaved
-        # median-of-3. Ideal is 1.0 (recording is relaxed atomics behind one
-        # flag load); the floor allows 3% for runner noise — below it, the
-        # observability layer has grown a real hot-path tax.
+        # throughput with metrics+tracing ON over OFF, the median of the
+        # ratios of 9 adjacent on/off pairs (alternating order). Ideal is
+        # 1.0 (recording is relaxed atomics behind one flag load); the floor
+        # allows 3% for runner noise — below it, the observability layer has
+        # grown a real hot-path tax.
         "metrics_on_vs_off_ratio": 0.97,
     },
     "BENCH_scenarios.json": {

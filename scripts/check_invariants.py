@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lint: the rules the compilers cannot check.
 
-Seven standing invariants, enforced at zero findings by the CI
+Six standing invariants, enforced at zero findings by the CI
 ``static-analysis`` job (and by ``ctest -R check_invariants`` locally):
 
 1. **sync-primitives** — no raw ``std::mutex`` / ``std::condition_variable``
@@ -33,11 +33,6 @@ Seven standing invariants, enforced at zero findings by the CI
    ``docs/observability.md``, and every ``serve.`` / ``train.`` / ``cache.``
    name the doc lists still has its constant. The observable surface and its
    documentation may never drift apart.
-7. **spsc-ring-containment** — the lock-free ``util::SpscRing`` stays
-   confined to its annotated header and the reviewed serving-plane files
-   that uphold its single-producer/single-consumer contract
-   (docs/serving.md, docs/concurrency.md). Any new use site must be
-   reviewed and added to ``RING_ALLOWED_FILES`` here.
 
 Exits 0 with a one-line summary when clean; prints every finding as
 ``file:line: [rule] message`` and exits 1 otherwise.
@@ -129,20 +124,6 @@ OBS_NAME_RE = re.compile(
 # Multi-segment names (e.g. `serve.shard.decisions`) are one token.
 OBS_DOC_NAME_RE = re.compile(
     r"`((?:serve|train|cache)\.[a-z0-9_]+(?:\.[a-z0-9_]+)*)`")
-
-# --- rule 7: SpscRing stays behind its reviewed use sites ---------------------
-
-# The SPSC ring is safe only under the exact producer/consumer roles the
-# serving plane establishes (producers serialized by the shard mutex, the
-# shard's dispatcher as sole consumer). Using it anywhere else needs review:
-# add the file here after checking the roles, or the lint fails.
-RING_TOKEN = "SpscRing"
-RING_ALLOWED_FILES = {
-    Path("src/util/ring.h"),
-    Path("src/serve/policy_server.h"),
-    Path("src/serve/policy_server.cpp"),
-    Path("tests/test_util.cpp"),
-}
 
 # ----------------------------------------------------------------------------
 
@@ -407,35 +388,6 @@ def findings_obs_docs_inventory():
     return found
 
 
-def findings_spsc_ring_containment():
-    """Rule 7: the ``SpscRing`` token appears only in RING_ALLOWED_FILES.
-    The ring's safety rests on use-site discipline (who is the single
-    producer, who the single consumer) that no annotation can check — so
-    every use site is enumerated and reviewed here."""
-    found = []
-    for path in cxx_files():
-        rel = path.relative_to(REPO)
-        if rel in RING_ALLOWED_FILES:
-            continue
-        code = strip_comments_and_strings(path.read_text())
-        for lineno, line in enumerate(code.splitlines(), 1):
-            if RING_TOKEN in line:
-                found.append(
-                    (rel, lineno, "spsc-ring-containment",
-                     f"util::{RING_TOKEN} used outside its reviewed files — "
-                     f"the SPSC contract (producers serialized by a shard "
-                     f"mutex, one consumer) must be re-reviewed; add this "
-                     f"file to RING_ALLOWED_FILES in "
-                     f"scripts/check_invariants.py after doing so"))
-    for rel in sorted(RING_ALLOWED_FILES):
-        if not (REPO / rel).is_file():
-            found.append(
-                (rel, 1, "spsc-ring-containment",
-                 f"RING_ALLOWED_FILES lists {rel} but it does not exist — "
-                 f"stale entry"))
-    return found
-
-
 def main() -> int:
     rules = [
         findings_sync_primitives,
@@ -444,7 +396,6 @@ def main() -> int:
         findings_bench_registry,
         findings_thread_knob_pinning,
         findings_obs_docs_inventory,
-        findings_spsc_ring_containment,
     ]
     findings = []
     for rule in rules:

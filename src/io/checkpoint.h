@@ -30,7 +30,9 @@ constexpr std::uint32_t kPolicyMagic = 0x44504F4Cu;   // "DPOL"
 constexpr std::uint32_t kTrainerMagic = 0x4454524Eu;  // "DTRN"
 // Version 2: AgentConfig serialization gained the embed_cache flag.
 constexpr std::uint32_t kPolicyVersion = 2;
-constexpr std::uint32_t kTrainerVersion = 2;
+// Version 3: the TrainConfig fingerprint is one length-prefixed byte string
+// and covers EnvConfig::faults.
+constexpr std::uint32_t kTrainerVersion = 3;
 
 // --- Policy checkpoints ------------------------------------------------------
 

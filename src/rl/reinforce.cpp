@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "io/checkpoint.h"
 #include "obs/metric_names.h"
@@ -45,164 +47,69 @@ double pool_utilization(double cpu_seconds, double wall_seconds,
   return capacity > 0.0 ? cpu_seconds / capacity : 0.0;
 }
 
-// The TrainConfig fields that shape the training dynamics, written to (and
-// verified against) trainer checkpoints. num_iterations and rollout_threads
-// are deliberately absent: iteration count is the caller's loop, and
-// per-episode gradients reduce in a fixed order so the thread count cannot
-// change results (tests/test_parallel_rollout.cpp and the resume-across-
-// thread-counts case in tests/test_checkpoint.cpp pin this). The
-// WorkloadSampler is a
+// The TrainConfig fields that shape the training dynamics, as one byte
+// string that trainer checkpoints store and resume() compares verbatim.
+// num_iterations and rollout_threads are deliberately absent: iteration
+// count is the caller's loop, and per-episode gradients reduce in a fixed
+// order so the thread count cannot change results
+// (tests/test_parallel_rollout.cpp and the resume-across-thread-counts case
+// in tests/test_checkpoint.cpp pin this). Every EnvConfig field, the
+// FaultPlan included, shapes the dynamics. The WorkloadSampler is a
 // std::function and inherently unverifiable — resume() trusts the caller to
 // install the same sampler (reinforce.h documents this).
-struct TrainFingerprint {
-  double lr, grad_clip;
-  double entropy_weight, entropy_decay, entropy_min;
-  bool curriculum;
-  double tau_mean_init, tau_mean_growth, tau_mean_max;
-  bool fixed_sequences, differential_reward, normalize_advantages;
-  double reward_rate_horizon;
-  std::uint32_t objective;
-  std::uint32_t episodes_per_iter;
-  double deadline_slack, deadline_miss_penalty;
-  std::uint64_t seed;
-  sim::EnvConfig env;  // every field is dynamics-affecting
-
-  static TrainFingerprint of(const TrainConfig& c) {
-    TrainFingerprint f;
-    f.lr = c.lr;
-    f.grad_clip = c.grad_clip;
-    f.entropy_weight = c.entropy_weight;
-    f.entropy_decay = c.entropy_decay;
-    f.entropy_min = c.entropy_min;
-    f.curriculum = c.curriculum;
-    f.tau_mean_init = c.tau_mean_init;
-    f.tau_mean_growth = c.tau_mean_growth;
-    f.tau_mean_max = c.tau_mean_max;
-    f.fixed_sequences = c.fixed_sequences;
-    f.differential_reward = c.differential_reward;
-    f.normalize_advantages = c.normalize_advantages;
-    f.reward_rate_horizon = c.reward_rate_horizon;
-    f.objective = static_cast<std::uint32_t>(c.objective);
-    f.episodes_per_iter = static_cast<std::uint32_t>(c.episodes_per_iter);
-    f.deadline_slack = c.deadline.slack;
-    f.deadline_miss_penalty = c.deadline.miss_penalty;
-    f.seed = c.seed;
-    f.env = c.env;
-    return f;
+std::string train_fingerprint(const TrainConfig& c) {
+  std::string f;
+  const auto put = [&f](auto v) {
+    f.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(c.lr);
+  put(c.grad_clip);
+  put(c.entropy_weight);
+  put(c.entropy_decay);
+  put(c.entropy_min);
+  put(c.curriculum);
+  put(c.tau_mean_init);
+  put(c.tau_mean_growth);
+  put(c.tau_mean_max);
+  put(c.fixed_sequences);
+  put(c.differential_reward);
+  put(c.normalize_advantages);
+  put(c.reward_rate_horizon);
+  put(static_cast<std::uint32_t>(c.objective));
+  put(c.episodes_per_iter);
+  put(c.deadline.slack);
+  put(c.deadline.miss_penalty);
+  put(c.seed);
+  const sim::EnvConfig& env = c.env;
+  put(env.num_executors);
+  put(static_cast<std::uint64_t>(env.classes.size()));
+  for (const sim::ExecutorClass& k : env.classes) {
+    put(k.mem);
+    put(static_cast<std::uint64_t>(k.name.size()));
+    f += k.name;
   }
-
-  void write(io::BinaryWriter& w) const {
-    w.f64(lr);
-    w.f64(grad_clip);
-    w.f64(entropy_weight);
-    w.f64(entropy_decay);
-    w.f64(entropy_min);
-    w.boolean(curriculum);
-    w.f64(tau_mean_init);
-    w.f64(tau_mean_growth);
-    w.f64(tau_mean_max);
-    w.boolean(fixed_sequences);
-    w.boolean(differential_reward);
-    w.boolean(normalize_advantages);
-    w.f64(reward_rate_horizon);
-    w.u32(objective);
-    w.u32(episodes_per_iter);
-    w.f64(deadline_slack);
-    w.f64(deadline_miss_penalty);
-    w.u64(seed);
-    w.u32(static_cast<std::uint32_t>(env.num_executors));
-    w.u64(env.classes.size());
-    for (const sim::ExecutorClass& c : env.classes) {
-      w.f64(c.mem);
-      w.str(c.name);
-    }
-    w.f64(env.moving_delay);
-    w.boolean(env.enable_moving_delay);
-    w.f64(env.first_wave_factor);
-    w.boolean(env.enable_wave_effect);
-    w.boolean(env.enable_inflation);
-    w.f64(env.duration_noise);
-    w.u64(env.seed);
-    w.u64(env.max_events);
+  put(env.moving_delay);
+  put(env.enable_moving_delay);
+  put(env.first_wave_factor);
+  put(env.enable_wave_effect);
+  put(env.enable_inflation);
+  put(env.duration_noise);
+  put(env.seed);
+  const sim::FaultPlan& faults = env.faults;
+  put(static_cast<std::uint64_t>(faults.failures.size()));
+  for (const sim::ExecutorFault& e : faults.failures) {
+    put(e.executor);
+    put(e.fail_at);
+    put(e.recover_at);
   }
-
-  static TrainFingerprint read(io::BinaryReader& r) {
-    TrainFingerprint f;
-    f.lr = r.f64();
-    f.grad_clip = r.f64();
-    f.entropy_weight = r.f64();
-    f.entropy_decay = r.f64();
-    f.entropy_min = r.f64();
-    f.curriculum = r.boolean();
-    f.tau_mean_init = r.f64();
-    f.tau_mean_growth = r.f64();
-    f.tau_mean_max = r.f64();
-    f.fixed_sequences = r.boolean();
-    f.differential_reward = r.boolean();
-    f.normalize_advantages = r.boolean();
-    f.reward_rate_horizon = r.f64();
-    f.objective = r.u32();
-    f.episodes_per_iter = r.u32();
-    f.deadline_slack = r.f64();
-    f.deadline_miss_penalty = r.f64();
-    f.seed = r.u64();
-    f.env.num_executors = static_cast<int>(r.u32());
-    f.env.classes.resize(static_cast<std::size_t>(
-        std::min<std::uint64_t>(r.u64(), 1024)));
-    for (sim::ExecutorClass& c : f.env.classes) {
-      c.mem = r.f64();
-      c.name = r.str();
-    }
-    f.env.moving_delay = r.f64();
-    f.env.enable_moving_delay = r.boolean();
-    f.env.first_wave_factor = r.f64();
-    f.env.enable_wave_effect = r.boolean();
-    f.env.enable_inflation = r.boolean();
-    f.env.duration_noise = r.f64();
-    f.env.seed = r.u64();
-    f.env.max_events = r.u64();
-    return f;
-  }
-
-  bool operator==(const TrainFingerprint& o) const {
-    return lr == o.lr && grad_clip == o.grad_clip &&
-           entropy_weight == o.entropy_weight &&
-           entropy_decay == o.entropy_decay && entropy_min == o.entropy_min &&
-           curriculum == o.curriculum && tau_mean_init == o.tau_mean_init &&
-           tau_mean_growth == o.tau_mean_growth &&
-           tau_mean_max == o.tau_mean_max &&
-           fixed_sequences == o.fixed_sequences &&
-           differential_reward == o.differential_reward &&
-           normalize_advantages == o.normalize_advantages &&
-           reward_rate_horizon == o.reward_rate_horizon &&
-           objective == o.objective &&
-           episodes_per_iter == o.episodes_per_iter &&
-           deadline_slack == o.deadline_slack &&
-           deadline_miss_penalty == o.deadline_miss_penalty &&
-           seed == o.seed && same_env(o.env);
-  }
-
-  bool same_env(const sim::EnvConfig& o) const {
-    if (env.num_executors != o.num_executors ||
-        env.classes.size() != o.classes.size() ||
-        env.moving_delay != o.moving_delay ||
-        env.enable_moving_delay != o.enable_moving_delay ||
-        env.first_wave_factor != o.first_wave_factor ||
-        env.enable_wave_effect != o.enable_wave_effect ||
-        env.enable_inflation != o.enable_inflation ||
-        env.duration_noise != o.duration_noise || env.seed != o.seed ||
-        env.max_events != o.max_events) {
-      return false;
-    }
-    for (std::size_t i = 0; i < env.classes.size(); ++i) {
-      if (env.classes[i].mem != o.classes[i].mem ||
-          env.classes[i].name != o.classes[i].name) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
+  put(faults.stragglers.prob);
+  put(faults.stragglers.factor);
+  put(static_cast<std::uint64_t>(faults.executor_speeds.size()));
+  for (double speed : faults.executor_speeds) put(speed);
+  put(faults.seed);
+  put(static_cast<std::uint64_t>(env.max_events));
+  return f;
+}
 
 }  // namespace
 
@@ -496,7 +403,7 @@ IterationStats ReinforceTrainer::iterate() {
 bool ReinforceTrainer::save_checkpoint(const std::string& path) const {
   io::BinaryWriter w(path);
   w.header(io::kTrainerMagic, io::kTrainerVersion);
-  TrainFingerprint::of(config_).write(w);
+  w.str(train_fingerprint(config_));
   io::write_agent_config(w, agent_.config());
   io::write_param_values(w, agent_.params());
   io::write_adam_state(w, adam_);
@@ -512,9 +419,7 @@ bool ReinforceTrainer::save_checkpoint(const std::string& path) const {
 bool ReinforceTrainer::resume(const std::string& path) {
   io::BinaryReader r(path);
   if (!r.open_header(io::kTrainerMagic, io::kTrainerVersion)) return false;
-  if (!(TrainFingerprint::read(r) == TrainFingerprint::of(config_)) || !r.ok()) {
-    return false;
-  }
+  if (r.str() != train_fingerprint(config_) || !r.ok()) return false;
   const core::AgentConfig agent_config = io::read_agent_config(r);
   if (!r.ok() || !io::agent_config_equal(agent_config, agent_.config())) {
     return false;

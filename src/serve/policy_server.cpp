@@ -59,21 +59,6 @@ std::string shard_metric(const char* prefix, int shard) {
   return std::string(prefix) + "." + std::to_string(shard);
 }
 
-// Ring sizing: an explicit override wins; otherwise cover the per-shard
-// admission bound (max_queue) with 2x headroom for abandoned-but-unpopped
-// entries, and stay generously deep for unbounded configs. SpscRing rounds
-// up to a power of two.
-std::size_t ring_capacity_for(const ServeConfig& config) {
-  if (config.ring_capacity > 0) {
-    return static_cast<std::size_t>(config.ring_capacity);
-  }
-  std::size_t cap = 1024;
-  if (config.max_queue > 0) {
-    cap = std::max(cap, static_cast<std::size_t>(config.max_queue) * 2);
-  }
-  return cap;
-}
-
 }  // namespace
 
 void ServeConfig::validate() const {
@@ -82,21 +67,17 @@ void ServeConfig::validate() const {
   };
   if (shards < 1) fail("shards must be >= 1 (0 shards would serve nothing)");
   if (shards > 1024) fail("shards > 1024: more dispatchers than plausible");
-  if (max_batch < 0) fail("max_batch must be >= 0 (0 = drain the ring)");
+  if (max_batch < 0) fail("max_batch must be >= 0 (0 = drain the queue)");
   if (max_queue < 0) fail("max_queue must be >= 0 (0 = unbounded)");
   if (batch_wait_us < 0) {
     fail("batch_wait_us must be >= 0 (0 = immediate dispatch)");
   }
-  if (ring_capacity < 0) fail("ring_capacity must be >= 0 (0 = automatic)");
   if (!(deadline >= 0.0) || !std::isfinite(deadline)) {
     fail("deadline must be a finite number of seconds >= 0");
   }
   if (max_queue > 0 && max_batch > max_queue) {
     fail("max_batch exceeds max_queue: a full batch could never assemble "
          "behind the per-shard admission bound");
-  }
-  if (ring_capacity > 0 && max_queue > ring_capacity) {
-    fail("ring_capacity below max_queue: admitted requests would not fit");
   }
 }
 
@@ -107,10 +88,9 @@ PolicyServer::PolicyServer(std::unique_ptr<const core::DecimaAgent> policy,
   if (!policy_) {
     throw std::invalid_argument("PolicyServer: null policy snapshot");
   }
-  const std::size_t ring_cap = ring_capacity_for(config_);
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int i = 0; i < config_.shards; ++i) {
-    auto sh = std::make_unique<Shard>(ring_cap);
+    auto sh = std::make_unique<Shard>();
     obs::Registry& reg = obs::Registry::instance();
     sh->m_decisions =
         &reg.counter(shard_metric(obs::names::kServeShardDecisions, i));
@@ -149,8 +129,6 @@ void PolicyServer::stop() {
       sh->stopping = true;
     }
     sh->work_cv.notify_all();
-    // Sessions blocked on ring space must recheck stopping and wind down.
-    sh->done_cv.notify_all();
   }
   // call_once also blocks late callers until the winning join completes, so
   // every stop() returns only after the last dispatcher is gone.
@@ -243,46 +221,34 @@ DecideResult PolicyServer::decide_with_status(Session& session,
   ServeMetrics& metrics = ServeMetrics::get();
   // End-to-end latency as this session sees it, every outcome included.
   obs::ScopedLatencyUs decide_latency(metrics.decide_latency_us);
-  // Heap-shared: the ring (and the dispatcher) may hold the request past
-  // this frame if the session abandons it on deadline expiry.
-  auto req = std::make_shared<Request>();
-  req->env = &env;
-  req->cache = own ? session.cache_ : nullptr;
+  // Lives in this frame: the dispatcher touches it only between claim and
+  // done, and a claimed request is always awaited (Request, header).
+  Request req;
+  req.env = &env;
+  req.cache = own ? session.cache_ : nullptr;
   if (obs::metrics_enabled()) {
-    req->enqueue_tp = std::chrono::steady_clock::now();
-    req->enqueue_timed = true;
+    req.enqueue_tp = std::chrono::steady_clock::now();
+    req.enqueue_timed = true;
   }
+  const std::size_t max_queue = static_cast<std::size_t>(config_.max_queue);
   bool rejected = false;
   bool stopped = false;
   {
     util::MutexLock lk(sh.mu);
-    for (;;) {
-      if (sh.stopping) {
-        ++sh.st.stopped_answers;
-        stopped = true;
-        break;
-      }
-      if (config_.max_queue > 0 &&
-          sh.ring.size() >= static_cast<std::size_t>(config_.max_queue)) {
-        // Backpressure: bounce instead of queueing unboundedly; the request
-        // is answered below by the (lock-free) heuristic and never reaches
-        // the dispatcher. The producer-side ring size is exact-or-over
-        // (util/ring.h), so the per-shard bound is never exceeded.
-        ++sh.st.rejections;
-        if (config_.heuristic_fallback) ++sh.st.fallbacks;
-        rejected = true;
-        break;
-      }
-      if (sh.ring.try_push(req)) {
-        sh.st.max_queue_depth =
-            std::max(sh.st.max_queue_depth,
-                     static_cast<std::uint64_t>(sh.ring.size()));
-        break;
-      }
-      // Ring full in an unbounded config: wait for the dispatcher to free
-      // slots (done_cv doubles as the space signal — the dispatcher
-      // notifies it after every pop cycle), then recheck from the top.
-      sh.done_cv.wait(sh.mu);
+    if (sh.stopping) {
+      ++sh.st.stopped_answers;
+      stopped = true;
+    } else if (max_queue > 0 && sh.queue.size() >= max_queue) {
+      // Backpressure: bounce instead of queueing unboundedly; the request
+      // is answered below by the (lock-free) heuristic and never reaches
+      // the dispatcher.
+      ++sh.st.rejections;
+      if (config_.heuristic_fallback) ++sh.st.fallbacks;
+      rejected = true;
+    } else {
+      sh.queue.push_back(&req);
+      sh.st.max_queue_depth = std::max(
+          sh.st.max_queue_depth, static_cast<std::uint64_t>(sh.queue.size()));
     }
   }
   if (stopped) {
@@ -297,37 +263,29 @@ DecideResult PolicyServer::decide_with_status(Session& session,
 
   sh.work_cv.notify_one();
   const bool has_deadline = config_.deadline > 0.0;
-  const auto submit_time = std::chrono::steady_clock::now();
   const auto deadline_tp =
-      submit_time + std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::duration<double>(config_.deadline));
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::duration<double>(config_.deadline));
   bool timed_out = false;
   {
     util::MutexLock lk(sh.mu);
-    bool enforce_deadline = has_deadline;
-    while (req->state.load(std::memory_order_acquire) != Request::kDone) {
-      if (!enforce_deadline) {
+    while (!req.done) {
+      // A claimed request MUST be awaited (its answer is about to arrive
+      // anyway) — decisions are never half-delivered.
+      if (!has_deadline || req.claimed) {
         sh.done_cv.wait(sh.mu);
         continue;
       }
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline_tp) {
-        int expected = Request::kQueued;
-        if (req->state.compare_exchange_strong(expected, Request::kAbandoned,
-                                               std::memory_order_acq_rel)) {
-          // Withdrawn before any dispatcher claimed it: the stale ring
-          // entry is skipped (and freed) at the next pop cycle, and the
-          // request is answered from the fallback.
-          ++sh.st.timeouts;
-          if (config_.heuristic_fallback) ++sh.st.fallbacks;
-          timed_out = true;
-          break;
-        }
-        // Claimed: the dispatcher is scoring this request, so its answer
-        // MUST be awaited (it is about to arrive anyway) — decisions are
-        // never half-delivered.
-        enforce_deadline = false;
-        continue;
+        // Still unclaimed, so still queued: withdraw it, freeing its
+        // max_queue slot at once, and answer from the fallback.
+        sh.queue.erase(std::find(sh.queue.begin(), sh.queue.end(), &req));
+        ++sh.st.timeouts;
+        if (config_.heuristic_fallback) ++sh.st.fallbacks;
+        timed_out = true;
+        break;
       }
       sh.done_cv.wait_for(
           sh.mu, std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -340,7 +298,7 @@ DecideResult PolicyServer::decide_with_status(Session& session,
     return degraded_answer(env, DecideStatus::kTimedOut);
   }
   metrics.ok.inc();
-  return DecideResult{req->action, DecideStatus::kOk, false};
+  return DecideResult{req.action, DecideStatus::kOk, false};
 }
 
 void PolicyServer::swap_policy(
@@ -376,12 +334,12 @@ void PolicyServer::bounded_batch_wait(Shard& sh) {
   if (config_.max_batch > 0) {
     target = std::min(target, static_cast<std::size_t>(config_.max_batch));
   }
-  // A lone session (or a raw-API shard with no session registry) gains
-  // nothing from waiting; a ring already at target depth dispatches now.
-  if (target <= 1 || sh.ring.size() >= target) return;
+  // A lone session gains nothing from waiting; a queue already at target
+  // depth dispatches now.
+  if (target <= 1 || sh.queue.size() >= target) return;
   const auto start = std::chrono::steady_clock::now();
   const auto deadline = start + std::chrono::microseconds(config_.batch_wait_us);
-  while (!sh.stopping && sh.ring.size() < target) {
+  while (!sh.stopping && sh.queue.size() < target) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) break;
     sh.work_cv.wait_for(
@@ -403,39 +361,30 @@ void PolicyServer::bounded_batch_wait(Shard& sh) {
 
 void PolicyServer::dispatch_loop(Shard& sh) {
   ServeMetrics& metrics = ServeMetrics::get();
+  const std::size_t cap =
+      config_.max_batch > 0 ? static_cast<std::size_t>(config_.max_batch)
+                            : std::numeric_limits<std::size_t>::max();
+  std::vector<Request*> batch;
   for (;;) {
+    batch.clear();
+    std::size_t depth_left = 0;
     {
       util::MutexLock lk(sh.mu);
-      while (!sh.stopping && sh.ring.empty()) sh.work_cv.wait(sh.mu);
-      if (sh.stopping && sh.ring.empty()) return;  // drained and answered
+      while (!sh.stopping && sh.queue.empty()) sh.work_cv.wait(sh.mu);
+      if (sh.stopping && sh.queue.empty()) return;  // drained and answered
       bounded_batch_wait(sh);
-    }
-
-    // Claim lock-free: pop up to max_batch entries, skipping requests their
-    // sessions abandoned on deadline expiry (the CAS decides each race
-    // exactly once; dropping the popped shared_ptr frees an abandoned
-    // request).
-    std::vector<std::shared_ptr<Request>> batch;
-    const std::size_t cap =
-        config_.max_batch > 0 ? static_cast<std::size_t>(config_.max_batch)
-                              : std::numeric_limits<std::size_t>::max();
-    std::size_t popped = 0;
-    std::shared_ptr<Request> r;
-    while (batch.size() < cap && sh.ring.try_pop(r)) {
-      ++popped;
-      int expected = Request::kQueued;
-      if (r->state.compare_exchange_strong(expected, Request::kClaimed,
-                                           std::memory_order_acq_rel)) {
-        batch.push_back(std::move(r));
+      // Claim up to max_batch requests in the same critical section: from
+      // here on their sessions wait for the answer instead of withdrawing.
+      while (batch.size() < cap && !sh.queue.empty()) {
+        Request* r = sh.queue.front();
+        sh.queue.pop_front();
+        r->claimed = true;
+        batch.push_back(r);
       }
-      r.reset();
+      depth_left = sh.queue.size();
     }
-    if (batch.empty()) {
-      // Everything popped had been abandoned; the freed slots may unblock a
-      // producer waiting on ring space.
-      if (popped > 0) sh.done_cv.notify_all();
-      continue;
-    }
+    // Every request withdrew during the bounded wait.
+    if (batch.empty()) continue;
 
     // Pin this batch's snapshot: swap_policy may publish a new one while we
     // score unlocked, and the whole batch must answer from one policy.
@@ -449,7 +398,7 @@ void PolicyServer::dispatch_loop(Shard& sh) {
     // queued, and the coalesced batch shape — globally and per shard.
     if (obs::metrics_enabled()) {
       const auto now = std::chrono::steady_clock::now();
-      for (const std::shared_ptr<Request>& p : batch) {
+      for (const Request* p : batch) {
         if (p->enqueue_timed) {
           metrics.queue_wait_us.observe(
               std::chrono::duration<double, std::micro>(now - p->enqueue_tp)
@@ -459,7 +408,7 @@ void PolicyServer::dispatch_loop(Shard& sh) {
       metrics.batch_size.observe(static_cast<double>(batch.size()));
       metrics.batches.inc();
       sh.m_batch_size->observe(static_cast<double>(batch.size()));
-      sh.m_queue_depth->set(static_cast<double>(sh.ring.size()));
+      sh.m_queue_depth->set(static_cast<double>(depth_left));
     }
 
     // Inference runs unlocked: the waiting session threads are blocked until
@@ -468,22 +417,20 @@ void PolicyServer::dispatch_loop(Shard& sh) {
     {
       obs::Span batch_span(obs::names::kSpanServeBatch, "serve");
       obs::ScopedLatencyUs infer_latency(metrics.batch_infer_us);
-      if (config_.cross_session_batching && batch.size() > 1) {
+      if (config_.cross_session_batching) {
         std::vector<const sim::ClusterEnv*> envs;
         std::vector<gnn::EmbeddingCache*> caches;
         envs.reserve(batch.size());
         caches.reserve(batch.size());
-        for (const std::shared_ptr<Request>& p : batch) {
+        for (const Request* p : batch) {
           envs.push_back(p->env);
           caches.push_back(p->cache);
         }
         actions = policy->decide_batch(envs, caches);
       } else {
-        // Sequential reference path, and the singleton fast path of batched
-        // mode: decide() is bit-identical to a one-element decide_batch()
-        // without the batch-assembly overhead.
+        // Sequential reference path: one decide() per request.
         actions.reserve(batch.size());
-        for (const std::shared_ptr<Request>& p : batch) {
+        for (const Request* p : batch) {
           actions.push_back(policy->decide(*p->env, p->cache));
         }
       }
@@ -497,7 +444,7 @@ void PolicyServer::dispatch_loop(Shard& sh) {
           sh.st.max_batch_size, static_cast<std::uint64_t>(batch.size()));
       for (std::size_t i = 0; i < batch.size(); ++i) {
         batch[i]->action = actions[i];
-        batch[i]->state.store(Request::kDone, std::memory_order_release);
+        batch[i]->done = true;
       }
     }
     sh.m_decisions->inc(static_cast<std::uint64_t>(batch.size()));

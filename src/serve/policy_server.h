@@ -4,12 +4,10 @@
 // policy checkpoint (io::load_policy_agent) into an immutable snapshot and
 // answers scheduling queries for many concurrent cluster sessions. The
 // serving plane is sharded (ServeConfig::shards, default 1 — the reference
-// single-dispatcher path): each shard owns a dispatcher thread, a bounded
-// lock-free SPSC request ring (util/ring.h; session threads are serialized
-// into the single-producer role by the shard mutex, the dispatcher pops
-// lock-free), a map of the embedding caches of the sessions pinned to it,
-// and its own load counters/histograms in the obs registry
-// (serve.shard.* — docs/observability.md). Sessions get stable shard
+// single-dispatcher path): each shard owns a dispatcher thread, a request
+// queue guarded by the shard mutex, a map of the embedding caches of the
+// sessions pinned to it, and its own load counters/histograms in the obs
+// registry (serve.shard.* — docs/observability.md). Sessions get stable shard
 // affinity so their incremental embedding caches stay hot on one dispatcher.
 // Within a shard the dispatcher drains pending requests and scores them in
 // ONE forward evaluation (DecimaAgent::decide_batch — cross-session
@@ -31,8 +29,8 @@
 // the parameter-version mismatch the first time the new snapshot answers.
 //
 // The server degrades gracefully under saturation (docs/robustness.md),
-// shard-locally: each shard's ring can be bounded (ServeConfig::max_queue is
-// a per-shard bound; excess requests are rejected — backpressure), queued
+// shard-locally: each shard's queue can be bounded (ServeConfig::max_queue
+// is a per-shard bound; excess requests are rejected — backpressure), queued
 // requests can carry a deadline (timed out if the shard's dispatcher doesn't
 // reach them in time), and rejected/timed-out requests are answered by the
 // SJF-CP heuristic instead of an empty action. Every request resolves with
@@ -41,23 +39,21 @@
 // across shards with the same exact-accounting guarantee.
 //
 // Adaptive bounded-wait batching: with ServeConfig::batch_wait_us > 0 a
-// shard whose ring is shallower than its open-session count waits up to
+// shard whose queue is shallower than its open-session count waits up to
 // that long for more sessions to submit before dispatching — shallow
-// batches grow at low load, while a deep ring (or a lone session)
+// batches grow at low load, while a deep queue (or a lone session)
 // dispatches immediately. Waiting reorders nothing a session can observe:
 // decisions stay bit-identical, only latency/throughput shift.
 //
 // Locking discipline (docs/concurrency.md): every mutable member is
 // GUARDED_BY its shard mutex (or the server mutex mu_ for the snapshot) and
-// the Clang thread-safety analysis proves it at compile time; the two
-// unannotated sharings are the SPSC ring (contract documented in
-// util/ring.h and enforced by the shard mutex on the producer side) and the
-// Request handoff, documented at the struct.
+// the Clang thread-safety analysis proves it at compile time; the one
+// unannotated sharing is the Request handoff, documented at the struct.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>  // std::once_flag only — locks live in util/sync.h
 #include <string>
@@ -67,7 +63,6 @@
 
 #include "core/agent.h"
 #include "sim/cluster_env.h"
-#include "util/ring.h"
 #include "util/sync.h"
 #include "workload/arrivals.h"
 
@@ -81,7 +76,7 @@ namespace decima::serve {
 
 struct ServeConfig {
   // Most pending requests one dispatch may coalesce; 0 drains the whole
-  // ring. Decisions do not depend on batch composition, only latency does.
+  // queue. Decisions do not depend on batch composition, only latency does.
   int max_batch = 0;
   // false scores queued requests one at a time (the sequential reference
   // path of bench_serve_throughput); decisions are identical either way.
@@ -99,16 +94,13 @@ struct ServeConfig {
   // for more submissions before dispatching a shallow batch. 0 (default) =
   // dispatch immediately, the historical behavior.
   int batch_wait_us = 0;
-  // Per-shard SPSC ring capacity override (rounded up to a power of two).
-  // 0 = automatic: enough for max_queue plus headroom. Must be >= max_queue
-  // when both are set — validate() enforces it.
-  int ring_capacity = 0;
 
   // --- Graceful degradation (docs/robustness.md) ---------------------------
   // Bounded queue, per shard: a request arriving while max_queue requests
-  // are already pending on its shard is rejected (kRejected) instead of
-  // enqueued — backpressure, not unbounded latency. 0 = unbounded (the
-  // pre-degradation behavior).
+  // are already queued on its shard is rejected (kRejected) instead of
+  // enqueued — backpressure, not unbounded latency. A timed-out request
+  // leaves the queue at once, so the bound counts live requests only.
+  // 0 = unbounded (the pre-degradation behavior).
   int max_queue = 0;
   // Per-request deadline in seconds: a request still QUEUED this long after
   // submission gives up (kTimedOut). A request the dispatcher already picked
@@ -123,7 +115,7 @@ struct ServeConfig {
 
   // Fail-loudly construction: throws std::invalid_argument on nonsense
   // (shards < 1, negative budgets/deadlines, a per-shard queue bound smaller
-  // than the batch size, a ring override smaller than the queue bound).
+  // than the batch size).
   // PolicyServer's constructor calls this, so a misconfigured server never
   // starts silently degraded. The knob table lives in docs/serving.md.
   void validate() const;
@@ -137,7 +129,7 @@ struct ServeStats {
   double mean_batch_size = 0.0;
   // Degradation events (every one is also a returned DecideResult status —
   // requests are answered ok/timed-out/rejected/stopped, never dropped).
-  std::uint64_t rejections = 0;       // bounced off a full per-shard ring
+  std::uint64_t rejections = 0;       // bounced off a full per-shard queue
   std::uint64_t timeouts = 0;         // deadline expired while queued
   std::uint64_t fallbacks = 0;        // degraded answers routed to SJF-CP
   std::uint64_t stopped_answers = 0;  // queries arriving after stop()
@@ -230,7 +222,7 @@ class PolicyServer {
 
   // Blocking decision query, called from the session's thread: enqueues the
   // session's current state on its shard and waits for that shard's
-  // dispatcher — or degrades per the config (kRejected on a full ring,
+  // dispatcher — or degrades per the config (kRejected on a full queue,
   // kTimedOut past the deadline, kStopped once stopped), answering
   // rejected/timed-out requests from SJF-CP when heuristic_fallback is set.
   // The session's embedding cache rides along: consecutive queries re-embed
@@ -279,19 +271,21 @@ class PolicyServer {
  private:
   friend class Session;
 
-  // One blocking query, heap-shared between the session thread and the ring:
-  // `state` is the claim/abandon protocol that replaces the old
-  // erase-from-queue withdrawal (a lock-free ring cannot unpublish). The
-  // session abandons a still-queued request on deadline expiry (CAS
-  // kQueued→kAbandoned); the dispatcher claims at pop (CAS
-  // kQueued→kClaimed) and skips abandoned entries — exactly one side wins,
-  // so a claimed request always waits for its answer and a withdrawn one is
-  // never half-delivered, same as the historical dispatcher. The remaining
-  // unannotated fields follow the old handoff protocol: the session thread
-  // never reads them between enqueue and observing kDone under the shard
-  // mutex, and the dispatcher never touches them after the kDone store.
+  // One blocking query. It lives in the calling session's
+  // decide_with_status frame and reaches the dispatcher as a pointer in its
+  // shard's queue. Its fields are shared without annotations (the analysis
+  // cannot name the owning shard's mutex from here); the protocol is:
+  //   * claimed/done/action are written and read under the shard mutex. The
+  //     dispatcher pops a request and sets `claimed` in one critical
+  //     section; a session whose deadline expires withdraws its request
+  //     from the queue only while it is unclaimed, so exactly one side
+  //     wins and a claimed request always waits for its answer.
+  //   * env/cache/enqueue_* are written before the push; the dispatcher
+  //     reads them after the claim while the session blocks on `done`.
+  //   * The dispatcher never touches a request after setting `done`, and
+  //     the session returns only after seeing it (or after withdrawing), so
+  //     the frame outlives every dispatcher access.
   struct Request {
-    enum State : int { kQueued = 0, kClaimed, kDone, kAbandoned };
     const sim::ClusterEnv* env = nullptr;
     gnn::EmbeddingCache* cache = nullptr;  // the session's; null = uncached
     // Queue-wait observability (docs/observability.md): stamped at enqueue
@@ -299,20 +293,19 @@ class PolicyServer {
     std::chrono::steady_clock::time_point enqueue_tp{};
     bool enqueue_timed = false;
     sim::Action action;
-    std::atomic<int> state{kQueued};
+    bool claimed = false;
+    bool done = false;
   };
 
-  // One dispatcher shard: ring, caches of the sessions pinned here, local
-  // ladder accounting, and the shard's obs instruments. The mutex serializes
-  // producers into the ring's single-producer contract and carries the
-  // done/work signaling; the dispatcher pops the ring without it.
+  // One dispatcher shard: request queue, caches of the sessions pinned
+  // here, local ladder accounting, and the shard's obs instruments. The
+  // mutex guards the queue and the claim/withdraw/done handoff, and
+  // carries the done/work signaling.
   struct Shard {
-    explicit Shard(std::size_t ring_cap) : ring(ring_cap) {}
-
     util::Mutex mu;
     util::CondVar work_cv;  // dispatcher waits: work, stop, or batch growth
-    util::CondVar done_cv;  // sessions wait: answer ready / ring space freed
-    util::SpscRing<std::shared_ptr<Request>> ring;  // push under mu; pop free
+    util::CondVar done_cv;  // sessions wait: answer ready
+    std::deque<Request*> queue GUARDED_BY(mu);  // unclaimed, oldest first
     bool stopping GUARDED_BY(mu) = false;
     ServeStats st GUARDED_BY(mu);  // snapshot_swaps unused (server-level)
     std::unordered_map<std::uint64_t, std::unique_ptr<gnn::EmbeddingCache>>
@@ -331,10 +324,10 @@ class PolicyServer {
 
   void dispatch_loop(Shard& sh);
   // Adaptive bounded-wait (docs/serving.md): holds the dispatcher up to
-  // batch_wait_us while the ring is shallower than the shard's open-session
-  // count (capped by max_batch), so low-load batches grow; returns
-  // immediately when the ring is already deep, the shard is stopping, or a
-  // lone session could never be joined by another.
+  // batch_wait_us while the queue is shallower than the shard's
+  // open-session count (capped by max_batch), so low-load batches grow;
+  // returns immediately when the queue is already deep, the shard is
+  // stopping, or a lone session could never be joined by another.
   void bounded_batch_wait(Shard& sh) REQUIRES(sh.mu);
   void close_session(const Session& session);
   // Builds the degraded (rejected/timed-out) answer: SJF-CP when
@@ -345,7 +338,7 @@ class PolicyServer {
   const ServeConfig config_;
 
   // Server-level state: the hot-swappable snapshot and session numbering.
-  // Shard-local state (ring, caches, ladder stats) lives in each Shard.
+  // Shard-local state (queue, caches, ladder stats) lives in each Shard.
   mutable util::Mutex mu_;
   // The live snapshot. shared_ptr so a batch / policy() caller can pin it
   // across the unlocked inference while swap_policy retires it.

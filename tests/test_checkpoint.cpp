@@ -4,7 +4,9 @@
 // compared bit for bit on every parameter and Adam moment.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "io/checkpoint.h"
@@ -143,6 +145,56 @@ TEST(PolicyCheckpoint, RejectsCorruptFiles) {
   EXPECT_EQ(io::load_policy_agent(tmp_path("no_such_file.ckpt")), nullptr);
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Copies `full` to `cut` and shrinks the copy through every length in the
+// first and last 4 KiB of the file and every 61st length in between (longest
+// first, so each cut is one truncate), calling `expect_rejected` after each.
+template <typename F>
+void sweep_truncations(const std::string& full, const std::string& cut,
+                       F&& expect_rejected) {
+  constexpr std::uintmax_t kEdge = 4096;
+  constexpr std::uintmax_t kStride = 61;
+  const std::uintmax_t size = std::filesystem::file_size(full);
+  std::vector<std::uintmax_t> lengths;
+  for (std::uintmax_t n = 0; n < size; ++n) {
+    if (n < kEdge || n + kEdge >= size || n % kStride == 0) {
+      lengths.push_back(n);
+    }
+  }
+  std::filesystem::copy_file(
+      full, cut, std::filesystem::copy_options::overwrite_existing);
+  for (auto it = lengths.rbegin(); it != lengths.rend(); ++it) {
+    std::filesystem::resize_file(cut, *it);
+    expect_rejected(*it);
+    if (testing::Test::HasFailure()) return;  // one report, not thousands
+  }
+}
+
+TEST(PolicyCheckpoint, EveryTruncationIsRejected) {
+  core::AgentConfig ac;
+  ac.seed = 11;
+  core::DecimaAgent source(ac);
+  const std::string full = tmp_path("policy_sweep_full.ckpt");
+  const std::string cut = tmp_path("policy_sweep_cut.ckpt");
+  ASSERT_TRUE(io::save_policy(source, full));
+  ASSERT_NE(io::load_policy_agent(full), nullptr);
+
+  core::AgentConfig other = ac;
+  other.seed = 12;  // same structure, different values
+  core::DecimaAgent agent(other);
+  const auto before = all_values(agent.params());
+  sweep_truncations(full, cut, [&](std::uintmax_t n) {
+    EXPECT_EQ(io::load_policy_agent(cut), nullptr) << "cut at " << n;
+    EXPECT_FALSE(io::load_policy(agent, cut)) << "cut at " << n;
+  });
+  EXPECT_EQ(all_values(agent.params()), before);
+}
+
 TEST(TrainerCheckpoint, ResumeContinuesBitExactly) {
   const std::string path = tmp_path("trainer_resume.ckpt");
   const int total_iters = 6, split = 3;
@@ -220,6 +272,16 @@ TEST(TrainerCheckpoint, RejectsConfigMismatch) {
   rl::ReinforceTrainer env_trainer(env_agent, env_cfg);
   EXPECT_FALSE(env_trainer.resume(path));
 
+  // Different fault plan (stragglers and mixed executor speeds), every other
+  // field equal: the dynamics differ, so the checkpoint must be refused.
+  auto faulty = train_config();
+  faulty.env.faults.stragglers.prob = 0.3;
+  faulty.env.faults.executor_speeds = {1.0, 0.5};
+  core::DecimaAgent faulty_agent(ac);
+  rl::ReinforceTrainer faulty_trainer(faulty_agent, faulty);
+  EXPECT_FALSE(faulty_trainer.resume(path));
+  EXPECT_EQ(faulty_trainer.iteration(), 0) << "failed resume must not mutate";
+
   // Different agent seed (clone reconstruction fingerprint).
   core::AgentConfig other_ac = ac;
   other_ac.seed = 6;
@@ -275,13 +337,48 @@ TEST(TrainerCheckpoint, ResumeAcrossThreadCountsBitExact) {
   const std::string resumed_path = tmp_path("trainer_resumed2.ckpt");
   ASSERT_TRUE(straight.save_checkpoint(straight_path));
   ASSERT_TRUE(resumed.save_checkpoint(resumed_path));
-  const auto bytes = [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  ASSERT_FALSE(bytes(straight_path).empty());
-  EXPECT_EQ(bytes(straight_path), bytes(resumed_path));
+  ASSERT_FALSE(file_bytes(straight_path).empty());
+  EXPECT_EQ(file_bytes(straight_path), file_bytes(resumed_path));
+}
+
+TEST(TrainerCheckpoint, EveryTruncationIsRejected) {
+  core::AgentConfig ac;
+  ac.seed = 5;
+  const std::string full = tmp_path("trainer_sweep_full.ckpt");
+  const std::string cut = tmp_path("trainer_sweep_cut.ckpt");
+  {
+    core::DecimaAgent agent(ac);
+    rl::ReinforceTrainer trainer(agent, train_config());
+    trainer.iterate();
+    ASSERT_TRUE(trainer.save_checkpoint(full));
+  }
+  {
+    // The uncut file resumes: the sweep cuts a checkpoint this trainer
+    // would otherwise accept.
+    core::DecimaAgent agent(ac);
+    rl::ReinforceTrainer trainer(agent, train_config());
+    ASSERT_TRUE(trainer.resume(full));
+  }
+
+  core::DecimaAgent agent(ac);
+  rl::ReinforceTrainer trainer(agent, train_config());
+  sweep_truncations(full, cut, [&](std::uintmax_t n) {
+    EXPECT_FALSE(trainer.resume(cut)) << "cut at " << n;
+  });
+  EXPECT_EQ(trainer.iteration(), 0);
+
+  // Every failed resume left the trainer untouched: its next iteration is
+  // byte-equal to that of a twin that never tried to resume.
+  core::DecimaAgent twin_agent(ac);
+  rl::ReinforceTrainer twin(twin_agent, train_config());
+  trainer.iterate();
+  twin.iterate();
+  EXPECT_EQ(all_values(agent.params()), all_values(twin_agent.params()));
+  const std::string after = tmp_path("trainer_sweep_after.ckpt");
+  const std::string twin_after = tmp_path("trainer_sweep_twin.ckpt");
+  ASSERT_TRUE(trainer.save_checkpoint(after));
+  ASSERT_TRUE(twin.save_checkpoint(twin_after));
+  EXPECT_EQ(file_bytes(after), file_bytes(twin_after));
 }
 
 TEST(RngState, RoundTripReproducesDrawSequence) {

@@ -180,24 +180,39 @@ TEST(ServeStress, ConcurrentStopIsIdempotent) {
   EXPECT_FALSE(server->decide(session, env).valid());
 }
 
-// Overload/saturation: hundreds of sessions against a tiny bounded queue and
-// a tight deadline (the CI TSan job runs this interleaving too). The gates:
-// queue depth stays bounded, every request resolves with an explicit status
-// (zero lost, no hang — the test finishing is itself the liveness check),
-// degradation is exactly accounted, fallback answers keep every session
-// completing its jobs, and saturation actually produced fallbacks. Run at
-// shards=1 and shards=4: the ladder is enforced shard-locally (max_queue
-// bounds each shard's ring; deadlines abandon on each shard independently)
-// and the aggregated books must still balance to the request.
-void overload_backpressure_and_fairness(int shards) {
+// Overload/saturation: hundreds of sessions against a tight deadline, behind
+// a tiny bounded queue (max_queue = 4, where most degradation is rejection)
+// or an unbounded one (max_queue = 0 with one request claimed per dispatch,
+// where every degraded answer is a request withdrawn from the queue). The
+// CI TSan job runs these interleavings too. The gates: queue depth stays
+// bounded, every request resolves with an explicit status (zero lost, no
+// hang — the test finishing is itself the liveness check), degradation is
+// exactly accounted, fallback answers keep every session completing its
+// jobs, and saturation actually produced fallbacks. Run at shards=1 and
+// shards=4: the ladder is enforced shard-locally (max_queue bounds each
+// shard's queue; deadlines withdraw on each shard independently) and the
+// aggregated books must still balance to the request.
+void overload_backpressure_and_fairness(int shards, int max_queue) {
   constexpr int kThreads = 16;
   constexpr int kSessionsPerThread = 16;  // 256 sessions total
+  // Each thread drives one session at a time, so at most kThreads requests
+  // are ever queued when the queue itself is unbounded.
+  const std::uint64_t depth_bound =
+      static_cast<std::uint64_t>(max_queue > 0 ? max_queue : kThreads);
 
   serve::ServeConfig cfg;
   cfg.shards = shards;
-  cfg.max_queue = 4;
+  cfg.max_queue = max_queue;
   cfg.deadline = 2e-4;
   cfg.heuristic_fallback = true;
+  if (max_queue == 0) {
+    // A dispatcher that claims the whole queue each round answers these
+    // lockstep sessions in time, so an unbounded queue never ages past the
+    // deadline. Claiming one request per round makes each queued request
+    // wait behind every request ahead of it: the queue backs up until
+    // deadlines withdraw requests from it.
+    cfg.max_batch = 1;
+  }
   auto server = std::make_unique<serve::PolicyServer>(
       std::make_unique<const core::DecimaAgent>(agent_config(19)), cfg);
 
@@ -244,16 +259,19 @@ void overload_backpressure_and_fairness(int shards) {
   EXPECT_EQ(stats.fallbacks, stats.timeouts + stats.rejections);
   EXPECT_EQ(stats.stopped_answers, 0u);
   // Bounded queue held its bound — per shard: stats() reports the max over
-  // shards, each of which admits at most max_queue requests to its ring.
-  // 256 sessions on 4-deep queues with a 200µs deadline cannot all be
-  // served by the policy.
-  EXPECT_LE(stats.max_queue_depth, 4u);
+  // shards, each of which admits at most max_queue live requests to its
+  // queue. 256 sessions with a 200µs deadline cannot all be served by the
+  // policy.
+  EXPECT_LE(stats.max_queue_depth, depth_bound);
   EXPECT_GT(stats.fallbacks, 0u) << "overload never triggered degradation";
+  if (max_queue == 0) {
+    EXPECT_EQ(stats.rejections, 0u);
+  }
   // Exact accounting holds per shard too, not just in aggregate.
   std::uint64_t shard_ok = 0, shard_rej = 0, shard_to = 0, shard_fb = 0;
   for (int s = 0; s < server->num_shards(); ++s) {
     const auto st = server->shard_stats(s);
-    EXPECT_LE(st.max_queue_depth, 4u) << "shard " << s;
+    EXPECT_LE(st.max_queue_depth, depth_bound) << "shard " << s;
     shard_ok += st.decisions;
     shard_rej += st.rejections;
     shard_to += st.timeouts;
@@ -266,11 +284,19 @@ void overload_backpressure_and_fairness(int shards) {
 }
 
 TEST(ServeStress, OverloadBackpressureAndFairnessAcrossHundredsOfSessions) {
-  overload_backpressure_and_fairness(1);
+  overload_backpressure_and_fairness(1, 4);
 }
 
 TEST(ServeStress, OverloadBackpressureAndFairnessShards4) {
-  overload_backpressure_and_fairness(4);
+  overload_backpressure_and_fairness(4, 4);
+}
+
+TEST(ServeStress, OverloadDeadlineOnlyWithdrawsFromQueue) {
+  overload_backpressure_and_fairness(1, 0);
+}
+
+TEST(ServeStress, OverloadDeadlineOnlyWithdrawsFromQueueShards4) {
+  overload_backpressure_and_fairness(4, 0);
 }
 
 }  // namespace

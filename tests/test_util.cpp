@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "util/env_flags.h"
-#include "util/ring.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -182,94 +178,6 @@ TEST(EnvFlags, FallbacksAndParsing) {
 TEST(Sparkline, Renders) {
   const std::string s = ascii_sparkline({0, 1, 2, 3}, 10);
   EXPECT_EQ(s.size(), 10u);
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(util::SpscRing<int>(0).capacity(), 1u);
-  EXPECT_EQ(util::SpscRing<int>(1).capacity(), 1u);
-  EXPECT_EQ(util::SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(util::SpscRing<int>(4).capacity(), 4u);
-  EXPECT_EQ(util::SpscRing<int>(1000).capacity(), 1024u);
-}
-
-TEST(SpscRing, FifoOrderFullAndEmpty) {
-  util::SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  int out = -1;
-  EXPECT_FALSE(ring.try_pop(out));
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_FALSE(ring.try_push(99));  // full: value refused, caller keeps it
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop(out));
-}
-
-TEST(SpscRing, WrapAroundKeepsFifoIntegrity) {
-  // A tiny ring forced through many wraps: cursor masking must never skip,
-  // duplicate, or reorder an element.
-  util::SpscRing<int> ring(2);
-  int next_push = 0;
-  int next_pop = 0;
-  Rng rng(11);
-  for (int step = 0; step < 100000; ++step) {
-    if (rng.uniform() < 0.5) {
-      if (ring.try_push(next_push)) ++next_push;
-    } else {
-      int out = -1;
-      if (ring.try_pop(out)) {
-        ASSERT_EQ(out, next_pop);
-        ++next_pop;
-      }
-    }
-  }
-  int out = -1;
-  while (ring.try_pop(out)) {
-    ASSERT_EQ(out, next_pop);
-    ++next_pop;
-  }
-  EXPECT_EQ(next_pop, next_push);
-}
-
-TEST(SpscRing, CrossThreadHandoffDeliversEverythingInOrder) {
-  // One producer, one consumer, a ring much smaller than the stream: the
-  // acquire/release pairing must hand every element across intact (this is
-  // the test TSan watches in CI).
-  util::SpscRing<std::uint64_t> ring(8);
-  constexpr std::uint64_t kItems = 20000;
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kItems;) {
-      if (ring.try_push(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();  // full: single-core boxes need the hint
-      }
-    }
-  });
-  std::uint64_t expected = 0;
-  std::uint64_t out = 0;
-  while (expected < kItems) {
-    if (ring.try_pop(out)) {
-      ASSERT_EQ(out, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, MoveOnlyElements) {
-  util::SpscRing<std::unique_ptr<int>> ring(2);
-  EXPECT_TRUE(ring.try_push(std::make_unique<int>(7)));
-  std::unique_ptr<int> out;
-  EXPECT_TRUE(ring.try_pop(out));
-  ASSERT_TRUE(out);
-  EXPECT_EQ(*out, 7);
 }
 
 }  // namespace
