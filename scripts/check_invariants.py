@@ -14,9 +14,15 @@ Six standing invariants, enforced at zero findings by the CI
    by an equivalence test in ``tests/``. Fast paths must stay pure
    performance changes. A ``FLAG_PINNED`` or ``IRREGULAR_SIBLINGS`` key
    that names neither such a declaration nor a rule-5 knob is stale.
-3. **fp-flags** — no ``-ffast-math`` family flag anywhere, and the
-   ``-ffp-contract=off`` guard stays in CMakeLists.txt. FMA contraction
-   would silently break the <=1e-10 batched/reference equivalence contract.
+3. **fp-flags** — no ``-ffast-math`` family flag (``-Ofast`` included)
+   anywhere, and the ``-ffp-contract=off`` guard stays in CMakeLists.txt. In
+   C++ sources no per-function or per-file override may bring contraction
+   back: ``#pragma GCC optimize``, ``__attribute__((optimize(...)))`` /
+   ``[[gnu::optimize]]``, ``#pragma clang fp contract(fast|on)`` or
+   ``reassociate(on)``; and ``src/`` calls no explicit ``fma`` (``std::fma``,
+   ``__builtin_fma``, the ``_mm*_fmadd`` family). FMA contraction would
+   silently break the bit-identical matrix kernels and the <=1e-10
+   batched/reference equivalence contract.
 4. **bench-registry** — every bench that emits ``BENCH_<name>.json``
    (``bench::BenchJson``) is registered in ``scripts/check_bench.py``'s
    ``BENCH_REGISTRY`` floor table, and vice versa, so no perf emitter can
@@ -103,6 +109,7 @@ EXEMPT_FAST_PATHS = {"sample_tpch_batch"}
 
 FORBIDDEN_FP_FLAGS = [
     "-ffast-math",
+    "-Ofast",
     "-funsafe-math-optimizations",
     "-fassociative-math",
     "-freciprocal-math",
@@ -110,6 +117,22 @@ FORBIDDEN_FP_FLAGS = [
     "FP_CONTRACT ON",
 ]
 REQUIRED_FP_GUARD = "-ffp-contract=off"
+# Per-function / per-file overrides of the flags above, matched in C++ code
+# with comments and string literals blanked (a pragma's or attribute's
+# argument string is blanked too, so any use of the override is reported).
+FORBIDDEN_FP_OVERRIDES = [
+    (re.compile(r"#\s*pragma\s+GCC\s+optimize\b"), "#pragma GCC optimize"),
+    (re.compile(r"__attribute__\s*\(\(.*?\b(?:__)?optimize(?:__)?\s*\("),
+     "__attribute__((optimize))"),
+    (re.compile(r"\bgnu::optimize\b"), "[[gnu::optimize]]"),
+    (re.compile(r"#\s*pragma\s+clang\s+fp\s+contract\s*\(\s*(?:fast|on)\b"),
+     "#pragma clang fp contract(fast|on)"),
+    (re.compile(r"#\s*pragma\s+clang\s+fp\s+reassociate\s*\(\s*on\b"),
+     "#pragma clang fp reassociate(on)"),
+]
+# Explicit fused multiply-adds, forbidden in src/ only.
+FORBIDDEN_SRC_FMA = re.compile(
+    r"\b(?:std::fmaf?|__builtin_fma[fl]?|_mm\d*_fn?m(?:add|sub)\w*)\s*\(")
 
 # --- rule 6: obs metric-name inventory <-> docs ------------------------------
 
@@ -283,6 +306,21 @@ def findings_fp_flags():
                          f"'{flag}' would let FMA contraction / reassociation "
                          f"break the <=1e-10 batched-vs-reference equivalence "
                          f"contract"))
+    for path in cxx_files():
+        rel = path.relative_to(REPO)
+        code = strip_comments_and_strings(path.read_text())
+        for lineno, line in enumerate(code.splitlines(), 1):
+            hits = [name for regex, name in FORBIDDEN_FP_OVERRIDES
+                    if regex.search(line)]
+            if rel.parts[0] == "src":
+                hits += [m.group(0).rstrip("( ")
+                         for m in FORBIDDEN_SRC_FMA.finditer(line)]
+            for name in hits:
+                found.append(
+                    (rel, lineno, "fp-flags",
+                     f"'{name}' brings FMA contraction / reassociation back "
+                     f"past -ffp-contract=off and breaks the bit-identical "
+                     f"kernels and the <=1e-10 equivalence contract"))
     if REQUIRED_FP_GUARD not in cmake.read_text():
         found.append(
             (cmake.relative_to(REPO), 1, "fp-flags",

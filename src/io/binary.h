@@ -94,18 +94,22 @@ class BinaryReader {
   std::int64_t i64() { return scalar<std::int64_t>(); }
   double f64() { return scalar<double>(); }
   bool boolean() { return u32() != 0; }
+  // A u64 element count or length prefix, bounded by sane_count: past the
+  // cap it sets the fail flag and returns 0.
+  std::uint64_t count() {
+    const std::uint64_t n = u64();
+    return sane_count(n) ? n : 0;
+  }
 
   std::string str() {
-    const std::uint64_t n = u64();
-    if (!sane_count(n)) return {};
+    const std::uint64_t n = count();
     std::string s(static_cast<std::size_t>(n), '\0');
     raw(s.data(), s.size());
     return ok() ? s : std::string{};
   }
 
   std::vector<double> doubles() {
-    const std::uint64_t n = u64();
-    if (!sane_count(n)) return {};
+    const std::uint64_t n = count();
     std::vector<double> v(static_cast<std::size_t>(n));
     raw(v.data(), v.size() * sizeof(double));
     return ok() ? v : std::vector<double>{};

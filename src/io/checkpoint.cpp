@@ -89,17 +89,6 @@ bool read_param_values_staged(BinaryReader& r, const nn::ParamSet& set,
   return true;
 }
 
-bool read_param_values(BinaryReader& r, nn::ParamSet& set) {
-  // Stage into temporaries so a mid-file mismatch leaves `set` untouched.
-  std::vector<nn::Matrix> staged;
-  if (!read_param_values_staged(r, set, staged)) return false;
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    set.params()[i]->value = std::move(staged[i]);
-  }
-  set.bump_version();
-  return true;
-}
-
 void write_adam_state(BinaryWriter& w, const nn::Adam& adam) {
   w.i64(adam.steps_taken());
   w.u64(adam.first_moments().size());
@@ -178,9 +167,30 @@ std::unique_ptr<core::DecimaAgent> load_policy_agent(const std::string& path) {
   BinaryReader r(path);
   if (!r.open_header(kPolicyMagic, kPolicyVersion)) return nullptr;
   const core::AgentConfig config = read_agent_config(r);
-  if (!r.ok()) return nullptr;
+  // Stage the whole parameter section and check exact exhaustion before
+  // building the agent: a truncated or padded file is refused without paying
+  // for a randomly initialized agent it would throw away.
+  const std::uint64_t count = r.count();
+  std::vector<std::string> names;
+  std::vector<nn::Matrix> values;
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    names.push_back(r.str());
+    values.push_back(r.matrix());
+  }
+  if (!r.at_end()) return nullptr;
   auto agent = std::make_unique<core::DecimaAgent>(config);
-  if (!read_param_values(r, agent->params()) || !r.at_end()) return nullptr;
+  const auto& params = agent->params().params();
+  if (values.size() != params.size()) return nullptr;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (names[i] != params[i]->name ||
+        !values[i].same_shape(params[i]->value)) {
+      return nullptr;
+    }
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    params[i]->value = std::move(values[i]);
+  }
+  agent->params().bump_version();
   return agent;
 }
 

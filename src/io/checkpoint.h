@@ -50,7 +50,9 @@ std::optional<core::AgentConfig> read_policy_config(const std::string& path);
 bool load_policy(core::DecimaAgent& agent, const std::string& path);
 
 // Constructs an agent from the checkpoint's embedded config and loads the
-// weights: the one-call path a serving process uses. Null on any failure.
+// weights: the one-call path a serving process uses. The whole file is read
+// and checked for exact exhaustion before the agent is built. Null on any
+// failure.
 std::unique_ptr<core::DecimaAgent> load_policy_agent(const std::string& path);
 
 // --- Section helpers (shared with the trainer checkpoint) --------------------
@@ -67,12 +69,10 @@ bool agent_config_equal(const core::AgentConfig& a, const core::AgentConfig& b);
 bool inference_compatible(const core::AgentConfig& a, const core::AgentConfig& b);
 
 void write_param_values(BinaryWriter& w, const nn::ParamSet& set);
-// Verifies count/name/shape against `set` before overwriting any value;
-// returns false (set untouched) on mismatch.
-bool read_param_values(BinaryReader& r, nn::ParamSet& set);
-// Same validation, but leaves `set` untouched and returns the values in
-// `staged` (one matrix per parameter, set order) — for callers that commit
-// several sections atomically (the trainer resume).
+// Verifies count/name/shape against `set`, leaves `set` untouched and returns
+// the values in `staged` (one matrix per parameter, set order) — callers
+// commit them only once every section has been read (policy load, trainer
+// resume). False on any mismatch.
 bool read_param_values_staged(BinaryReader& r, const nn::ParamSet& set,
                               std::vector<nn::Matrix>& staged);
 

@@ -61,20 +61,24 @@ class Matrix {
   // this += scale * other.
   void axpy(double scale, const Matrix& other);
 
-  // Matrix product: (rows x cols) * (cols x n) -> (rows x n).
+  // The three products of a dense layer, forward and backward. Widths 8, 16
+  // and 32 (the output width; for matmul_transposed_acc, rhs.rows()) run
+  // register-blocked kernels that vectorize across output columns only, so
+  // every output element adds the same products in the same order from the
+  // same starting value as the scalar loops of every other width: the results
+  // are bit-identical whatever the width or the target ISA.
+  //
+  // Matrix product: (rows x cols) * (cols x n) -> (rows x n). Each output
+  // element sums its terms in k order from +0; zero entries of this matrix
+  // contribute no term (so 0 * inf adds nothing).
   Matrix matmul(const Matrix& rhs) const;
-  // this^T * rhs, without materializing the transpose.
-  Matrix transposed_matmul(const Matrix& rhs) const;
-  // this * rhs^T.
-  Matrix matmul_transposed(const Matrix& rhs) const;
-  // Accumulating forms of the two backward products, without materializing a
-  // temporary product. dst += this * rhs^T computes each element's dot
-  // product in a register before the single add, so it is bit-identical to
-  // dst.add_in_place(matmul_transposed(rhs)); dst += this^T * rhs
-  // accumulates row by row directly into dst, which reorders the summation
-  // relative to the temporary-then-add form whenever dst is non-zero
-  // (ulp-level differences only).
+  // dst += this * rhs^T. Each element's dot product is summed from +0 in k
+  // order (every term, zeros included) before a single add into dst.
   void matmul_transposed_acc(const Matrix& rhs, Matrix& dst) const;
+  // dst += this^T * rhs. Each term is added straight onto dst's running
+  // value, rows of this matrix in order, zero entries skipped. On a zeroed
+  // dst this is the plain product; on a non-zero dst it differs from adding
+  // that product at the ulp level.
   void transposed_matmul_acc(const Matrix& rhs, Matrix& dst) const;
 
   double sum() const;
@@ -87,5 +91,12 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+// The forward of a dense layer: x * w, then bias (1 x w.cols()) added to every
+// row, then, when `leaky`, v > 0 ? v : slope * v. Tape::linear and
+// Mlp::forward both evaluate layers with it, so the tape and the incremental
+// embedding cache agree bit for bit.
+Matrix linear_forward(const Matrix& x, const Matrix& w, const Matrix& bias,
+                      bool leaky, double slope = 0.2);
 
 }  // namespace decima::nn

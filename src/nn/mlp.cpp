@@ -35,17 +35,8 @@ Var Mlp::apply(Tape& tape, Var x) const {
 Matrix Mlp::forward(const Matrix& x) const {
   Matrix h = x;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    // Mirrors Tape::linear's forward exactly: matmul, then the row-broadcast
-    // bias add, then leaky-ReLU on hidden layers — bit-identical to apply().
-    Matrix out = h.matmul(weights_[l]->value);
-    const Matrix& b = biases_[l]->value;
-    for (std::size_t r = 0; r < out.rows(); ++r) {
-      for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += b(0, c);
-    }
-    if (l + 1 < weights_.size()) {
-      for (double& v : out.raw()) v = v > 0.0 ? v : 0.2 * v;
-    }
-    h = std::move(out);
+    h = linear_forward(h, weights_[l]->value, biases_[l]->value,
+                       /*leaky=*/l + 1 < weights_.size());
   }
   return h;
 }

@@ -26,10 +26,9 @@ class Mlp {
   // Hidden activations are leaky ReLU; the output layer is linear.
   Var apply(Tape& tape, Var x) const;
 
-  // Tape-free numeric forward pass: same layers, same kernels, same
-  // arithmetic order as apply() (each layer is Matrix::matmul + bias add +
-  // leaky-ReLU, exactly what Tape::linear's forward computes), so the result
-  // matches apply()'s value bit for bit. Row r of the output depends only on
+  // Tape-free numeric forward pass: each layer is nn::linear_forward, the
+  // function Tape::linear's forward calls, so the result matches apply()'s
+  // value bit for bit. Row r of the output depends only on
   // row r of `x`. This is what the incremental embedding cache
   // (src/gnn/embedding_cache.h) evaluates dirty rows with.
   Matrix forward(const Matrix& x) const;

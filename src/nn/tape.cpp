@@ -39,8 +39,14 @@ Var Tape::matmul(Var a, Var b) {
   return Var{push(std::move(out), ng, [ai, bi](Tape& t, Node& self) {
     Node& na = t.nodes_[ai];
     Node& nb = t.nodes_[bi];
-    if (na.needs_grad) na.grad.add_in_place(self.grad.matmul_transposed(nb.value));
-    if (nb.needs_grad) nb.grad.add_in_place(na.value.transposed_matmul(self.grad));
+    if (na.needs_grad) self.grad.matmul_transposed_acc(nb.value, na.grad);
+    if (nb.needs_grad) {
+      // Through a zeroed temporary: the product is summed on its own before
+      // it meets the accumulated gradient.
+      Matrix db(nb.grad.rows(), nb.grad.cols());
+      na.value.transposed_matmul_acc(self.grad, db);
+      nb.grad.add_in_place(db);
+    }
   })};
 }
 
@@ -122,18 +128,7 @@ Var Tape::leaky_relu(Var a, double slope) {
 }
 
 Var Tape::linear(Var x, Var w, Var bias, bool leaky, double slope) {
-  const Matrix& X = value(x);
-  const Matrix& W = value(w);
-  const Matrix& B = value(bias);
-  assert(X.cols() == W.rows());
-  assert(B.rows() == 1 && B.cols() == W.cols());
-  Matrix out = X.matmul(W);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += B(0, c);
-  }
-  if (leaky) {
-    for (double& v : out.raw()) v = v > 0.0 ? v : slope * v;
-  }
+  Matrix out = linear_forward(value(x), value(w), value(bias), leaky, slope);
   const bool ng =
       node(x).needs_grad || node(w).needs_grad || node(bias).needs_grad;
   const int xi = x.idx, wi = w.idx, bi = bias.idx;
