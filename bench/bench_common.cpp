@@ -8,9 +8,13 @@
 #include <iomanip>
 #include <sstream>
 
+#include "io/checkpoint.h"
+
 namespace decima::bench {
 
-int train_iters(int fallback) { return env_int("DECIMA_TRAIN_ITERS", fallback); }
+int train_iters(int fallback) {
+  return env_int("DECIMA_TRAIN_ITERS", fallback);
+}
 int bench_runs(int fallback) { return env_int("DECIMA_BENCH_RUNS", fallback); }
 
 std::uint64_t scenario_seed(std::uint64_t fallback) {
@@ -25,12 +29,13 @@ core::AgentConfig agent_with_seed(std::uint64_t seed) {
 }
 
 void print_header(const std::string& figure, const std::string& description) {
-  std::cout << "==============================================================\n"
+  const std::string rule(62, '=');
+  std::cout << rule << "\n"
             << "Reproduction of " << figure << "\n"
             << description << "\n"
             << "(training iterations and run counts are scaled down; set\n"
             << " DECIMA_TRAIN_ITERS / DECIMA_BENCH_RUNS to scale up)\n"
-            << "==============================================================\n\n";
+            << rule << "\n\n";
 }
 
 std::unique_ptr<core::DecimaAgent> trained_agent(
@@ -39,7 +44,8 @@ std::unique_ptr<core::DecimaAgent> trained_agent(
   auto agent = std::make_unique<core::DecimaAgent>(agent_config);
   const std::string cache_path =
       "decima_cache_" + cache_key + "_" + std::to_string(iters) + ".model";
-  if (std::filesystem::exists(cache_path) && agent->load(cache_path)) {
+  if (std::filesystem::exists(cache_path) &&
+      io::load_policy(*agent, cache_path)) {
     std::cout << "[bench] loaded cached policy " << cache_path << "\n";
   } else {
     std::cout << "[bench] training policy '" << cache_key << "' for " << iters
@@ -47,7 +53,7 @@ std::unique_ptr<core::DecimaAgent> trained_agent(
     train_config.num_iterations = iters;
     rl::ReinforceTrainer trainer(*agent, train_config);
     trainer.train();
-    if (agent->save(cache_path)) {
+    if (io::save_policy(*agent, cache_path)) {
       std::cout << "[bench] cached policy at " << cache_path << "\n";
     }
   }

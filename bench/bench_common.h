@@ -42,9 +42,10 @@ core::AgentConfig agent_with_seed(std::uint64_t seed);
 // Prints the standard bench header with paper reference.
 void print_header(const std::string& figure, const std::string& description);
 
-// Trains (or loads from cache) a Decima agent. `cache_key` names the weight
-// file; training runs `iters` iterations of `config`. The returned agent is
-// in greedy inference mode.
+// Trains (or loads from cache) a Decima agent. `cache_key` names the policy
+// checkpoint file (io::save_policy); a file that does not load into the
+// agent is retrained over. Training runs `iters` iterations of `config`.
+// The returned agent is in greedy inference mode.
 std::unique_ptr<core::DecimaAgent> trained_agent(
     const core::AgentConfig& agent_config, rl::TrainConfig train_config,
     const std::string& cache_key, int iters);

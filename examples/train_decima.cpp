@@ -1,10 +1,12 @@
 // Full training pipeline: trains a Decima agent on continuous TPC-H arrivals
 // with curriculum learning and input-dependent baselines (Algorithm 1), logs
-// the learning curve to CSV, and saves the model.
+// the learning curve to CSV, and saves the model as a policy checkpoint
+// (io::save_policy) that serve::PolicyServer::from_checkpoint loads.
 //
 //   ./examples/train_decima [iters] [model_out] [curve_csv]
 #include <iostream>
 
+#include "io/checkpoint.h"
 #include "rl/reinforce.h"
 #include "util/table.h"
 #include "workload/tpch.h"
@@ -61,7 +63,7 @@ int main(int argc, char** argv) {
     std::cerr << "failed to write " << curve_path << "\n";
     return 1;
   }
-  if (!agent.save(model_path)) {
+  if (!io::save_policy(agent, model_path)) {
     std::cerr << "failed to save " << model_path << "\n";
     return 1;
   }

@@ -551,9 +551,8 @@ sim::Action DecimaAgent::schedule_reference(
   std::vector<int> class_values;
   nn::Var class_logits;
   if (multi) {
-    class_values = valid_classes(
-        env,
-        chosen_job.spec.stages[static_cast<std::size_t>(chosen.ref.stage)].mem_req);
+    const auto stage = static_cast<std::size_t>(chosen.ref.stage);
+    class_values = valid_classes(env, chosen_job.spec.stages[stage].mem_req);
     // One class_head pass over all valid classes.
     const std::size_t nc = class_values.size();
     const std::size_t cg = static_cast<std::size_t>(chosen.graph);
@@ -687,8 +686,8 @@ nn::Matrix DecimaAgent::limit_feature_col(const std::vector<int>& values,
   return lfeat;
 }
 
-nn::Matrix DecimaAgent::class_feature_mat(const sim::ClusterEnv& env,
-                                          const std::vector<int>& values) const {
+nn::Matrix DecimaAgent::class_feature_mat(
+    const sim::ClusterEnv& env, const std::vector<int>& values) const {
   const auto& classes = env.executor_classes();
   const int total_execs = env.total_executors();
   nn::Matrix cfeat(values.size(), 2);
@@ -702,7 +701,8 @@ nn::Matrix DecimaAgent::class_feature_mat(const sim::ClusterEnv& env,
 }
 
 std::vector<DecimaAgent::Candidate> DecimaAgent::build_candidates(
-    const sim::ClusterEnv& env, const std::vector<gnn::JobGraph>& graphs) const {
+    const sim::ClusterEnv& env,
+    const std::vector<gnn::JobGraph>& graphs) const {
   const int total_execs = env.total_executors();
   const auto& classes = env.executor_classes();
   const bool multi = multi_class(env);
@@ -773,14 +773,6 @@ std::unique_ptr<DecimaAgent> DecimaAgent::clone() const {
 void DecimaAgent::snapshot_params_from(const DecimaAgent& master) {
   params_.copy_values_from(master.params_);
   observed_iat_ = master.observed_iat_;
-}
-
-bool DecimaAgent::save(const std::string& path) const {
-  return nn::save_params(params_, path);
-}
-
-bool DecimaAgent::load(const std::string& path) {
-  return nn::load_params(params_, path);
 }
 
 }  // namespace decima::core

@@ -133,7 +133,7 @@ class DecimaAgent : public sim::Scheduler {
   // Number of replay actions consumed so far.
   std::size_t replay_cursor() const { return replay_cursor_; }
 
-  // --- Parameters ---------------------------------------------------------------
+  // --- Parameters -----------------------------------------------------------
   nn::ParamSet& params() { return params_; }
   const nn::ParamSet& params() const { return params_; }
   const AgentConfig& config() const { return config_; }
@@ -148,8 +148,6 @@ class DecimaAgent : public sim::Scheduler {
   // RNG, recording/replay state, caches — is left untouched, and `master`
   // is only read.
   void snapshot_params_from(const DecimaAgent& master);
-  bool save(const std::string& path) const;
-  bool load(const std::string& path);
 
   // Table 2: the observed mean interarrival time, fed as a feature when
   // features.iat_hint is on.
@@ -249,7 +247,8 @@ class DecimaAgent : public sim::Scheduler {
   // The action set A_t: runnable nodes of jobs that can still take executors
   // and (multi-resource) have a fitting class with free capacity.
   std::vector<Candidate> build_candidates(
-      const sim::ClusterEnv& env, const std::vector<gnn::JobGraph>& graphs) const;
+      const sim::ClusterEnv& env,
+      const std::vector<gnn::JobGraph>& graphs) const;
 
   AgentConfig config_;
   Rng init_rng_;

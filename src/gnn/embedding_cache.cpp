@@ -1,9 +1,9 @@
-// The incremental refresh behind GraphEmbedding::embed_cached and
-// embed_episode_cached (see embedding_cache.h for the dirty-tracking
-// contract). Everything here is tape-free numeric evaluation through
-// Mlp::forward, whose per-row arithmetic is bit-identical to the
-// Tape::linear forward the full batched pass runs — so a cached event and a
-// full re-embedding agree exactly, not just within tolerance.
+// The incremental refresh behind GraphEmbedding::embed_episode_cached (see
+// embedding_cache.h for the dirty-tracking contract). Everything here is
+// tape-free numeric evaluation through Mlp::forward, whose per-row
+// arithmetic is bit-identical to the Tape::linear forward the full batched
+// pass runs — so a cached event and a full re-embedding agree exactly, not
+// just within tolerance.
 #include "gnn/embedding_cache.h"
 
 #include <algorithm>
@@ -25,7 +25,6 @@ namespace {
 struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
-  obs::Counter& epoch_fast_hits;
   obs::Counter& diff_refreshes;
   obs::Counter& dirty_rows;
   obs::Counter& invalidations;
@@ -34,7 +33,6 @@ struct CacheMetrics {
     static CacheMetrics* m = new CacheMetrics{
         obs::Registry::instance().counter(obs::names::kCacheGraphHits),
         obs::Registry::instance().counter(obs::names::kCacheGraphMisses),
-        obs::Registry::instance().counter(obs::names::kCacheEpochFastHits),
         obs::Registry::instance().counter(obs::names::kCacheDiffRefreshes),
         obs::Registry::instance().counter(obs::names::kCacheDirtyRows),
         obs::Registry::instance().counter(obs::names::kCacheInvalidations)};
@@ -231,15 +229,6 @@ const EmbeddingCache::Entry& GraphEmbedding::refresh_cache_entry(
     std::vector<std::size_t> all(n);
     for (std::size_t v = 0; v < n; ++v) all[v] = v;
     update_cache_entry(graph, all, e, cache.stats_);
-  } else if (e.has_epochs && graph.env_uid >= 0 &&
-             e.job_epoch == graph.job_epoch &&
-             e.global_epoch == graph.global_epoch) {
-    // The simulator's mutation hooks guarantee no feature input changed.
-    ++cache.stats_.graphs_reused;
-    ++cache.stats_.epoch_fast_hits;
-    CacheMetrics::get().hits.inc();
-    CacheMetrics::get().epoch_fast_hits.inc();
-    return e;
   } else {
     std::vector<std::size_t> feat_dirty;
     for (std::size_t v = 0; v < n; ++v) {
@@ -259,46 +248,19 @@ const EmbeddingCache::Entry& GraphEmbedding::refresh_cache_entry(
       update_cache_entry(graph, feat_dirty, e, cache.stats_);
     }
   }
-  e.has_epochs = graph.env_uid >= 0;
-  e.job_epoch = graph.job_epoch;
-  e.global_epoch = graph.global_epoch;
   return e;
 }
 
-Embeddings GraphEmbedding::embed_cached(nn::Tape& tape,
-                                        const std::vector<JobGraph>& graphs,
-                                        EmbeddingCache& cache) const {
-  assert(!graphs.empty());
-  ++cache.event_clock_;
-  ++cache.stats_.events;
-  const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
-
-  Embeddings out;
-  out.node_mat.reserve(graphs.size());
-  out.proj_mat.reserve(graphs.size());
-  nn::Matrix job_mat(graphs.size(), d);
-  nn::Matrix glob_sum(1, d);
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    const EmbeddingCache::Entry& e = refresh_cache_entry(graphs[g], cache);
-    out.node_mat.push_back(tape.constant(e.E));
-    out.proj_mat.push_back(tape.constant(e.P));
-    // Per-node row views stay empty on the cached path (header contract).
-    out.node_emb.emplace_back();
-    out.proj.emplace_back();
-    for (std::size_t c = 0; c < d; ++c) {
-      job_mat(g, c) = e.y(0, c);
-      glob_sum(0, c) += e.fg(0, c);  // graph order — matches sum_rows
-    }
-  }
-  out.job_mat = tape.constant(std::move(job_mat));
-  out.global_emb = tape.constant(config_.two_level_aggregation
-                                     ? g_glob_.forward(glob_sum)
-                                     : std::move(glob_sum));
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    out.job_emb.push_back(tape.row(out.job_mat, g));
-  }
-  cache.sweep(graphs.size());
-  return out;
+EpisodeEmbeddings GraphEmbedding::embed_cached(
+    nn::Tape& tape, const std::vector<JobGraph>& graphs,
+    EmbeddingCache& cache) const {
+  if (graphs.empty()) return {};
+  std::vector<const JobGraph*> ptrs;
+  ptrs.reserve(graphs.size());
+  for (const JobGraph& g : graphs) ptrs.push_back(&g);
+  return embed_episode_cached(tape, ptrs,
+                              std::vector<std::size_t>(graphs.size(), 0), 1,
+                              {&cache});
 }
 
 EpisodeEmbeddings GraphEmbedding::embed_episode_cached(

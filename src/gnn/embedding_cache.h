@@ -4,22 +4,22 @@
 // change (task counts, executor counts), yet the agent re-embeds every job
 // DAG from scratch. This cache keeps the numeric forward activations of the
 // last embedding per (env, job) — proj(x_v), e_v, f(e_v), f'([proj, e_v]),
-// the job summary y and f''(y) — and lets GraphEmbedding::embed_cached /
-// embed_episode_cached re-evaluate only nodes whose feature rows changed,
-// plus their ancestors in message flow. Clean rows are gathered from the
-// cache; job and global summaries are re-reduced by segment-sum over the
-// mixed cached/fresh rows in the same order as the full batched pass, so the
-// result is numerically identical to GraphEmbedding::embed.
+// the job summary y and f''(y) — and lets
+// GraphEmbedding::embed_episode_cached re-evaluate only nodes whose feature
+// rows changed, plus their ancestors in message flow. Clean rows are
+// gathered from the cache; job and global summaries are re-reduced by
+// segment-sum over the mixed cached/fresh rows in the same order as the full
+// batched pass, so the result is numerically identical to
+// GraphEmbedding::embed.
 //
-// Dirty tracking is layered, cheapest first:
+// Dirty tracking has two layers, and the cache owns both:
 //   1. parameter version — a ParamSet::version() mismatch (Adam step,
 //      checkpoint load, snapshot swap) clears the whole cache;
-//   2. epoch fast path — if a graph's (env_uid, job_epoch, global_epoch)
-//      match the entry, the simulator guarantees no feature input changed
-//      and the entry is reused without looking at the features;
-//   3. per-row feature diff — otherwise rows are compared against the
-//      entry's copy; the diff is the ground truth, so the cache stays exact
-//      even for graphs with no epoch information (env_uid < 0).
+//   2. per-row feature diff — every refresh compares the graph's feature
+//      rows against the entry's copy. The rows are everything the
+//      activations were computed from, so the diff is exact whatever
+//      changed them (the simulator, a fault, set_observed_iat) and needs
+//      no help from the code that produced the graph.
 //
 // Inference-only: training replay differentiates through the embedding, so
 // it must rebuild the tape every time (embed_episode); a numeric cache has
@@ -44,7 +44,6 @@ struct EmbeddingCacheStats {
   std::uint64_t graphs_seen = 0;       // per-event per-graph refreshes
   std::uint64_t graphs_reused = 0;     // fully clean: no MLP work at all
   std::uint64_t graphs_rebuilt = 0;    // new job / structure change: full
-  std::uint64_t epoch_fast_hits = 0;   // clean hits that skipped the diff
   std::uint64_t diff_refreshes = 0;    // diff path that re-embedded rows
   std::uint64_t nodes_total = 0;       // nodes presented for embedding
   std::uint64_t nodes_recomputed = 0;  // nodes actually re-embedded
@@ -69,24 +68,6 @@ class EmbeddingCache {
   const EmbeddingCacheStats& stats() const { return stats_; }
   std::size_t size() const { return entries_.size(); }
 
-  // Hit/miss/dirty-row accounting, the ground truth the serving plane and
-  // the ROADMAP cache refactor read (docs/observability.md). A hit reused
-  // the entry with no MLP work (epoch fast path or an empty feature diff);
-  // a miss did some — a full rebuild or a diff-path partial re-embed.
-  std::uint64_t hits() const { return stats_.graphs_reused; }
-  std::uint64_t misses() const {
-    return stats_.graphs_seen - stats_.graphs_reused;
-  }
-  // Node rows actually re-embedded (dirty closure over message flow).
-  std::uint64_t dirty_rows() const { return stats_.nodes_recomputed; }
-  // hits() / graphs seen; 0 before the first refresh.
-  double hit_rate() const {
-    return stats_.graphs_seen == 0
-               ? 0.0
-               : static_cast<double>(stats_.graphs_reused) /
-                     static_cast<double>(stats_.graphs_seen);
-  }
-
  private:
   friend class GraphEmbedding;
 
@@ -94,10 +75,6 @@ class EmbeddingCache {
   // order unless noted; `feats` / `children` pin the inputs they were
   // computed from.
   struct Entry {
-    std::uint64_t job_epoch = 0;
-    std::uint64_t global_epoch = 0;
-    bool has_epochs = false;  // epoch fast path armed (env-produced graphs)
-
     nn::Matrix feats;                        // features last embedded
     std::vector<std::vector<int>> children;  // structure pin
     std::vector<int> topo;                   // parents before children

@@ -1,7 +1,6 @@
 #include "gnn/features.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/rng.h"
 
@@ -14,35 +13,24 @@ std::vector<JobGraph> extract_graphs(const sim::ClusterEnv& env,
   const auto& jobs = env.jobs();
   const double total_execs = static_cast<double>(env.total_executors());
   const double free_execs = static_cast<double>(env.free_executor_count());
-
-  // Fingerprint of the globally-shared feature inputs: the env's executor
-  // state epoch, with the IAT hint value folded in when that column exists
-  // (set_observed_iat changes every row without touching the env).
-  std::uint64_t global_epoch = env.feature_epoch();
-  if (config.iat_hint) {
-    std::uint64_t iat_bits = 0;
-    std::memcpy(&iat_bits, &observed_iat, sizeof(iat_bits));
-    global_epoch ^= iat_bits * 0x9e3779b97f4a7c15ULL;
-  }
-
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const sim::JobState& job = jobs[j];
     if (!job.arrived || job.done()) continue;
     JobGraph g;
     g.env_job = static_cast<int>(j);
     g.env_uid = env.uid();
-    g.job_epoch = job.mut_epoch;
-    g.global_epoch = global_epoch;
     const std::size_t n = job.spec.stages.size();
     g.features = nn::Matrix(n, static_cast<std::size_t>(config.dim()));
     g.children = job.children;
     g.topo = job.spec.topo_order();
     g.runnable.resize(n, false);
-    const double local = env.local_free_executors(static_cast<int>(j)) > 0 ? 1.0 : 0.0;
+    const double local =
+        env.local_free_executors(static_cast<int>(j)) > 0 ? 1.0 : 0.0;
     for (std::size_t v = 0; v < n; ++v) {
       const auto& spec = job.spec.stages[v];
       const auto& st = job.stages[v];
-      const double remaining = static_cast<double>(spec.num_tasks - st.finished);
+      const double remaining =
+          static_cast<double>(spec.num_tasks - st.finished);
       g.features(v, 0) = remaining / config.task_scale;
       g.features(v, 1) = config.use_task_duration
                              ? spec.task_duration / config.duration_scale

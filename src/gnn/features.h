@@ -38,17 +38,10 @@ struct JobGraph {
   std::vector<int> topo;  // parents before children
   std::vector<bool> runnable;  // node-level action mask (A_t of §5.2)
 
-  // Embedding-cache identity (src/gnn/embedding_cache.h). env_uid names the
-  // producing ClusterEnv; (env_uid, env_job) keys the cached activations.
-  // job_epoch / global_epoch fingerprint every input the feature rows were
-  // built from (the job's mutation counter; the env's globally-shared
-  // executor state, folded with the IAT hint when that feature is on) — when
-  // both match a cache entry, the entry is provably current and even the
-  // per-row feature diff is skipped. env_uid < 0 (synthetic graphs) disables
-  // the epoch fast path; the cache then always diffs, which is still exact.
+  // Embedding-cache identity (src/gnn/embedding_cache.h): env_uid names the
+  // producing ClusterEnv (-1 for synthetic graphs), and (env_uid, env_job)
+  // keys the cached activations.
   std::int64_t env_uid = -1;
-  std::uint64_t job_epoch = 0;
-  std::uint64_t global_epoch = 0;
 };
 
 // Extracts graphs for all arrived, unfinished jobs. `observed_iat` feeds the

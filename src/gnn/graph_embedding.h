@@ -99,35 +99,34 @@ class GraphEmbedding {
       const std::vector<std::size_t>& event_of_graph,
       std::size_t num_events) const;
 
-  // Incremental embedding of one event (src/gnn/embedding_cache.h), kept for
-  // tests and benches — the agent refreshes through embed_episode_cached.
-  // Refreshes `cache` against `graphs` — re-embedding only dirty nodes and
-  // their ancestors in message flow — and returns the embeddings as
-  // forward-only constants on `tape`. Numerically identical to embed() with
-  // config().batched (the cache evaluates the same kernels in the same
-  // order on the dirty rows and re-reduces summaries over mixed
-  // cached/fresh rows). Unlike embed(), the per-node row views (node_emb,
-  // proj) are left empty: no inference consumer reads them, and
-  // materializing n views per graph would tax every event.
-  // Callers must ensure_param_version() first; not usable for training
-  // (constants carry no gradient).
-  Embeddings embed_cached(nn::Tape& tape, const std::vector<JobGraph>& graphs,
-                          EmbeddingCache& cache) const;
-
   // Cached embedding of a batch of events (schedule() with one event, the
   // serving path with one event per session): graphs of event t are those
   // with event_of_graph[g] == t and refresh caches[t] (one per-session
-  // cache, nullptr = compute without caching). Produces the same stacked
-  // layout as embed_episode, as tape constants.
+  // cache, nullptr = compute without caching) — re-embedding only dirty
+  // nodes and their ancestors in message flow (src/gnn/embedding_cache.h).
+  // Produces the same stacked layout as embed_episode, as forward-only tape
+  // constants, numerically identical to it (the cache evaluates the same
+  // kernels in the same order on the dirty rows and re-reduces summaries
+  // over mixed cached/fresh rows); proj_all is left unset. Callers must
+  // ensure_param_version() each cache first; not usable for training
+  // (constants carry no gradient).
   EpisodeEmbeddings embed_episode_cached(
       nn::Tape& tape, const std::vector<const JobGraph*>& graphs,
       const std::vector<std::size_t>& event_of_graph, std::size_t num_events,
       const std::vector<EmbeddingCache*>& caches) const;
 
+  // embed_episode_cached for one event refreshing `cache`, for tests and
+  // benches (the agent batches its events itself). An empty `graphs` list
+  // returns an empty result and leaves the cache untouched.
+  EpisodeEmbeddings embed_cached(nn::Tape& tape,
+                                 const std::vector<JobGraph>& graphs,
+                                 EmbeddingCache& cache) const;
+
   // Per-node embeddings only (used by the supervised expressiveness study);
   // `proj_out` receives the per-node proj(x_v) rows.
-  std::vector<nn::Var> embed_nodes(nn::Tape& tape, const JobGraph& graph,
-                                   std::vector<nn::Var>* proj_out = nullptr) const;
+  std::vector<nn::Var> embed_nodes(
+      nn::Tape& tape, const JobGraph& graph,
+      std::vector<nn::Var>* proj_out = nullptr) const;
 
   nn::ParamSet param_set();
   const GnnConfig& config() const { return config_; }
@@ -139,8 +138,8 @@ class GraphEmbedding {
       std::vector<nn::Var>* proj_out) const;
 
   // Brings `cache`'s entry for `graph` up to date (embedding_cache.cpp):
-  // validates structure and parameters, diffs feature rows unless the epoch
-  // fast path proves the entry clean, and re-embeds dirty subgraphs.
+  // validates structure, diffs feature rows against the entry's copy, and
+  // re-embeds dirty subgraphs.
   const EmbeddingCache::Entry& refresh_cache_entry(const JobGraph& graph,
                                                    EmbeddingCache& cache) const;
   // Recomputes `entry` for the nodes in `feat_dirty` (feature rows changed)

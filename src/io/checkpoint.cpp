@@ -58,7 +58,8 @@ bool inference_compatible(const core::AgentConfig& a,
          a.multi_resource == b.multi_resource && a.limit_step == b.limit_step;
 }
 
-bool agent_config_equal(const core::AgentConfig& a, const core::AgentConfig& b) {
+bool agent_config_equal(const core::AgentConfig& a,
+                        const core::AgentConfig& b) {
   return inference_compatible(a, b) &&
          a.batched_inference == b.batched_inference &&
          a.embed_cache == b.embed_cache &&
@@ -114,13 +115,6 @@ bool read_adam_state_staged(BinaryReader& r, const nn::Adam& adam,
     }
   }
   return true;
-}
-
-bool read_adam_state(BinaryReader& r, nn::Adam& adam) {
-  std::int64_t steps = 0;
-  std::vector<nn::Matrix> m, v;
-  if (!read_adam_state_staged(r, adam, &steps, &m, &v)) return false;
-  return adam.restore_state(steps, std::move(m), std::move(v));
 }
 
 bool save_policy(const core::DecimaAgent& agent, const std::string& path) {

@@ -66,7 +66,8 @@ bool agent_config_equal(const core::AgentConfig& a, const core::AgentConfig& b);
 // inference time (features, dimensions, heads, limit encoding/step). The
 // seed and the batched_* implementation selectors may differ — they pick
 // among equivalent execution paths, not different policies.
-bool inference_compatible(const core::AgentConfig& a, const core::AgentConfig& b);
+bool inference_compatible(const core::AgentConfig& a,
+                          const core::AgentConfig& b);
 
 void write_param_values(BinaryWriter& w, const nn::ParamSet& set);
 // Verifies count/name/shape against `set`, leaves `set` untouched and returns
@@ -78,11 +79,10 @@ bool read_param_values_staged(BinaryReader& r, const nn::ParamSet& set,
 
 void write_adam_state(BinaryWriter& w, const nn::Adam& adam);
 // Reads an Adam section and validates the moment count and shapes against
-// `adam` without committing — for callers that restore several sections
-// atomically (the trainer resume). read_adam_state stages + commits.
+// `adam` without committing — callers restore it together with their other
+// sections once every one has been read (the trainer resume).
 bool read_adam_state_staged(BinaryReader& r, const nn::Adam& adam,
                             std::int64_t* steps, std::vector<nn::Matrix>* m,
                             std::vector<nn::Matrix>* v);
-bool read_adam_state(BinaryReader& r, nn::Adam& adam);
 
 }  // namespace decima::io

@@ -21,8 +21,6 @@ class Adam {
   // ParamSet, then leaves the gradients untouched (caller zeroes them).
   void step();
 
-  void set_lr(double lr) { config_.lr = lr; }
-  double lr() const { return config_.lr; }
   long long steps_taken() const { return t_; }
 
   // Checkpoint access (src/io): the per-parameter first/second moment

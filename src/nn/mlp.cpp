@@ -2,14 +2,12 @@
 
 #include <atomic>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 namespace decima::nn {
 
 Mlp::Mlp(std::string name, std::size_t in_dim, std::size_t out_dim,
          std::vector<std::size_t> hidden)
-    : name_(std::move(name)), in_dim_(in_dim), out_dim_(out_dim) {
+    : name_(std::move(name)) {
   std::vector<std::size_t> dims;
   dims.push_back(in_dim);
   dims.insert(dims.end(), hidden.begin(), hidden.end());
@@ -121,7 +119,8 @@ std::vector<double> ParamSet::flat_grads() const {
   return out;
 }
 
-void ParamSet::add_flat_to_grads(const std::vector<double>& flat, double scale) {
+void ParamSet::add_flat_to_grads(const std::vector<double>& flat,
+                                 double scale) {
   std::size_t offset = 0;
   for (Param* p : params_) {
     for (double& g : p->grad.raw()) g += scale * flat[offset++];
@@ -141,39 +140,6 @@ void ParamSet::clip_grad_norm(double max_norm) {
   for (Param* p : params_) {
     for (double& g : p->grad.raw()) g *= scale;
   }
-}
-
-bool save_params(const ParamSet& set, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out.precision(17);
-  out << "decima-model-v1 " << set.params().size() << "\n";
-  for (const Param* p : set.params()) {
-    out << p->name << ' ' << p->value.rows() << ' ' << p->value.cols() << '\n';
-    for (double v : p->value.raw()) out << v << ' ';
-    out << '\n';
-  }
-  return static_cast<bool>(out);
-}
-
-bool load_params(ParamSet& set, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string magic;
-  std::size_t count = 0;
-  in >> magic >> count;
-  if (magic != "decima-model-v1" || count != set.params().size()) return false;
-  for (Param* p : set.params()) {
-    std::string name;
-    std::size_t rows = 0, cols = 0;
-    in >> name >> rows >> cols;
-    if (name != p->name || rows != p->value.rows() || cols != p->value.cols()) {
-      return false;
-    }
-    for (double& v : p->value.raw()) in >> v;
-  }
-  if (in) set.bump_version();
-  return static_cast<bool>(in);
 }
 
 }  // namespace decima::nn

@@ -39,21 +39,17 @@ class Mlp {
   std::vector<Param*> params();
   std::vector<const Param*> params() const;
   std::size_t num_parameters() const;
-  std::size_t in_dim() const { return in_dim_; }
-  std::size_t out_dim() const { return out_dim_; }
   const std::string& name() const { return name_; }
 
  private:
   std::string name_;
-  std::size_t in_dim_;
-  std::size_t out_dim_;
   // Owned by unique_ptr so Param addresses stay stable if the Mlp moves.
   std::vector<std::unique_ptr<Param>> weights_;
   std::vector<std::unique_ptr<Param>> biases_;
 };
 
-// A named collection of parameters; the unit Adam and (de)serialization
-// operate on. Does not own the parameters.
+// A named collection of parameters; the unit Adam and the checkpoint files
+// (src/io/checkpoint.h) operate on. Does not own the parameters.
 class ParamSet {
  public:
   void add(Param* p) { params_.push_back(p); }
@@ -76,11 +72,11 @@ class ParamSet {
 
   // Monotone fingerprint of the parameter VALUES, globally unique across
   // ParamSet instances (so two different policy snapshots never share one).
-  // Every value-mutating entry point bumps it: Adam::step, load_params,
-  // copy_values_from, and the binary checkpoint loaders. The incremental
-  // embedding cache compares it to detect that cached activations were
-  // computed under stale parameters. Direct writes to Param::value bypass
-  // the counter — call bump_version() after such writes.
+  // Every value-mutating entry point bumps it: Adam::step, copy_values_from
+  // and the checkpoint loaders. The incremental embedding cache compares it
+  // to detect that cached activations were computed under stale parameters.
+  // Direct writes to Param::value bypass the counter — call bump_version()
+  // after such writes.
   std::uint64_t version() const { return version_; }
   void bump_version();
 
@@ -90,10 +86,5 @@ class ParamSet {
   std::vector<Param*> params_;
   std::uint64_t version_ = next_version();
 };
-
-// Saves/loads a ParamSet to a simple text format. Structure (names, shapes)
-// must match on load. Returns false on mismatch or I/O error.
-bool save_params(const ParamSet& set, const std::string& path);
-bool load_params(ParamSet& set, const std::string& path);
 
 }  // namespace decima::nn

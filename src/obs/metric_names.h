@@ -72,13 +72,13 @@ inline constexpr char kSpanTrainReplay[] = "train.replay";
 inline constexpr char kSpanTrainStep[] = "train.step";
 
 // --- Embedding-cache plane (src/gnn/embedding_cache.cpp) --------------------
-// Per-graph refresh outcomes (docs/incremental_embedding.md): a hit reused
-// the entry without MLP work, a miss rebuilt it from scratch (new job or
-// structure change). epoch_fast_hits ⊆ hits skipped even the feature diff;
-// diff_refreshes took the per-row diff path and re-embedded something.
+// Per-graph refresh outcomes (docs/incremental_embedding.md): a hit found
+// no feature row changed and reused the entry without MLP work; a miss did
+// MLP work, either a rebuild from scratch (new job or structure change) or
+// a diff refresh, counted also in diff_refreshes, that re-embedded the
+// changed rows and their ancestors.
 inline constexpr char kCacheGraphHits[] = "cache.graph_hits";
 inline constexpr char kCacheGraphMisses[] = "cache.graph_misses";
-inline constexpr char kCacheEpochFastHits[] = "cache.epoch_fast_hits";
 inline constexpr char kCacheDiffRefreshes[] = "cache.diff_refreshes";
 // Node rows actually re-embedded (the dirty closure over message flow).
 inline constexpr char kCacheDirtyRows[] = "cache.dirty_rows";

@@ -208,10 +208,6 @@ DecideResult PolicyServer::degraded_answer(const sim::ClusterEnv& env,
   return result;
 }
 
-sim::Action PolicyServer::decide(Session& session, const sim::ClusterEnv& env) {
-  return decide_with_status(session, env).action;
-}
-
 DecideResult PolicyServer::decide_with_status(Session& session,
                                               const sim::ClusterEnv& env) {
   // A closed, moved-from or foreign handle is served uncached on shard 0
@@ -316,14 +312,6 @@ void PolicyServer::swap_policy(
   ServeMetrics::get().snapshot_swaps.inc();
 }
 
-bool PolicyServer::swap_policy_from_checkpoint(const std::string& path) {
-  std::unique_ptr<const core::DecimaAgent> policy =
-      io::load_policy_agent(path);
-  if (!policy) return false;
-  swap_policy(std::move(policy));
-  return true;
-}
-
 void PolicyServer::bounded_batch_wait(Shard& sh) {
   if (config_.batch_wait_us <= 0) return;
   // The batch-growth target: every open session on the shard could submit
@@ -338,7 +326,8 @@ void PolicyServer::bounded_batch_wait(Shard& sh) {
   // depth dispatches now.
   if (target <= 1 || sh.queue.size() >= target) return;
   const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::microseconds(config_.batch_wait_us);
+  const auto deadline =
+      start + std::chrono::microseconds(config_.batch_wait_us);
   while (!sh.stopping && sh.queue.size() < target) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) break;

@@ -232,11 +232,6 @@ class PolicyServer {
   // shard 0.
   DecideResult decide_with_status(Session& session, const sim::ClusterEnv& env)
       EXCLUDES(mu_);
-  // Action-only convenience wrapper. NOTE the historical ambiguity this API
-  // keeps for compatibility: Action::none() here means EITHER "stopped" or
-  // "no runnable work" — callers that care use decide_with_status.
-  sim::Action decide(Session& session, const sim::ClusterEnv& env)
-      EXCLUDES(mu_);
 
   // Publishes `policy` as the snapshot answering every *subsequent* batch;
   // batches already dispatched (on any shard) finish on the snapshot they
@@ -247,9 +242,6 @@ class PolicyServer {
   // pin. Null is ignored.
   void swap_policy(std::unique_ptr<const core::DecimaAgent> policy)
       EXCLUDES(mu_);
-  // swap_policy from a checkpoint written by io::save_policy; false (and no
-  // swap) on any checkpoint error.
-  bool swap_policy_from_checkpoint(const std::string& path) EXCLUDES(mu_);
 
   // Drains outstanding requests on every shard and joins the dispatchers.
   // Idempotent; the destructor calls it.
@@ -405,9 +397,9 @@ struct SessionResult {
   int completed = 0;
   std::size_t decisions = 0;  // scheduling queries the session issued
   SessionDegradation degradation;  // how each of those queries resolved
-  // The session's embedding-cache accounting (hits/misses/dirty rows —
-  // EmbeddingCache::hits()/misses()/dirty_rows()); all zeros when the
-  // policy snapshot was exported with embed_cache off.
+  // The session's embedding-cache accounting (EmbeddingCache::stats():
+  // reused graphs, rebuilds, diff refreshes, dirty rows); all zeros when
+  // the policy snapshot was exported with embed_cache off.
   gnn::EmbeddingCacheStats cache;
 };
 SessionResult run_session(PolicyServer& server, const sim::EnvConfig& env,

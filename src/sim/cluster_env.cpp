@@ -8,15 +8,6 @@
 
 namespace decima::sim {
 
-double JobState::remaining_work() const {
-  double w = 0.0;
-  for (std::size_t v = 0; v < spec.stages.size(); ++v) {
-    const int left = spec.stages[v].num_tasks - stages[v].finished;
-    w += left * spec.stages[v].task_duration;
-  }
-  return w;
-}
-
 ClusterEnv::ClusterEnv(EnvConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
@@ -154,7 +145,6 @@ void ClusterEnv::run(Scheduler& sched, Time until, std::size_t max_actions) {
 void ClusterEnv::handle_arrival(const Event& e) {
   JobState& job = jobs_[static_cast<std::size_t>(e.job)];
   job.arrived = true;
-  ++job.mut_epoch;
   record_job_count_change(now_, +1);
 }
 
@@ -170,7 +160,6 @@ bool ClusterEnv::handle_task_finish(const Event& e) {
   assert(st.running > 0 && ex.busy);
   --st.running;
   ++st.finished;
-  ++job.mut_epoch;  // feature (i): tasks remaining in the stage changed
 
   const StageSpec& spec = job.spec.stages[static_cast<std::size_t>(e.stage)];
   bool needs_scheduling = false;
@@ -183,7 +172,6 @@ bool ClusterEnv::handle_task_finish(const Event& e) {
     ex.busy = false;
     ex.cur_stage = -1;
     --job.executors;
-    ++feature_epoch_;  // free-executor count / locality changed for everyone
     needs_scheduling = true;
   }
 
@@ -223,13 +211,11 @@ bool ClusterEnv::handle_executor_fail(const Event& e) {
     ex.busy = false;
     ex.cur_stage = -1;
     --job.executors;
-    ++job.mut_epoch;  // features (i)/(iii): waiting tasks & executors changed
     killed_task = true;
   }
   ex.failed = true;
   ++ex.fail_epoch;
   ex.bound_job = -1;  // the JVM died; a re-dispatch pays the moving delay
-  ++feature_epoch_;   // free-executor count / locality changed for everyone
   // A killed task needs re-placement (other executors may be free); a purely
   // idle failure only shrinks capacity, which no action could exploit.
   return killed_task;
@@ -239,8 +225,7 @@ bool ClusterEnv::handle_executor_recover(const Event& e) {
   ExecutorState& ex = executors_[static_cast<std::size_t>(e.executor)];
   if (!ex.failed) return false;
   ex.failed = false;
-  ++feature_epoch_;  // a free executor (re)appeared
-  return true;       // give the scheduler a shot at the fresh capacity
+  return true;  // give the scheduler a shot at the fresh capacity
 }
 
 std::vector<NodeRef> ClusterEnv::runnable_nodes() const {
@@ -277,14 +262,6 @@ int ClusterEnv::local_free_executors(int job) const {
   int n = 0;
   for (const ExecutorState& e : executors_) {
     if (!e.busy && !e.failed && e.bound_job == job) ++n;
-  }
-  return n;
-}
-
-int ClusterEnv::active_jobs() const {
-  int n = 0;
-  for (const JobState& j : jobs_) {
-    if (j.arrived && !j.done()) ++n;
   }
   return n;
 }
@@ -337,7 +314,9 @@ void ClusterEnv::run_scheduling_event(Scheduler& sched) {
     if (!action.valid()) break;
 
     const NodeRef node = action.node;
-    if (node.job < 0 || static_cast<std::size_t>(node.job) >= jobs_.size()) break;
+    if (node.job < 0 || static_cast<std::size_t>(node.job) >= jobs_.size()) {
+      break;
+    }
     JobState& job = jobs_[static_cast<std::size_t>(node.job)];
     if (node.stage < 0 ||
         static_cast<std::size_t>(node.stage) >= job.spec.stages.size() ||
@@ -396,7 +375,9 @@ int ClusterEnv::dispatch(NodeRef node, int count, int exec_class) {
   });
 
   const int assigned = std::min<int>(want, static_cast<int>(eligible.size()));
-  for (int i = 0; i < assigned; ++i) start_task(eligible[static_cast<std::size_t>(i)], node);
+  for (int i = 0; i < assigned; ++i) {
+    start_task(eligible[static_cast<std::size_t>(i)], node);
+  }
   return assigned;
 }
 
@@ -416,8 +397,6 @@ void ClusterEnv::start_task(int executor_id, NodeRef node) {
     ex.busy = true;
     ex.bound_job = node.job;
     ++job.executors;
-    ++job.mut_epoch;   // feature (iii): executors working on the job changed
-    ++feature_epoch_;  // free-executor count / locality changed for everyone
   }
 
   const bool first_wave = st.finished == 0;
@@ -492,7 +471,8 @@ std::vector<double> ClusterEnv::action_rewards() const {
   Time prev = 0.0;
   auto integrate_to = [&](Time t) {
     double area = 0.0;
-    while (ci < job_count_changes_.size() && job_count_changes_[ci].first <= t) {
+    while (ci < job_count_changes_.size() &&
+           job_count_changes_[ci].first <= t) {
       area += count * (job_count_changes_[ci].first - prev);
       count += job_count_changes_[ci].second;
       prev = job_count_changes_[ci].first;

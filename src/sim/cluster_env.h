@@ -94,19 +94,9 @@ struct JobState {
     return static_cast<std::size_t>(stages_complete) == spec.stages.size();
   }
   double jct() const { return finish - arrival; }
-  // Work (tasks x mean duration) not yet finished.
-  double remaining_work() const;
   // Total work actually executed so far (inflation included) — used by the
   // work-inflation analysis (Fig. 10e).
   double executed_work = 0.0;
-
-  // Dirty-tracking hook for the incremental embedding cache
-  // (src/gnn/embedding_cache.h): bumped by the simulator on every mutation
-  // that can change this job's feature rows — arrival, task completion, and
-  // executor churn on the job. Together with ClusterEnv::feature_epoch() it
-  // lets the cache skip even the per-row feature diff when a job is
-  // provably untouched since it was last embedded.
-  std::uint64_t mut_epoch = 0;
 };
 
 struct ExecutorState {
@@ -173,17 +163,11 @@ class ClusterEnv {
   // per-job activations are never mistaken for another env's job that happens
   // to share an index.
   std::int64_t uid() const { return uid_; }
-  // Bumped whenever a globally-shared feature input changes: any executor
-  // busy/binding transition moves the free-executor count (feature iv) or
-  // the per-job locality flag (feature v) for every node of every job.
-  std::uint64_t feature_epoch() const { return feature_epoch_; }
 
   int free_executor_count() const;
   int free_executor_count_of_class(int cls) const;
   // Free executors whose last job was `job` ("local" executors, feature (v)).
   int local_free_executors(int job) const;
-  // Count of arrived, unfinished jobs.
-  int active_jobs() const;
   bool all_done() const;
 
   // --- Results --------------------------------------------------------------
@@ -192,7 +176,7 @@ class ClusterEnv {
   std::vector<double> jcts() const;
   const std::vector<TaskRecord>& trace() const { return trace_; }
 
-  // --- RL support -------------------------------------------------------------
+  // --- RL support -----------------------------------------------------------
   const std::vector<Time>& action_times() const { return action_times_; }
   // r_k = −∫_{t_{k−1}}^{t_k} J(t) dt  (average-JCT objective, §5.3). Index k
   // aligns with action_times(). A final pseudo-reward covering the span from
@@ -263,7 +247,6 @@ class ClusterEnv {
   // stragglers.prob == 0 leaves rng_'s sequence untouched.
   Rng fault_rng_;
   std::int64_t uid_ = 0;
-  std::uint64_t feature_epoch_ = 0;
   Time now_ = 0.0;
   int event_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;

@@ -41,7 +41,6 @@ struct JobSpec {
   double sweet_spot = 1e9;
   double inflation = 0.0;
 
-  std::size_t num_stages() const { return stages.size(); }
   double total_work() const;
 
   // Children adjacency (derived from parents).
@@ -50,7 +49,8 @@ struct JobSpec {
   // Topological order (parents before children). Requires acyclicity.
   std::vector<int> topo_order() const;
 
-  // Critical-path value per node: cp(v) = work(v) + max_{u in children(v)} cp(u)
+  // Critical-path value per node:
+  //   cp(v) = work(v) + max_{u in children(v)} cp(u)
   // (paper §5.1 footnote 5). Returned indexed by stage.
   std::vector<double> critical_path() const;
 

@@ -37,12 +37,6 @@ class Rng {
     return d(engine_);
   }
 
-  // Normal with the given mean and standard deviation.
-  double normal(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
-  }
-
   // Log-normal parameterized by the *target* mean and a shape sigma (sigma of
   // the underlying normal). Used for heavy-ish-tailed task durations.
   double lognormal_mean(double mean, double sigma) {
@@ -64,15 +58,6 @@ class Rng {
   // Sample an index in [0, weights.size()) proportionally to weights.
   // Non-positive total weight falls back to index 0.
   std::size_t weighted_index(const std::vector<double>& weights);
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(uniform_int(0, static_cast<int>(i) - 1));
-      std::swap(v[i - 1], v[j]);
-    }
-  }
 
   // Full engine state as a portable text token stream (the standard streaming
   // format of mersenne_twister_engine), for bit-exact checkpoint resume: a

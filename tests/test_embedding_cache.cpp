@@ -6,8 +6,10 @@
 // leave decisions identical to an uncached agent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <set>
 
 #include "gnn/embedding_cache.h"
 #include "gnn/graph_embedding.h"
@@ -33,27 +35,38 @@ std::vector<gnn::JobGraph> synthetic_graphs(std::uint64_t seed, int count,
                                             int nodes) {
   std::vector<gnn::JobGraph> graphs;
   for (int i = 0; i < count; ++i) {
-    gnn::JobGraph g = gnn::random_job_graph(seed + static_cast<std::uint64_t>(i),
-                                            nodes);
-    g.env_job = i;  // distinct cache keys (env_uid stays -1: diff-only path)
+    gnn::JobGraph g =
+        gnn::random_job_graph(seed + static_cast<std::uint64_t>(i), nodes);
+    g.env_job = i;  // distinct cache keys (env_uid stays -1)
     graphs.push_back(std::move(g));
   }
   return graphs;
 }
 
-// Compares embed_cached against a fresh full embed() of the same graphs.
+// Rows [first, first + count) of `m`.
+nn::Matrix row_block(const nn::Matrix& m, std::size_t first,
+                     std::size_t count) {
+  nn::Matrix out(count, m.cols());
+  std::copy_n(m.data() + first * m.cols(), count * m.cols(), out.data());
+  return out;
+}
+
+// Compares embed_cached's stacked rows against a fresh full embed() of the
+// same graphs.
 void expect_cached_matches_full(const gnn::GraphEmbedding& gnn,
                                 const std::vector<gnn::JobGraph>& graphs,
                                 gnn::EmbeddingCache& cache) {
   nn::Tape tc(false), tf(false);
-  const gnn::Embeddings ec = gnn.embed_cached(tc, graphs, cache);
+  const gnn::EpisodeEmbeddings ec = gnn.embed_cached(tc, graphs, cache);
   const gnn::Embeddings ef = gnn.embed(tf, graphs);
+  ASSERT_EQ(ec.node_offset.size(), graphs.size());
   for (std::size_t g = 0; g < graphs.size(); ++g) {
-    expect_matrix_near(tc.value(ec.node_mat[g]), tf.value(ef.node_mat[g]));
-    expect_matrix_near(tc.value(ec.proj_mat[g]), tf.value(ef.proj_mat[g]));
+    expect_matrix_near(row_block(tc.value(ec.node_all), ec.node_offset[g],
+                                 graphs[g].features.rows()),
+                       tf.value(ef.node_mat[g]));
   }
   expect_matrix_near(tc.value(ec.job_mat), tf.value(ef.job_mat));
-  expect_matrix_near(tc.value(ec.global_emb), tf.value(ef.global_emb));
+  expect_matrix_near(tc.value(ec.global_mat), tf.value(ef.global_emb));
 }
 
 TEST(EmbeddingCache, CachedEmbeddingMatchesFullAcrossDirtyFractions) {
@@ -69,7 +82,7 @@ TEST(EmbeddingCache, CachedEmbeddingMatchesFullAcrossDirtyFractions) {
     expect_cached_matches_full(gnn, graphs, cache);
     EXPECT_EQ(cache.stats().graphs_rebuilt, graphs.size());
 
-    // Warm, untouched: nothing recomputed (diff path, no epochs).
+    // Warm, untouched: the diff finds no changed row, nothing recomputed.
     const std::uint64_t before = cache.stats().nodes_recomputed;
     expect_cached_matches_full(gnn, graphs, cache);
     EXPECT_EQ(cache.stats().nodes_recomputed, before);
@@ -96,8 +109,23 @@ TEST(EmbeddingCache, CachedEmbeddingMatchesFullAcrossDirtyFractions) {
     }
     // Partial recompute actually happened (not silent full rebuilds).
     EXPECT_LT(cache.stats().nodes_recomputed, cache.stats().nodes_total);
-    EXPECT_EQ(cache.stats().graphs_rebuilt, graphs.size());  // only the cold pass
+    // Only the cold pass rebuilt.
+    EXPECT_EQ(cache.stats().graphs_rebuilt, graphs.size());
   }
+}
+
+TEST(EmbeddingCache, EmbedCachedOnEmptyListReturnsEmpty) {
+  // A state with no active job has no graphs (a client may still ask).
+  Rng rng(3);
+  gnn::GraphEmbedding gnn(gnn::GnnConfig{}, rng);
+  gnn::EmbeddingCache cache;
+  nn::Tape tape(false);
+  const gnn::EpisodeEmbeddings out = gnn.embed_cached(tape, {}, cache);
+  EXPECT_TRUE(out.node_offset.empty());
+  EXPECT_EQ(tape.num_nodes(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().events, 0u);
+  EXPECT_EQ(cache.stats().graphs_seen, 0u);
 }
 
 TEST(EmbeddingCache, EpisodeCachedMatchesEmbedEpisodePerSession) {
@@ -110,8 +138,14 @@ TEST(EmbeddingCache, EpisodeCachedMatchesEmbedEpisodePerSession) {
   for (int round = 0; round < 3; ++round) {
     std::vector<const gnn::JobGraph*> graphs;
     std::vector<std::size_t> event_of_graph;
-    for (const auto& g : s0) { graphs.push_back(&g); event_of_graph.push_back(0); }
-    for (const auto& g : s1) { graphs.push_back(&g); event_of_graph.push_back(1); }
+    for (const auto& g : s0) {
+      graphs.push_back(&g);
+      event_of_graph.push_back(0);
+    }
+    for (const auto& g : s1) {
+      graphs.push_back(&g);
+      event_of_graph.push_back(1);
+    }
 
     nn::Tape tc(false), tf(false);
     const auto ec = gnn.embed_episode_cached(tc, graphs, event_of_graph, 2,
@@ -173,9 +207,9 @@ std::vector<workload::ArrivingJob> staggered_jobs(std::uint64_t seed,
 
 // Runs one episode in the agent's mode and returns the (job, stage, limit,
 // class) trace.
-std::vector<std::array<int, 4>> run_trace(core::DecimaAgent& agent,
-                                          const sim::EnvConfig& env_config,
-                                          const std::vector<workload::ArrivingJob>& jobs) {
+std::vector<std::array<int, 4>> run_trace(
+    core::DecimaAgent& agent, const sim::EnvConfig& env_config,
+    const std::vector<workload::ArrivingJob>& jobs) {
   sim::ClusterEnv env(env_config);
   workload::load(env, jobs);
   struct Recorder : sim::Scheduler {
@@ -183,7 +217,9 @@ std::vector<std::array<int, 4>> run_trace(core::DecimaAgent& agent,
     std::vector<std::array<int, 4>>* out = nullptr;
     sim::Action schedule(const sim::ClusterEnv& e) override {
       const sim::Action a = inner->schedule(e);
-      if (a.valid()) out->push_back({a.node.job, a.node.stage, a.limit, a.exec_class});
+      if (a.valid()) {
+        out->push_back({a.node.job, a.node.stage, a.limit, a.exec_class});
+      }
       return a;
     }
     std::string name() const override { return "rec"; }
@@ -237,7 +273,8 @@ TEST(EmbeddingCacheAgent, GreedyTraceMatchesUncachedOnArrivalsAndCompletions) {
 TEST(EmbeddingCacheAgent, TraceMatchesAcrossAblations) {
   const auto jobs = staggered_jobs(22, 4);
   for (core::LimitEncoding enc :
-       {core::LimitEncoding::kScalarInput, core::LimitEncoding::kSeparateOutputs,
+       {core::LimitEncoding::kScalarInput,
+        core::LimitEncoding::kSeparateOutputs,
         core::LimitEncoding::kStageLevel}) {
     core::AgentConfig config;
     config.seed = 4;
@@ -277,10 +314,11 @@ TEST(EmbeddingCacheAgent, TraceMatchesMultiResource) {
 TEST(EmbeddingCacheAgent, TraceMatchesUncachedUnderExecutorFaults) {
   // Executor failures kill running tasks mid-episode (waiting counts jump,
   // allocations shrink, the free-executor pool moves); recoveries bring
-  // capacity back. Every one of those transitions must bump the feature/job
-  // epochs so cached rows are re-embedded — a stale row would silently skew
-  // decisions. Hand-written outages first, then a randomized sweep with
-  // stragglers and heterogeneous speeds layered on.
+  // capacity back. Every one of those transitions changes feature rows, and
+  // the cache's row diff must see each of them so the rows are re-embedded
+  // — a stale row would silently skew decisions. Hand-written outages
+  // first, then a randomized sweep with stragglers and heterogeneous speeds
+  // layered on.
   {
     core::AgentConfig config;
     config.seed = 11;
@@ -367,9 +405,61 @@ TEST(EmbeddingCacheAgent, DecideWithSessionCacheMatchesSchedule) {
   env.run(check);
   EXPECT_TRUE(env.all_done());
   EXPECT_GT(check.checked, 20);
-  EXPECT_GT(session_cache.stats().graphs_reused +
-                session_cache.stats().epoch_fast_hits,
-            0u);
+  EXPECT_GT(session_cache.stats().graphs_reused, 0u);
+}
+
+TEST(EmbeddingCacheAgent, ObservedIatChangeRefreshesCachedRows) {
+  // set_observed_iat rewrites the IAT-hint column of every row without
+  // touching the env; the row diff must catch it, or a warm cache would
+  // keep answering from the old hint.
+  core::AgentConfig config;
+  config.seed = 13;
+  config.features.iat_hint = true;
+  core::DecimaAgent agent(config);
+  sim::ClusterEnv env(small_env());
+  Rng rng(31);
+  workload::load(env, workload::batched(workload::sample_tpch_batch(rng, 3)));
+  struct Idle : sim::Scheduler {
+    sim::Action schedule(const sim::ClusterEnv&) override {
+      return sim::Action::none();
+    }
+    std::string name() const override { return "idle"; }
+  } idle;
+  env.run(idle, /*until=*/0.0);  // the jobs arrive; every executor is free
+  ASSERT_GT(env.free_executor_count(), 0);
+  ASSERT_FALSE(env.runnable_nodes().empty());
+
+  // Each decision refreshes one graph per job: a cold build first, then a
+  // diff refresh of every graph whenever the hint moved, and a reuse of
+  // every graph when it did not.
+  constexpr std::uint64_t kJobs = 3;
+  gnn::EmbeddingCache cache;
+  double previous = -1.0;
+  std::set<std::array<int, 3>> answers;
+  for (double iat : {0.0, 5.0, 5.0, 80.0, 2000.0}) {
+    agent.set_observed_iat(iat);
+    const gnn::EmbeddingCacheStats before = cache.stats();
+    const sim::Action cached = agent.decide(env, &cache);
+    const sim::Action full = agent.decide(env);
+    EXPECT_EQ(cached.node.job, full.node.job) << "iat " << iat;
+    EXPECT_EQ(cached.node.stage, full.node.stage) << "iat " << iat;
+    EXPECT_EQ(cached.limit, full.limit) << "iat " << iat;
+    answers.insert({full.node.job, full.node.stage, full.limit});
+    const gnn::EmbeddingCacheStats& after = cache.stats();
+    if (previous < 0.0) {
+      EXPECT_EQ(after.graphs_rebuilt, kJobs);
+    } else if (iat == previous) {
+      EXPECT_EQ(after.graphs_reused - before.graphs_reused, kJobs);
+      EXPECT_EQ(after.diff_refreshes, before.diff_refreshes);
+    } else {
+      EXPECT_EQ(after.diff_refreshes - before.diff_refreshes, kJobs);
+      EXPECT_EQ(after.graphs_reused, before.graphs_reused);
+    }
+    previous = iat;
+  }
+  EXPECT_EQ(cache.stats().graphs_rebuilt, kJobs);
+  // The hint moves the answer, so a row left stale would show.
+  EXPECT_GT(answers.size(), 1u);
 }
 
 TEST(EmbeddingCacheAgent, TrainingWithCachedRolloutsIsUnchanged) {

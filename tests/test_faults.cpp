@@ -103,24 +103,6 @@ TEST(Faults, IdleFailureShrinksFreeCountUntilRecovery) {
   EXPECT_EQ(env.trace()[0].executor, 1);    // only choice at dispatch time
 }
 
-TEST(Faults, FailureBumpsFeatureAndJobEpochs) {
-  EnvConfig c = plain_config(2);
-  c.faults.failures = {{/*executor=*/0, /*fail_at=*/4.0}};
-  ClusterEnv env(c);
-  env.add_job(one_stage_job("j", 4, 10.0), 0.0);
-  sched::FifoScheduler fifo;
-
-  env.run(fifo, /*until=*/2.0);
-  const std::uint64_t feat_before = env.feature_epoch();
-  const std::uint64_t job_before = env.jobs()[0].mut_epoch;
-  env.run(fifo, /*until=*/5.0);
-  // The failure killed a running task of job 0: both the global feature
-  // epoch (free-executor count) and the job's mut_epoch (waiting tasks,
-  // executor allocation) must move so the embedding cache re-diffes it.
-  EXPECT_GT(env.feature_epoch(), feat_before);
-  EXPECT_GT(env.jobs()[0].mut_epoch, job_before);
-}
-
 TEST(Faults, StragglersInflateDurations) {
   EnvConfig c = plain_config(2);
   c.faults.stragglers = {/*prob=*/1.0, /*factor=*/3.0};

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "nn/adam.h"
 #include "nn/mlp.h"
@@ -117,55 +116,6 @@ TEST(Adam, TrainsMlpOnRegression) {
     final_loss = (pred - target) * (pred - target);
   }
   EXPECT_LT(final_loss, 0.05);
-}
-
-TEST(Serialize, SaveLoadRoundTrip) {
-  Mlp a("m", 3, 2, {4});
-  Rng r(5);
-  a.init(r);
-  ParamSet sa;
-  sa.add(a.params());
-  const std::string path = testing::TempDir() + "/decima_params_test.txt";
-  ASSERT_TRUE(save_params(sa, path));
-
-  Mlp b("m", 3, 2, {4});
-  Rng r2(99);
-  b.init(r2);
-  ParamSet sb;
-  sb.add(b.params());
-  ASSERT_TRUE(load_params(sb, path));
-  EXPECT_EQ(a.params()[0]->value.raw(), b.params()[0]->value.raw());
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, RejectsStructureMismatch) {
-  Mlp a("m", 3, 2, {4});
-  Rng r(5);
-  a.init(r);
-  ParamSet sa;
-  sa.add(a.params());
-  const std::string path = testing::TempDir() + "/decima_params_test2.txt";
-  ASSERT_TRUE(save_params(sa, path));
-
-  Mlp c("other", 3, 2, {4});  // different names
-  Rng r3(1);
-  c.init(r3);
-  ParamSet sc;
-  sc.add(c.params());
-  EXPECT_FALSE(load_params(sc, path));
-
-  Mlp d("m", 3, 3, {4});  // different shape
-  Rng r4(1);
-  d.init(r4);
-  ParamSet sd;
-  sd.add(d.params());
-  EXPECT_FALSE(load_params(sd, path));
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, MissingFileFails) {
-  ParamSet empty;
-  EXPECT_FALSE(load_params(empty, "/nonexistent/decima.model"));
 }
 
 }  // namespace

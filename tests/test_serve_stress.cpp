@@ -104,9 +104,13 @@ void churn_under_swaps_and_readers(int shards) {
     });
   }
 
-  for (int t = 0; t < kSessionThreads + 1; ++t) threads[static_cast<std::size_t>(t)].join();
+  for (int t = 0; t < kSessionThreads + 1; ++t) {
+    threads[static_cast<std::size_t>(t)].join();
+  }
   stop_readers = true;
-  for (std::size_t t = kSessionThreads + 1; t < threads.size(); ++t) threads[t].join();
+  for (std::size_t t = kSessionThreads + 1; t < threads.size(); ++t) {
+    threads[t].join();
+  }
 
   const auto stats = server->stats();
   EXPECT_EQ(stats.decisions, decisions.load());
@@ -177,7 +181,7 @@ TEST(ServeStress, ConcurrentStopIsIdempotent) {
   sim::ClusterEnv env(serve_env());
   workload::load(env, session_jobs(2));
   serve::Session session = server->open_session();
-  EXPECT_FALSE(server->decide(session, env).valid());
+  EXPECT_FALSE(server->decide_with_status(session, env).action.valid());
 }
 
 // Overload/saturation: hundreds of sessions against a tight deadline, behind
