@@ -86,7 +86,7 @@ std::vector<sim::JobSpec> random_dag_jobs(int num_jobs, int num_nodes,
         seed + static_cast<std::uint64_t>(i), num_nodes, feat_dim);
     std::vector<std::vector<int>> parents(static_cast<std::size_t>(num_nodes));
     for (int p = 0; p < num_nodes; ++p) {
-      for (int child : dag.children[static_cast<std::size_t>(p)]) {
+      for (int child : dag.shape->children[static_cast<std::size_t>(p)]) {
         parents[static_cast<std::size_t>(child)].push_back(p);
       }
     }

@@ -55,9 +55,9 @@ int main() {
       const auto& job = cluster.jobs()[j];
       if (!job.done()) continue;
       d.jcts.push_back(job.jct());
-      d.works.push_back(job.spec.total_work());
+      d.works.push_back(job.shape->total_work);
       d.execs.push_back(mean_execs[j]);
-      d.spec_work.push_back(job.spec.total_work());
+      d.spec_work.push_back(job.shape->total_work);
       d.exec_work.push_back(exec_work[j]);
     }
     return d;
@@ -72,8 +72,14 @@ int main() {
             << "\n  Decima:             " << ascii_sparkline(d_dec.series)
             << "\n";
   double peak_opt = 0, peak_dec = 0, sum_opt = 0, sum_dec = 0;
-  for (double v : d_opt.series) { peak_opt = std::max(peak_opt, v); sum_opt += v; }
-  for (double v : d_dec.series) { peak_dec = std::max(peak_dec, v); sum_dec += v; }
+  for (double v : d_opt.series) {
+    peak_opt = std::max(peak_opt, v);
+    sum_opt += v;
+  }
+  for (double v : d_dec.series) {
+    peak_dec = std::max(peak_dec, v);
+    sum_dec += v;
+  }
   std::cout << "  peak concurrent jobs: opt " << fmt(peak_opt, 0) << ", Decima "
             << fmt(peak_dec, 0) << "; mean: opt "
             << fmt(sum_opt / d_opt.series.size(), 1) << ", Decima "
@@ -98,8 +104,9 @@ int main() {
         ++nl;
       }
     }
-    return std::array<double, 4>{ns ? jct_small / ns : 0, nl ? jct_large / nl : 0,
-                                 ns ? ex_small / ns : 0, nl ? ex_large / nl : 0};
+    return std::array<double, 4>{
+        ns ? jct_small / ns : 0, nl ? jct_large / nl : 0,
+        ns ? ex_small / ns : 0, nl ? ex_large / nl : 0};
   };
   const auto s_opt = split_stats(d_opt);
   const auto s_dec = split_stats(d_dec);

@@ -79,13 +79,17 @@ void inference_profile(core::DecimaAgent& trained,
       1e6 * kNodes * kGraphs / gnn_stats_bat.median_us;
 
   Table tc({"inference path", "median (us)", "p95 (us)", "speedup"});
-  tc.add_row({"GNN  per-node (50-node DAGs x5)", fmt(gnn_stats_ref.median_us, 1),
-              fmt(gnn_stats_ref.p95_us, 1), "1.00"});
-  tc.add_row({"GNN  batched  (50-node DAGs x5)", fmt(gnn_stats_bat.median_us, 1),
-              fmt(gnn_stats_bat.p95_us, 1), fmt(gnn_speedup, 2)});
-  tc.add_row({"agent per-node (trained, loaded)", fmt(agent_stats_ref.median_us, 1),
+  tc.add_row({"GNN  per-node (50-node DAGs x5)",
+              fmt(gnn_stats_ref.median_us, 1), fmt(gnn_stats_ref.p95_us, 1),
+              "1.00"});
+  tc.add_row({"GNN  batched  (50-node DAGs x5)",
+              fmt(gnn_stats_bat.median_us, 1), fmt(gnn_stats_bat.p95_us, 1),
+              fmt(gnn_speedup, 2)});
+  tc.add_row({"agent per-node (trained, loaded)",
+              fmt(agent_stats_ref.median_us, 1),
               fmt(agent_stats_ref.p95_us, 1), "1.00"});
-  tc.add_row({"agent batched  (trained, loaded)", fmt(agent_stats_bat.median_us, 1),
+  tc.add_row({"agent batched  (trained, loaded)",
+              fmt(agent_stats_bat.median_us, 1),
               fmt(agent_stats_bat.p95_us, 1), fmt(agent_speedup, 2)});
   std::cout << "\n(c) per-event inference latency (batched GNN vs the\n"
                "    one-node-at-a-time reference path)\n"
@@ -164,7 +168,7 @@ int main() {
       for (std::size_t j = 0; j < cluster.jobs().size(); ++j) {
         if (!cluster.jobs()[j].done()) continue;
         JobStat st;
-        st.work = cluster.jobs()[j].spec.total_work();
+        st.work = cluster.jobs()[j].shape->total_work;
         st.jct = cluster.jobs()[j].jct();
         st.class_tasks.assign(usage[j].begin(), usage[j].end());
         out.push_back(std::move(st));
@@ -184,17 +188,17 @@ int main() {
     for (const auto& s : stats) {
       int q = 0;
       for (int k = 1; k < 4; ++k) {
-        if (s.work > works[works.size() * static_cast<std::size_t>(k) / 4]) q = k;
+        if (s.work > works[works.size() * static_cast<std::size_t>(k) / 4]) {
+          q = k;
+        }
       }
       sums[static_cast<std::size_t>(q)] += s.jct;
       counts[static_cast<std::size_t>(q)] += 1;
     }
     std::array<double, 4> out{};
     for (int q = 0; q < 4; ++q) {
-      out[static_cast<std::size_t>(q)] =
-          counts[static_cast<std::size_t>(q)]
-              ? sums[static_cast<std::size_t>(q)] / counts[static_cast<std::size_t>(q)]
-              : 0.0;
+      const std::size_t i = static_cast<std::size_t>(q);
+      out[i] = counts[i] ? sums[i] / counts[i] : 0.0;
     }
     return out;
   };

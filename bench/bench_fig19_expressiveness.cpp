@@ -52,7 +52,8 @@ LabeledDag random_dag(Rng& rng) {
 
   const sim::JobSpec spec = b.build();
   LabeledDag out;
-  out.cp = spec.critical_path();
+  out.graph.shape = sim::JobShape::of(spec);
+  out.cp = out.graph.shape->critical_path;
   out.branch_a = static_cast<std::size_t>(chain_head_idx);
   out.branch_b = static_cast<std::size_t>(fan_head);
   out.argmax = out.cp[out.branch_a] >= out.cp[out.branch_b] ? out.branch_a
@@ -64,8 +65,6 @@ LabeledDag random_dag(Rng& rng) {
     out.graph.features(v, 1) = spec.stages[v].task_duration / 3.0;
     out.graph.features(v, 2) = spec.stages[v].work() / 30.0;
   }
-  out.graph.children = spec.children();
-  out.graph.topo = spec.topo_order();
   out.graph.runnable.assign(spec.stages.size(), true);
   return out;
 }

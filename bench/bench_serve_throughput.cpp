@@ -8,6 +8,8 @@
 // (docs/incremental_embedding.md) on top of batched dispatch — isolating
 // what caching buys a long-lived session stream. Decisions are bit-identical
 // in every mode (tests/test_serve.cpp), so the ratios are pure throughput.
+// Each row runs its arms as kPairs alternated rounds and reports the median
+// of the per-round ratios, so one stalled pass cannot decide a ratio.
 // Writes BENCH_serve.json.
 #include <chrono>
 #include <thread>
@@ -21,6 +23,11 @@
 using namespace decima;
 
 namespace {
+
+// Rounds per row. Every round runs the sequential, batched and cached arms
+// back to back, in an order that flips each round, so drift and warm-up
+// reach every arm alike.
+constexpr int kPairs = 5;
 
 struct RunResult {
   double wall_seconds = 0.0;
@@ -184,6 +191,7 @@ int main() {
   json.set("dag_nodes", static_cast<double>(dag_nodes));
 
   json.set("batch_wait_us", static_cast<double>(wait_us));
+  json.set("rounds_per_row", static_cast<double>(kPairs));
 
   // Warm-up run (allocator + cache state), not measured.
   run_sessions(ckpt, /*batching=*/true, wait_us, 2, env, session_workloads);
@@ -195,35 +203,64 @@ int main() {
   double cache_speedup_at_max = 0.0;
   double cache_hit_rate_at_max = 0.0;
   for (int sessions : session_counts) {
-    const RunResult seq = run_sessions(ckpt, /*batching=*/false, wait_us,
-                                       sessions, env, session_workloads);
-    const RunResult bat = run_sessions(ckpt, /*batching=*/true, wait_us,
-                                       sessions, env, session_workloads);
-    const RunResult cached = run_sessions(cached_ckpt, /*batching=*/true,
-                                          wait_us, sessions, env,
-                                          session_workloads);
-    const double speedup =
-        bat.decisions_per_sec() / std::max(seq.decisions_per_sec(), 1e-12);
-    const double cache_speedup =
-        cached.decisions_per_sec() / std::max(bat.decisions_per_sec(), 1e-12);
+    auto run = [&](const std::string& policy, bool batching) {
+      return run_sessions(policy, batching, wait_us, sessions, env,
+                          session_workloads);
+    };
+    std::vector<double> seq_dps, bat_dps, cached_dps, mean_batch;
+    std::vector<double> speedups, cache_speedups;
+    RunResult bat;  // every batched round's latencies, pooled
+    RunResult cached;
+    for (int round = 0; round < kPairs; ++round) {
+      RunResult s, b, c;
+      if (round % 2 == 0) {
+        s = run(ckpt, /*batching=*/false);
+        b = run(ckpt, /*batching=*/true);
+        c = run(cached_ckpt, /*batching=*/true);
+      } else {
+        c = run(cached_ckpt, /*batching=*/true);
+        b = run(ckpt, /*batching=*/true);
+        s = run(ckpt, /*batching=*/false);
+      }
+      seq_dps.push_back(s.decisions_per_sec());
+      bat_dps.push_back(b.decisions_per_sec());
+      cached_dps.push_back(c.decisions_per_sec());
+      mean_batch.push_back(b.mean_batch);
+      speedups.push_back(b.decisions_per_sec() /
+                         std::max(s.decisions_per_sec(), 1e-12));
+      cache_speedups.push_back(c.decisions_per_sec() /
+                               std::max(b.decisions_per_sec(), 1e-12));
+      bat.decisions = b.decisions;
+      bat.latencies_us.insert(bat.latencies_us.end(), b.latencies_us.begin(),
+                              b.latencies_us.end());
+      cached = std::move(c);
+    }
+    const double speedup = percentile(speedups, 50.0);
+    const double cache_speedup = percentile(cache_speedups, 50.0);
+    const double batch = percentile(mean_batch, 50.0);
     speedup_at_max = speedup;
     cache_speedup_at_max = cache_speedup;
     cache_hit_rate_at_max = cached.cache_hit_rate;
-    t.add_row({fmt_int(sessions), fmt(seq.decisions_per_sec(), 0),
-               fmt(bat.decisions_per_sec(), 0), fmt(speedup, 2),
-               fmt(cached.decisions_per_sec(), 0), fmt(cache_speedup, 2),
-               fmt(bat.mean_batch, 2),
+    t.add_row({fmt_int(sessions), fmt(percentile(seq_dps, 50.0), 0),
+               fmt(percentile(bat_dps, 50.0), 0), fmt(speedup, 2),
+               fmt(percentile(cached_dps, 50.0), 0), fmt(cache_speedup, 2),
+               fmt(batch, 2),
                fmt(bat.latency_pct(50.0), 0) + "/" +
                    fmt(bat.latency_pct(95.0), 0) + "/" +
                    fmt(bat.latency_pct(99.0), 0),
                fmt(cached.cache_hit_rate, 2)});
+    std::cout << "sessions " << sessions << " per-round speedups:";
+    for (double r : speedups) std::cout << " " << fmt(r, 3);
+    std::cout << " | cache speedups:";
+    for (double r : cache_speedups) std::cout << " " << fmt(r, 3);
+    std::cout << "\n";
     const std::string key = "sessions" + std::to_string(sessions);
-    json.set(key + "_sequential_dps", seq.decisions_per_sec());
-    json.set(key + "_batched_dps", bat.decisions_per_sec());
+    json.set(key + "_sequential_dps", percentile(seq_dps, 50.0));
+    json.set(key + "_batched_dps", percentile(bat_dps, 50.0));
     json.set(key + "_speedup", speedup);
-    json.set(key + "_cached_dps", cached.decisions_per_sec());
+    json.set(key + "_cached_dps", percentile(cached_dps, 50.0));
     json.set(key + "_cache_speedup", cache_speedup);
-    json.set(key + "_mean_batch", bat.mean_batch);
+    json.set(key + "_mean_batch", batch);
     json.set(key + "_decisions", static_cast<double>(bat.decisions));
     json.set(key + "_latency_p50_us", bat.latency_pct(50.0));
     json.set(key + "_latency_p95_us", bat.latency_pct(95.0));

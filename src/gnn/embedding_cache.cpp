@@ -97,16 +97,17 @@ void GraphEmbedding::update_cache_entry(
     EmbeddingCache::Entry& e, EmbeddingCacheStats& stats) const {
   const std::size_t n = graph.features.rows();
   const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
+  const sim::JobShape& shape = *e.shape;
 
   // Dirty closure over message flow: Eq. 1 feeds every node its children's
   // embeddings, so dirtiness propagates leaves -> roots. Reverse topological
   // order visits each node after all of its children.
   std::vector<char> dirty(n, 0);
   for (std::size_t v : feat_dirty) dirty[v] = 1;
-  for (auto it = e.topo.rbegin(); it != e.topo.rend(); ++it) {
+  for (auto it = shape.topo.rbegin(); it != shape.topo.rend(); ++it) {
     const std::size_t v = static_cast<std::size_t>(*it);
     if (dirty[v]) continue;
-    for (int u : e.children[v]) {
+    for (int u : shape.children[v]) {
       if (dirty[static_cast<std::size_t>(u)]) {
         dirty[v] = 1;
         break;
@@ -128,9 +129,9 @@ void GraphEmbedding::update_cache_entry(
   // level. Message order per node is children order — the same order the
   // full pass's segment-sum adds them in.
   std::size_t recomputed = 0;
-  for (std::size_t L = 0; L < e.levels.size(); ++L) {
+  for (std::size_t L = 0; L < shape.levels.size(); ++L) {
     std::vector<std::size_t> dirty_level;
-    for (std::size_t v : e.levels[L]) {
+    for (std::size_t v : shape.levels[L]) {
       if (dirty[v]) dirty_level.push_back(v);
     }
     if (dirty_level.empty()) continue;
@@ -141,7 +142,7 @@ void GraphEmbedding::update_cache_entry(
     } else {
       std::vector<std::size_t> need;  // children whose f row is stale
       for (std::size_t v : dirty_level) {
-        for (int u : e.children[v]) {
+        for (int u : shape.children[v]) {
           const std::size_t uu = static_cast<std::size_t>(u);
           if (!e.f_valid[uu]) {
             e.f_valid[uu] = 1;  // marks queued: dedups shared children
@@ -154,7 +155,7 @@ void GraphEmbedding::update_cache_entry(
       }
       nn::Matrix agg(dirty_level.size(), d);
       for (std::size_t i = 0; i < dirty_level.size(); ++i) {
-        for (int u : e.children[dirty_level[i]]) {
+        for (int u : shape.children[dirty_level[i]]) {
           const std::size_t uu = static_cast<std::size_t>(u);
           for (std::size_t c = 0; c < d; ++c) agg(i, c) += e.F(uu, c);
         }
@@ -207,9 +208,14 @@ const EmbeddingCache::Entry& GraphEmbedding::refresh_cache_entry(
   const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
   cache.stats_.nodes_total += n;
 
-  const bool structure_matches = !e.feats.empty() && e.feats.rows() == n &&
-                                 e.feats.cols() == graph.features.cols() &&
-                                 e.children == graph.children;
+  // An env's job keeps one shape for life, so identity settles the check
+  // for every graph it produces. Synthetic graphs (env_uid -1) may reuse a
+  // key with a shape of their own: equal children then mean an equal
+  // structure, since topo and levels derive from them.
+  const bool structure_matches =
+      !e.feats.empty() && e.feats.rows() == n &&
+      e.feats.cols() == graph.features.cols() &&
+      (e.shape == graph.shape || e.shape->children == graph.shape->children);
   if (!structure_matches) {
     // New job behind this key (or a different graph recycling it): rebuild
     // from scratch — the shared update path with every node feature-dirty.
@@ -217,9 +223,7 @@ const EmbeddingCache::Entry& GraphEmbedding::refresh_cache_entry(
     CacheMetrics::get().misses.inc();
     e = EmbeddingCache::Entry{};
     e.last_used = cache.event_clock_;
-    e.children = graph.children;
-    e.topo = graph.topo;
-    e.levels = detail::levelize(graph);
+    e.shape = graph.shape;
     e.feats = nn::Matrix(n, graph.features.cols());
     e.P = nn::Matrix(n, d);
     e.E = nn::Matrix(n, d);

@@ -30,10 +30,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "nn/matrix.h"
+#include "sim/job.h"
 
 namespace decima::gnn {
 
@@ -72,16 +74,14 @@ class EmbeddingCache {
   friend class GraphEmbedding;
 
   // Cached activations of one job DAG. Matrices are n x emb_dim in node
-  // order unless noted; `feats` / `children` pin the inputs they were
-  // computed from.
+  // order unless noted; `feats` / `shape` pin the inputs they were computed
+  // from.
   struct Entry {
-    nn::Matrix feats;                        // features last embedded
-    std::vector<std::vector<int>> children;  // structure pin
-    std::vector<int> topo;                   // parents before children
-    // Levelization (computed once per structure): level 0 = leaves, each
-    // node's children at strictly lower levels — identical to the grouping
+    nn::Matrix feats;  // features last embedded
+    // The job's shape (structure pin): its children, topological order and
+    // levels drive the dirty closure and the level sweep, the same levels
     // GraphEmbedding::embed_episode sweeps by.
-    std::vector<std::vector<std::size_t>> levels;
+    std::shared_ptr<const sim::JobShape> shape;
 
     nn::Matrix P;   // proj(x_v)
     nn::Matrix E;   // e_v  (Eq. 1)

@@ -21,8 +21,7 @@ std::vector<JobGraph> extract_graphs(const sim::ClusterEnv& env,
     g.env_uid = env.uid();
     const std::size_t n = job.spec.stages.size();
     g.features = nn::Matrix(n, static_cast<std::size_t>(config.dim()));
-    g.children = job.children;
-    g.topo = job.spec.topo_order();
+    g.shape = job.shape;
     g.runnable.resize(n, false);
     const double local =
         env.local_free_executors(static_cast<int>(j)) > 0 ? 1.0 : 0.0;
@@ -53,19 +52,19 @@ JobGraph random_job_graph(std::uint64_t seed, int num_nodes, int feat_dim) {
   g.features = nn::Matrix(static_cast<std::size_t>(num_nodes),
                           static_cast<std::size_t>(feat_dim));
   for (double& v : g.features.raw()) v = rng.uniform(-1, 1);
-  g.children.resize(static_cast<std::size_t>(num_nodes));
-  for (int v = 1; v < num_nodes; ++v) {
-    const int parents = rng.uniform_int(1, 3);
-    for (int e = 0; e < parents; ++e) {
+  sim::JobBuilder dag("random");
+  for (int v = 0; v < num_nodes; ++v) {
+    std::vector<int> parents;
+    const int draws = v > 0 ? rng.uniform_int(1, 3) : 0;
+    for (int e = 0; e < draws; ++e) {
       const int p = rng.uniform_int(0, v - 1);
-      auto& kids = g.children[static_cast<std::size_t>(p)];
-      if (std::find(kids.begin(), kids.end(), v) == kids.end()) {
-        kids.push_back(v);
+      if (std::find(parents.begin(), parents.end(), p) == parents.end()) {
+        parents.push_back(p);
       }
     }
+    dag.stage(1, 1.0, std::move(parents));
   }
-  g.topo.resize(static_cast<std::size_t>(num_nodes));
-  for (int v = 0; v < num_nodes; ++v) g.topo[static_cast<std::size_t>(v)] = v;
+  g.shape = sim::JobShape::of(dag.build());
   g.runnable.assign(static_cast<std::size_t>(num_nodes), true);
   return g;
 }

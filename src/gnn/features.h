@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -29,13 +30,16 @@ struct FeatureConfig {
   int dim() const { return iat_hint ? 6 : 5; }
 };
 
-// One job DAG prepared for the graph neural network: node features plus
-// adjacency in both directions and a topological order.
+// One job DAG prepared for the graph neural network: node features plus the
+// job's shared structure (children, topological order, message-passing
+// levels).
 struct JobGraph {
   int env_job = -1;  // index into env.jobs()
   nn::Matrix features;  // n x feat_dim
-  std::vector<std::vector<int>> children;
-  std::vector<int> topo;  // parents before children
+  // Shared with the producing env's JobState (never a copy, never a
+  // borrowed pointer), so a graph stays valid after its env is gone.
+  // Synthetic graphs build theirs with sim::JobShape::of.
+  std::shared_ptr<const sim::JobShape> shape;
   std::vector<bool> runnable;  // node-level action mask (A_t of §5.2)
 
   // Embedding-cache identity (src/gnn/embedding_cache.h): env_uid names the
@@ -51,8 +55,8 @@ std::vector<JobGraph> extract_graphs(const sim::ClusterEnv& env,
                                      double observed_iat = 0.0);
 
 // A seeded random DAG with uniform [-1, 1) features: node v > 0 gets 1-3
-// distinct parents among earlier nodes, topo order 0..n-1, all runnable.
-// Synthetic input for GNN equivalence tests and latency benchmarks.
+// distinct parents among earlier nodes (one task of 1 s per node), all
+// runnable. Synthetic input for GNN equivalence tests and latency benchmarks.
 JobGraph random_job_graph(std::uint64_t seed, int num_nodes, int feat_dim = 5);
 
 }  // namespace decima::gnn

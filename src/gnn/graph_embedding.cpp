@@ -5,40 +5,6 @@
 
 namespace decima::gnn {
 
-namespace detail {
-
-// Groups nodes by message-passing depth: level 0 = leaves (no children), and
-// every node's children sit at strictly lower levels. All nodes of one level
-// are independent, so each level is evaluated as one batched matrix. Shared
-// with the incremental cache (embedding_cache.cpp), which stores the levels
-// per job and sweeps only the dirty rows of each.
-std::vector<std::vector<std::size_t>> levelize(const JobGraph& graph) {
-  const std::size_t n = graph.features.rows();
-  std::vector<int> depth(n, 0);
-  int max_depth = 0;
-  for (auto it = graph.topo.rbegin(); it != graph.topo.rend(); ++it) {
-    const std::size_t v = static_cast<std::size_t>(*it);
-    int d = 0;
-    for (int u : graph.children[v]) {
-      d = std::max(d, depth[static_cast<std::size_t>(u)] + 1);
-    }
-    depth[v] = d;
-    max_depth = std::max(max_depth, d);
-  }
-  std::vector<std::vector<std::size_t>> levels(
-      static_cast<std::size_t>(max_depth) + 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    levels[static_cast<std::size_t>(depth[v])].push_back(v);
-  }
-  return levels;
-}
-
-}  // namespace detail
-
-namespace {
-using detail::levelize;
-}  // namespace
-
 EpisodeEmbeddings stack_features(nn::Tape& tape,
                                  const std::vector<const JobGraph*>& graphs) {
   assert(!graphs.empty());
@@ -46,6 +12,8 @@ EpisodeEmbeddings stack_features(nn::Tape& tape,
   out.node_offset.resize(graphs.size());
   std::size_t total = 0;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
+    assert(graphs[g]->shape &&
+           graphs[g]->shape->children.size() == graphs[g]->features.rows());
     out.node_offset[g] = total;
     total += graphs[g]->features.rows();
   }
@@ -98,9 +66,10 @@ std::vector<nn::Var> GraphEmbedding::embed_nodes_reference(
   // Reverse topological sweep: every node's children are embedded before the
   // node itself, which realizes the leaves-to-roots message passing of
   // Fig. 5a in a single pass.
-  for (auto it = graph.topo.rbegin(); it != graph.topo.rend(); ++it) {
+  const sim::JobShape& shape = *graph.shape;
+  for (auto it = shape.topo.rbegin(); it != shape.topo.rend(); ++it) {
     const std::size_t v = static_cast<std::size_t>(*it);
-    const auto& kids = graph.children[v];
+    const auto& kids = shape.children[v];
     if (kids.empty()) {
       emb[v] = proj[v];
       continue;
@@ -219,10 +188,10 @@ EpisodeEmbeddings GraphEmbedding::embed_episode(
   const std::size_t total = tape.value(out.feat_all).rows();
   std::vector<std::size_t> graph_of(total);  // node row -> graph index
   for (std::size_t g = 0; g < G; ++g) {
-    std::fill(graph_of.begin() + static_cast<std::ptrdiff_t>(out.node_offset[g]),
-              graph_of.begin() +
-                  static_cast<std::ptrdiff_t>(out.node_offset[g] +
-                                              graphs[g]->features.rows()),
+    const auto first = graph_of.begin() +
+                       static_cast<std::ptrdiff_t>(out.node_offset[g]);
+    std::fill(first,
+              first + static_cast<std::ptrdiff_t>(graphs[g]->features.rows()),
               g);
   }
 
@@ -230,14 +199,14 @@ EpisodeEmbeddings GraphEmbedding::embed_episode(
   const nn::Var P = proj_.apply(tape, out.feat_all);
   out.proj_all = P;
 
-  // Cross-graph levelization: depth is a per-graph property, so nodes of one
-  // depth are independent across every graph and every event — each level of
-  // the leaves-to-roots sweep runs as ONE f/g application for the whole
-  // episode.
+  // Cross-graph levelization: depth is a per-graph property (the job
+  // shape's levels), so nodes of one depth are independent across every
+  // graph and every event — each level of the leaves-to-roots sweep runs as
+  // ONE f/g application for the whole episode.
   std::vector<std::vector<std::size_t>> glevels;  // level -> global node ids
   std::vector<std::size_t> level_of(total), row_in_level(total);
   for (std::size_t g = 0; g < G; ++g) {
-    const auto levels = levelize(*graphs[g]);
+    const auto& levels = graphs[g]->shape->levels;
     if (glevels.size() < levels.size()) glevels.resize(levels.size());
     for (std::size_t L = 0; L < levels.size(); ++L) {
       for (std::size_t v : levels[L]) {
@@ -273,7 +242,7 @@ EpisodeEmbeddings GraphEmbedding::embed_episode(
       const std::size_t gid = level[i];
       const std::size_t g = graph_of[gid];
       const std::size_t v = gid - out.node_offset[g];
-      for (int u : graphs[g]->children[v]) {
+      for (int u : graphs[g]->shape->children[v]) {
         const std::size_t ugid =
             out.node_offset[g] + static_cast<std::size_t>(u);
         const std::size_t S = level_of[ugid];

@@ -23,13 +23,6 @@
 
 namespace decima::gnn {
 
-namespace detail {
-// Groups nodes by message-passing depth: level 0 = leaves, every node's
-// children at strictly lower levels (graph_embedding.cpp). Shared by the
-// batched sweep (embed_episode) and the incremental embedding cache.
-std::vector<std::vector<std::size_t>> levelize(const JobGraph& graph);
-}  // namespace detail
-
 struct GnnConfig {
   int feat_dim = 5;
   int emb_dim = 8;

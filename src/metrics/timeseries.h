@@ -18,7 +18,7 @@ std::vector<double> concurrent_jobs_series(const sim::ClusterEnv& env,
 std::vector<double> mean_executors_per_job(const sim::ClusterEnv& env);
 
 // Executed work (inflated, from the trace) per job, indexed by job. Compare
-// with JobSpec::total_work() to measure work inflation (Fig. 10e).
+// with JobShape::total_work to measure work inflation (Fig. 10e).
 std::vector<double> executed_work_per_job(const sim::ClusterEnv& env);
 
 // For multi-resource experiments: the number of tasks each job ran on each

@@ -64,7 +64,7 @@ std::vector<double> deadline_rewards(const sim::ClusterEnv& env,
   for (const auto& j : jobs) {
     if (!j.arrived) continue;
     const double deadline =
-        j.arrival + config.slack * j.spec.critical_path_duration();
+        j.arrival + config.slack * j.shape->critical_path_duration;
     if (j.done()) {
       if (j.finish > deadline) miss_at.push_back(j.finish);
     } else if (env.now() > deadline) {
@@ -93,7 +93,7 @@ double deadline_hit_rate(const sim::ClusterEnv& env,
     if (!j.done()) continue;
     ++done;
     const double deadline =
-        j.arrival + config.slack * j.spec.critical_path_duration();
+        j.arrival + config.slack * j.shape->critical_path_duration;
     if (j.finish <= deadline) ++hit;
   }
   return done ? static_cast<double>(hit) / done : 0.0;

@@ -6,7 +6,7 @@ namespace decima::sched {
 
 NodeRef critical_path_stage(const ClusterEnv& env, int job) {
   const sim::JobState& j = env.jobs()[static_cast<std::size_t>(job)];
-  const auto cp = j.spec.critical_path();
+  const std::vector<double>& cp = j.shape->critical_path;
   NodeRef best;
   double best_cp = -1.0;
   for (std::size_t v = 0; v < j.stages.size(); ++v) {

@@ -19,24 +19,26 @@ Action WeightedFairScheduler::schedule(const ClusterEnv& env) {
 
   // Shares are computed over all active (arrived, unfinished) jobs, whether
   // or not they have a runnable stage at this instant.
-  std::vector<int> active;
+  auto weight = [&](std::size_t j) {
+    return std::pow(std::max(jobs[j].shape->total_work, 1e-9), alpha_);
+  };
+  bool any_active = false;
   double total_weight = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (!jobs[j].arrived || jobs[j].done()) continue;
-    active.push_back(static_cast<int>(j));
-    total_weight += std::pow(std::max(jobs[j].spec.total_work(), 1e-9), alpha_);
+    any_active = true;
+    total_weight += weight(j);
   }
-  if (active.empty() || total_weight <= 0.0) return Action::none();
+  if (!any_active || total_weight <= 0.0) return Action::none();
 
   const auto runnable = jobs_with_runnable_stages(env);
   if (runnable.empty()) return Action::none();
 
   // Target allocation per job (at least 1 to avoid starvation).
   auto target = [&](int j) {
-    const double w =
-        std::pow(std::max(jobs[static_cast<std::size_t>(j)].spec.total_work(), 1e-9), alpha_);
-    return std::max(
-        1, static_cast<int>(std::floor(env.total_executors() * w / total_weight)));
+    const double w = weight(static_cast<std::size_t>(j));
+    return std::max(1, static_cast<int>(std::floor(env.total_executors() * w /
+                                                   total_weight)));
   };
 
   // First pass: most-deficit job below its target.

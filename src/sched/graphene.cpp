@@ -15,11 +15,13 @@ namespace decima::sched {
 //  - Parallelism control: tuned weighted fair shares (T_i^alpha).
 //  - Packing: best-fit executor class by memory.
 std::vector<int> GrapheneScheduler::troublesome_stages(
-    const sim::JobSpec& spec, const GrapheneConfig& config) {
+    const sim::JobSpec& spec, const sim::JobShape& shape,
+    const GrapheneConfig& config) {
   std::vector<int> out;
-  const double total = std::max(spec.total_work(), 1e-9);
+  const double total = std::max(shape.total_work, 1e-9);
   for (std::size_t v = 0; v < spec.stages.size(); ++v) {
-    const bool long_stage = spec.stages[v].work() / total > config.work_threshold;
+    const bool long_stage =
+        spec.stages[v].work() / total > config.work_threshold;
     const bool hungry = spec.stages[v].mem_req > config.mem_threshold;
     if (long_stage || hungry) out.push_back(static_cast<int>(v));
   }
@@ -31,21 +33,22 @@ Action GrapheneScheduler::schedule(const ClusterEnv& env) {
   troublesome_.resize(jobs.size());
 
   // Weighted fair targets, as in WeightedFairScheduler.
-  std::vector<int> active;
+  auto weight = [&](std::size_t j) {
+    return std::pow(std::max(jobs[j].shape->total_work, 1e-9), config_.alpha);
+  };
+  bool any_active = false;
   double total_weight = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (!jobs[j].arrived || jobs[j].done()) continue;
-    active.push_back(static_cast<int>(j));
-    total_weight +=
-        std::pow(std::max(jobs[j].spec.total_work(), 1e-9), config_.alpha);
+    any_active = true;
+    total_weight += weight(j);
   }
-  if (active.empty()) return Action::none();
+  if (!any_active) return Action::none();
   auto target = [&](int j) {
-    const double w = std::pow(
-        std::max(jobs[static_cast<std::size_t>(j)].spec.total_work(), 1e-9),
-        config_.alpha);
+    const double w = weight(static_cast<std::size_t>(j));
     return std::max(1, static_cast<int>(std::floor(
-                           env.total_executors() * w / std::max(total_weight, 1e-12))));
+                           env.total_executors() * w /
+                           std::max(total_weight, 1e-12))));
   };
 
   const auto runnable = env.runnable_nodes();
@@ -54,13 +57,14 @@ Action GrapheneScheduler::schedule(const ClusterEnv& env) {
   // Classify candidates: a troublesome node is eligible only when its job's
   // entire troublesome group is currently runnable or already finished.
   auto group_ready = [&](int j) {
+    const sim::JobState& job = jobs[static_cast<std::size_t>(j)];
     auto& memo = troublesome_[static_cast<std::size_t>(j)];
     if (!memo) {
-      const auto t = troublesome_stages(jobs[static_cast<std::size_t>(j)].spec, config_);
+      const auto t = troublesome_stages(job.spec, *job.shape, config_);
       memo.emplace(t.begin(), t.end());
     }
     for (int v : *memo) {
-      const auto& st = jobs[static_cast<std::size_t>(j)].stages[static_cast<std::size_t>(v)];
+      const auto& st = job.stages[static_cast<std::size_t>(v)];
       const bool finished_or_running = st.waiting == 0;
       if (!st.runnable() && !finished_or_running) return false;
     }
@@ -85,7 +89,8 @@ Action GrapheneScheduler::schedule(const ClusterEnv& env) {
     const int cur = jobs[static_cast<std::size_t>(j)].executors;
     const double deficit =
         static_cast<double>(tgt - cur) / static_cast<double>(std::max(tgt, 1));
-    const auto cp = jobs[static_cast<std::size_t>(j)].spec.critical_path();
+    const std::vector<double>& cp =
+        jobs[static_cast<std::size_t>(j)].shape->critical_path;
     double key = deficit * 1e6 + cp[static_cast<std::size_t>(node.stage)];
     if (is_troublesome(node) && ready) key += 1e9;  // group goes together
     if (key > best_key) {

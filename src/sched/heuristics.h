@@ -53,7 +53,7 @@ class FifoScheduler : public sim::Scheduler {
   std::string name() const override { return "FIFO"; }
 };
 
-// --- (2) SJF-CP -----------------------------------------------------------------
+// --- (2) SJF-CP --------------------------------------------------------------
 
 class SjfCpScheduler : public sim::Scheduler {
  public:
@@ -61,7 +61,7 @@ class SjfCpScheduler : public sim::Scheduler {
   std::string name() const override { return "SJF-CP"; }
 };
 
-// --- (3)-(5) (weighted) fair ---------------------------------------------------
+// --- (3)-(5) (weighted) fair -------------------------------------------------
 //
 // alpha = 0  -> simple fair (equal shares)
 // alpha = 1  -> naive weighted fair (shares ∝ total work)
@@ -79,7 +79,7 @@ class WeightedFairScheduler : public sim::Scheduler {
   std::vector<int> cursors_;  // per-job round-robin stage cursor
 };
 
-// --- (6) Tetris -----------------------------------------------------------------
+// --- (6) Tetris --------------------------------------------------------------
 
 class TetrisScheduler : public sim::Scheduler {
  public:
@@ -87,7 +87,7 @@ class TetrisScheduler : public sim::Scheduler {
   std::string name() const override { return "Tetris"; }
 };
 
-// --- (7) Graphene* ---------------------------------------------------------------
+// --- (7) Graphene* -----------------------------------------------------------
 
 struct GrapheneConfig {
   // A stage is "troublesome" if it holds more than this fraction of its
@@ -107,8 +107,10 @@ class GrapheneScheduler : public sim::Scheduler {
   std::string name() const override { return "Graphene*"; }
   const GrapheneConfig& config() const { return config_; }
 
-  // Exposed for tests: the troublesome-stage group of a job spec.
+  // Exposed for tests: the troublesome-stage group of a job spec, given
+  // its shape (for the total work).
   static std::vector<int> troublesome_stages(const sim::JobSpec& spec,
+                                             const sim::JobShape& shape,
                                              const GrapheneConfig& config);
 
  private:

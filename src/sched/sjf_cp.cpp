@@ -11,7 +11,7 @@ Action SjfCpScheduler::schedule(const ClusterEnv& env) {
   double best_work = sim::kInfTime;
   for (int j : candidates) {
     const auto& job = env.jobs()[static_cast<std::size_t>(j)];
-    const double w = job.spec.total_work();
+    const double w = job.shape->total_work;
     if (w < best_work) {
       best_work = w;
       best = j;

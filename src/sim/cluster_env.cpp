@@ -60,7 +60,7 @@ void ClusterEnv::add_job(JobSpec spec, Time arrival) {
   }
   if (arrival < 0.0) throw std::invalid_argument("arrival must be >= 0");
   JobState job;
-  job.children = spec.children();
+  job.shape = JobShape::of(spec);
   job.arrival = arrival;
   job.stages.resize(spec.stages.size());
   for (std::size_t v = 0; v < spec.stages.size(); ++v) {
@@ -178,7 +178,7 @@ bool ClusterEnv::handle_task_finish(const Event& e) {
   if (st.complete(spec.num_tasks)) {
     // Stage completion unlocks child stages (§5.2 event (ii)).
     ++job.stages_complete;
-    for (int c : job.children[static_cast<std::size_t>(e.stage)]) {
+    for (int c : job.shape->children[static_cast<std::size_t>(e.stage)]) {
       --job.stages[static_cast<std::size_t>(c)].parents_pending;
     }
     if (job.done()) {

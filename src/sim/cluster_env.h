@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
@@ -81,11 +82,14 @@ struct StageState {
 // Dynamic per-job state.
 struct JobState {
   JobSpec spec;
+  // The spec's structure facts, derived once in ClusterEnv::add_job and
+  // shared (never copied) by every reader, including graphs that outlive
+  // the env.
+  std::shared_ptr<const JobShape> shape;
   Time arrival = 0.0;
   Time finish = -1.0;  // < 0 while incomplete
   bool arrived = false;
   std::vector<StageState> stages;
-  std::vector<std::vector<int>> children;
   int executors = 0;          // executors currently running tasks of this job
   int parallelism_limit = 0;  // most recent limit set by a scheduling action
   int stages_complete = 0;

@@ -4,32 +4,27 @@
 
 namespace decima::sim {
 
-double JobSpec::total_work() const {
-  double w = 0.0;
-  for (const StageSpec& s : stages) w += s.work();
-  return w;
-}
+namespace {
 
-std::vector<std::vector<int>> JobSpec::children() const {
-  std::vector<std::vector<int>> out(stages.size());
-  for (std::size_t v = 0; v < stages.size(); ++v) {
-    for (int p : stages[v].parents) {
+// Children adjacency of `spec`; parent indices must be in range.
+std::vector<std::vector<int>> children_of(const JobSpec& spec) {
+  std::vector<std::vector<int>> out(spec.stages.size());
+  for (std::size_t v = 0; v < spec.stages.size(); ++v) {
+    for (int p : spec.stages[v].parents) {
       out[static_cast<std::size_t>(p)].push_back(static_cast<int>(v));
     }
   }
   return out;
 }
 
-std::vector<int> JobSpec::topo_order() const {
-  const std::size_t n = stages.size();
+// Kahn's algorithm; shorter than the stage count iff `spec` has a cycle.
+std::vector<int> topological_order(
+    const JobSpec& spec, const std::vector<std::vector<int>>& children) {
+  const std::size_t n = spec.stages.size();
   std::vector<int> indegree(n, 0);
-  for (const StageSpec& s : stages) {
-    (void)s;
-  }
   for (std::size_t v = 0; v < n; ++v) {
-    indegree[v] = static_cast<int>(stages[v].parents.size());
+    indegree[v] = static_cast<int>(spec.stages[v].parents.size());
   }
-  const auto kids = children();
   std::vector<int> order;
   order.reserve(n);
   std::vector<int> frontier;
@@ -40,43 +35,50 @@ std::vector<int> JobSpec::topo_order() const {
     const int v = frontier.back();
     frontier.pop_back();
     order.push_back(v);
-    for (int c : kids[static_cast<std::size_t>(v)]) {
+    for (int c : children[static_cast<std::size_t>(v)]) {
       if (--indegree[static_cast<std::size_t>(c)] == 0) frontier.push_back(c);
     }
   }
-  return order;  // shorter than n iff cyclic; validate() reports that
+  return order;
 }
 
-std::vector<double> JobSpec::critical_path() const {
-  const auto order = topo_order();
-  const auto kids = children();
-  std::vector<double> cp(stages.size(), 0.0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const std::size_t v = static_cast<std::size_t>(*it);
-    double best_child = 0.0;
-    for (int c : kids[v]) {
-      best_child = std::max(best_child, cp[static_cast<std::size_t>(c)]);
-    }
-    cp[v] = stages[v].work() + best_child;
-  }
-  return cp;
-}
+}  // namespace
 
-double JobSpec::critical_path_duration() const {
-  const auto order = topo_order();
-  const auto kids = children();
-  std::vector<double> d(stages.size(), 0.0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+std::shared_ptr<const JobShape> JobShape::of(const JobSpec& spec) {
+  const std::size_t n = spec.stages.size();
+  auto shape = std::make_shared<JobShape>();
+  shape->children = children_of(spec);
+  shape->topo = topological_order(spec, shape->children);
+
+  // One leaves-to-roots sweep: every child is final before its parents.
+  std::vector<int> depth(n, 0);
+  std::vector<double> chain(n, 0.0);  // longest duration chain from v
+  shape->critical_path.assign(n, 0.0);
+  int max_depth = 0;
+  for (auto it = shape->topo.rbegin(); it != shape->topo.rend(); ++it) {
     const std::size_t v = static_cast<std::size_t>(*it);
-    double best_child = 0.0;
-    for (int c : kids[v]) {
-      best_child = std::max(best_child, d[static_cast<std::size_t>(c)]);
+    int d = 0;
+    double best_cp = 0.0;
+    double best_chain = 0.0;
+    for (int c : shape->children[v]) {
+      const std::size_t u = static_cast<std::size_t>(c);
+      d = std::max(d, depth[u] + 1);
+      best_cp = std::max(best_cp, shape->critical_path[u]);
+      best_chain = std::max(best_chain, chain[u]);
     }
-    d[v] = stages[v].task_duration + best_child;
+    depth[v] = d;
+    max_depth = std::max(max_depth, d);
+    shape->critical_path[v] = spec.stages[v].work() + best_cp;
+    chain[v] = spec.stages[v].task_duration + best_chain;
   }
-  double best = 0.0;
-  for (double x : d) best = std::max(best, x);
-  return best;
+  shape->levels.resize(static_cast<std::size_t>(max_depth) + 1);
+  for (std::size_t v = 0; v < n; ++v) {
+    shape->levels[static_cast<std::size_t>(depth[v])].push_back(v);
+    shape->critical_path_duration =
+        std::max(shape->critical_path_duration, chain[v]);
+    shape->total_work += spec.stages[v].work();
+  }
+  return shape;
 }
 
 bool JobSpec::validate(std::string* error) const {
@@ -84,26 +86,29 @@ bool JobSpec::validate(std::string* error) const {
     if (error) *error = name + ": " + why;
     return false;
   };
+  auto fail_at = [&](std::size_t v, const std::string& why) {
+    return fail("stage " + std::to_string(v) + " " + why);
+  };
   if (stages.empty()) return fail("job has no stages");
   for (std::size_t v = 0; v < stages.size(); ++v) {
     const StageSpec& s = stages[v];
-    if (s.num_tasks <= 0) return fail("stage " + std::to_string(v) + " has no tasks");
-    if (s.task_duration <= 0.0) {
-      return fail("stage " + std::to_string(v) + " has non-positive duration");
-    }
+    if (s.num_tasks <= 0) return fail_at(v, "has no tasks");
+    if (s.task_duration <= 0.0) return fail_at(v, "has non-positive duration");
     if (s.mem_req < 0.0 || s.mem_req > 1.0) {
-      return fail("stage " + std::to_string(v) + " mem_req outside [0,1]");
+      return fail_at(v, "mem_req outside [0,1]");
     }
     for (int p : s.parents) {
       if (p < 0 || static_cast<std::size_t>(p) >= stages.size()) {
-        return fail("stage " + std::to_string(v) + " has out-of-range parent");
+        return fail_at(v, "has out-of-range parent");
       }
       if (static_cast<std::size_t>(p) == v) {
-        return fail("stage " + std::to_string(v) + " is its own parent");
+        return fail_at(v, "is its own parent");
       }
     }
   }
-  if (topo_order().size() != stages.size()) return fail("dependency cycle");
+  if (topological_order(*this, children_of(*this)).size() != stages.size()) {
+    return fail("dependency cycle");
+  }
   return true;
 }
 

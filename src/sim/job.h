@@ -1,10 +1,14 @@
 // Job and stage specifications: the static description of a DAG-structured
-// data-processing job (§3 of the paper), plus graph helpers (topological
-// order, critical path, total work) used by schedulers and features.
+// data-processing job (§3 of the paper), plus JobShape, the structure facts
+// (children, topological order, message-passing levels, critical path, total
+// work) derived once per job and shared by schedulers, the simulator and the
+// GNN.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,27 +45,38 @@ struct JobSpec {
   double sweet_spot = 1e9;
   double inflation = 0.0;
 
-  double total_work() const;
-
-  // Children adjacency (derived from parents).
-  std::vector<std::vector<int>> children() const;
-
-  // Topological order (parents before children). Requires acyclicity.
-  std::vector<int> topo_order() const;
-
-  // Critical-path value per node:
-  //   cp(v) = work(v) + max_{u in children(v)} cp(u)
-  // (paper §5.1 footnote 5). Returned indexed by stage.
-  std::vector<double> critical_path() const;
-
-  // Length of the longest dependency chain in task-duration terms, assuming
-  // unlimited parallelism: a lower bound on the job's completion time.
-  double critical_path_duration() const;
-
   // Validates structural integrity (parent indices in range, acyclic,
   // positive task counts/durations). On failure returns false and, if
   // `error` is non-null, a human-readable reason.
   bool validate(std::string* error = nullptr) const;
+};
+
+// The structure facts of one job DAG. None of them changes after the job
+// arrives, so each is derived once, by JobShape::of, and shared read-only
+// (ClusterEnv's JobState, the GNN's JobGraph, the embedding cache).
+struct JobShape {
+  // Children adjacency (derived from parents), each list in ascending
+  // stage order.
+  std::vector<std::vector<int>> children;
+  // Topological order: parents before children.
+  std::vector<int> topo;
+  // Message-passing depth: level 0 holds the leaves, every node's children
+  // sit at strictly lower levels, and each level lists its stages in
+  // ascending order (the GNN sweeps one level at a time, §5.1).
+  std::vector<std::vector<std::size_t>> levels;
+  // Critical-path value per stage, cp(v) = work(v) + max over children u
+  // of cp(u) (paper §5.1 footnote 5).
+  std::vector<double> critical_path;
+  // Length of the longest dependency chain in task-duration terms, assuming
+  // unlimited parallelism: a lower bound on the job's completion time.
+  double critical_path_duration = 0.0;
+  // Sum of every stage's work(), in stage order.
+  double total_work = 0.0;
+
+  // The one builder. `spec` must have every parent index in range (validate
+  // checks that first); a cyclic spec yields a `topo` shorter than its stage
+  // count, which is how validate reports a cycle.
+  static std::shared_ptr<const JobShape> of(const JobSpec& spec);
 };
 
 // Builder for concise construction of jobs in tests and workload generators.

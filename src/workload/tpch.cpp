@@ -47,7 +47,8 @@ sim::JobSpec make_tpch_job(int query, double size_gb) {
 
   const int n = kStageCount[qi];
   // Layered DAG: levels of decreasing width; later levels aggregate.
-  const int levels = std::max(2, static_cast<int>(std::round(std::sqrt(n))) + 1);
+  const int levels =
+      std::max(2, static_cast<int>(std::round(std::sqrt(n))) + 1);
   std::vector<int> level_of(static_cast<std::size_t>(n));
   std::vector<std::vector<int>> by_level(static_cast<std::size_t>(levels));
   for (int v = 0; v < n; ++v) {
@@ -69,8 +70,8 @@ sim::JobSpec make_tpch_job(int query, double size_gb) {
     const int lvl = level_of[static_cast<std::size_t>(v)];
     const double depth_decay = std::pow(0.55, lvl);
     const double width_noise = rng.lognormal_mean(1.0, 0.6);
-    s.num_tasks = std::max(
-        1, static_cast<int>(std::round(base_width * depth_decay * width_noise)));
+    s.num_tasks = std::max(1, static_cast<int>(std::round(
+                                  base_width * depth_decay * width_noise)));
     // Per-task durations: heavier for scans, lighter for aggregations;
     // heavy-ish tail across stages.
     const double base_dur = lvl == 0 ? 2.2 : 1.4;
@@ -82,20 +83,23 @@ sim::JobSpec make_tpch_job(int query, double size_gb) {
       const int num_parents = rng.uniform_int(1, std::min(3, 2 + lvl / 2));
       std::vector<int> candidates;
       for (int u = 0; u < v; ++u) {
-        if (level_of[static_cast<std::size_t>(u)] < lvl) candidates.push_back(u);
+        if (level_of[static_cast<std::size_t>(u)] < lvl) {
+          candidates.push_back(u);
+        }
       }
       for (int k = 0; k < num_parents && !candidates.empty(); ++k) {
         // Prefer the immediately preceding level to build long chains with
         // occasional far-reaching join edges.
+        const int last = static_cast<int>(candidates.size()) - 1;
         const std::size_t pick =
             rng.bernoulli(0.7)
                 ? candidates.size() - 1 -
-                      static_cast<std::size_t>(rng.uniform_int(
-                          0, std::min<int>(2, static_cast<int>(candidates.size()) - 1)))
-                : static_cast<std::size_t>(rng.uniform_int(
-                      0, static_cast<int>(candidates.size()) - 1));
+                      static_cast<std::size_t>(
+                          rng.uniform_int(0, std::min<int>(2, last)))
+                : static_cast<std::size_t>(rng.uniform_int(0, last));
         const int p = candidates[pick];
-        if (std::find(s.parents.begin(), s.parents.end(), p) == s.parents.end()) {
+        if (std::find(s.parents.begin(), s.parents.end(), p) ==
+            s.parents.end()) {
           s.parents.push_back(p);
         }
       }
@@ -114,8 +118,8 @@ sim::JobSpec make_tpch_job(int query, double size_gb) {
 sim::JobSpec sample_tpch_job(decima::Rng& rng) {
   const int query = rng.uniform_int(1, kNumTpchQueries);
   const auto& sizes = tpch_sizes();
-  const double size =
-      sizes[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(sizes.size()) - 1))];
+  const double size = sizes[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(sizes.size()) - 1))];
   return make_tpch_job(query, size);
 }
 
@@ -135,21 +139,19 @@ void assign_memory_requests(sim::JobSpec& job, decima::Rng& rng) {
 double ideal_runtime_at_parallelism(const sim::JobSpec& job, int parallelism) {
   parallelism = std::max(parallelism, 1);
   // Inflation multiplier at this allocation.
-  const double over = std::max(0.0, static_cast<double>(parallelism) - job.sweet_spot);
+  const double over =
+      std::max(0.0, static_cast<double>(parallelism) - job.sweet_spot);
   const double m = 1.0 + job.inflation * over / std::max(job.sweet_spot, 1.0);
   // Runtime = critical path over stages of (waves x inflated duration),
   // where each level's stages run sequentially along dependencies but share
   // the executors. A simple per-node wave model suffices for the Fig. 2 curve.
-  const auto order = job.topo_order();
-  const auto kids = job.children();
+  const auto shape = sim::JobShape::of(job);
   std::vector<double> finish(job.stages.size(), 0.0);
-  for (int v : order) {
+  for (int v : shape->topo) {
     const auto& s = job.stages[static_cast<std::size_t>(v)];
     double ready = 0.0;
-    for (std::size_t u = 0; u < job.stages.size(); ++u) {
-      for (int c : kids[u]) {
-        if (c == v) ready = std::max(ready, finish[u]);
-      }
+    for (int p : s.parents) {
+      ready = std::max(ready, finish[static_cast<std::size_t>(p)]);
     }
     const double waves =
         std::ceil(static_cast<double>(s.num_tasks) / parallelism);
@@ -160,16 +162,20 @@ double ideal_runtime_at_parallelism(const sim::JobSpec& job, int parallelism) {
   return total;
 }
 
-double work_share_of_top(const std::vector<sim::JobSpec>& jobs, double fraction) {
+double work_share_of_top(const std::vector<sim::JobSpec>& jobs,
+                         double fraction) {
   if (jobs.empty()) return 0.0;
   std::vector<double> works;
   works.reserve(jobs.size());
-  for (const auto& j : jobs) works.push_back(j.total_work());
+  for (const auto& j : jobs) {
+    works.push_back(sim::JobShape::of(j)->total_work);
+  }
   std::sort(works.begin(), works.end(), std::greater<>());
   const double total = std::accumulate(works.begin(), works.end(), 0.0);
   const std::size_t k = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::round(fraction * works.size())));
-  const double top = std::accumulate(works.begin(), works.begin() + static_cast<long>(k), 0.0);
+  const double top = std::accumulate(
+      works.begin(), works.begin() + static_cast<long>(k), 0.0);
   return total > 0 ? top / total : 0.0;
 }
 

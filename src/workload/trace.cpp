@@ -27,8 +27,8 @@ sim::JobSpec synth_job(decima::Rng& rng, int index, const TraceConfig& config) {
   for (int v = 0; v < n; ++v) {
     sim::StageSpec s;
     s.name = job.name + "/s" + std::to_string(v);
-    s.num_tasks =
-        std::max(1, static_cast<int>(std::round(rng.lognormal_mean(12.0, 1.0))));
+    s.num_tasks = std::max(
+        1, static_cast<int>(std::round(rng.lognormal_mean(12.0, 1.0))));
     s.task_duration = std::max(0.05, rng.lognormal_mean(1.2, 0.9));
     if (config.with_memory) {
       // Mostly small requests; ~15% memory-hungry stages.
@@ -88,11 +88,12 @@ TraceStats trace_stats(const std::vector<ArrivingJob>& trace) {
     stage_sum += n;
     s.max_stages = std::max(s.max_stages, n);
     if (n >= 4) ++ge4;
-    const double w = j.spec.total_work();
+    const double w = sim::JobShape::of(j.spec)->total_work;
     work_sum += w;
     s.max_work = std::max(s.max_work, w);
   }
-  s.frac_ge4_stages = static_cast<double>(ge4) / static_cast<double>(trace.size());
+  s.frac_ge4_stages =
+      static_cast<double>(ge4) / static_cast<double>(trace.size());
   s.mean_stages = stage_sum / static_cast<double>(trace.size());
   s.mean_work = work_sum / static_cast<double>(trace.size());
   return s;

@@ -1,0 +1,161 @@
+// Exact heap-allocation counts of two per-decision paths on fixed states:
+// one SJF-CP schedule() and one extract_graphs() (ROADMAP item 3). Counts
+// depend on the seeded state and the standard library's container growth,
+// not on host speed, so any change to them, up or down, must update the pins
+// below with a line in CHANGES.md.
+//
+// This binary replaces the global operator new to count; the library never
+// does.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "gnn/features.h"
+#include "sched/heuristics.h"
+#include "workload/arrivals.h"
+#include "workload/tpch.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<long> g_allocations{0};
+
+}  // namespace
+
+namespace {
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Out of line, so inlining never shows the compiler a free() of an
+// operator new result.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+// Every non-aligned form, nothrow included, so a sanitizer runtime's own
+// operator new never pairs with this file's delete.
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
+
+namespace decima {
+namespace {
+
+// Allocations made by `fn()` on this thread's watch.
+template <typename Fn>
+long count_allocations(Fn&& fn) {
+  g_allocations.store(0);
+  g_counting.store(true);
+  fn();
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+// A fixed state: 200 seeded TPC-H jobs arrive at t = 0 on 100 executors
+// and SJF-CP runs them until t = 100 s.
+struct FixedState {
+  sim::ClusterEnv env;
+  FixedState() : env(config()) {
+    Rng rng(17);
+    workload::load(env,
+                   workload::batched(workload::sample_tpch_batch(rng, 200)));
+    sched::SjfCpScheduler sjf;
+    env.run(sjf, 100.0);
+  }
+  static sim::EnvConfig config() {
+    sim::EnvConfig c;
+    c.num_executors = 100;
+    c.seed = 5;
+    return c;
+  }
+  int active_jobs() const {
+    int n = 0;
+    for (const auto& j : env.jobs()) n += j.arrived && !j.done() ? 1 : 0;
+    return n;
+  }
+};
+
+TEST(AllocCounts, FixedStateIsTheExpectedOne) {
+  const FixedState s;
+  EXPECT_EQ(s.active_jobs(), 126);
+  EXPECT_EQ(sched::jobs_with_runnable_stages(s.env).size(), 121u);
+}
+
+TEST(AllocCounts, OneSjfCpDecision) {
+  const FixedState s;
+  sched::SjfCpScheduler sjf;
+  sim::Action a;
+  const long n = count_allocations([&] { a = sjf.schedule(s.env); });
+  ASSERT_TRUE(a.valid());
+  // The candidate list's growth: 121 jobs with a runnable stage take 8
+  // doublings.
+  EXPECT_EQ(n, 8);
+}
+
+TEST(AllocCounts, OneExtractGraphsCall) {
+  const FixedState s;
+  std::vector<gnn::JobGraph> graphs;
+  const long n = count_allocations([&] {
+    graphs = gnn::extract_graphs(s.env, gnn::FeatureConfig{});
+  });
+  ASSERT_EQ(graphs.size(), 126u);
+  // Per graph: its feature matrix and its runnable mask; plus the output
+  // vector's 8 growths.
+  EXPECT_EQ(n, 2 * 126 + 8);
+}
+
+// Whole-episode view: every schedule() call of one seeded SJF-CP episode.
+class CountingScheduler : public sim::Scheduler {
+ public:
+  sim::Action schedule(const sim::ClusterEnv& env) override {
+    sim::Action a;
+    allocations += count_allocations([&] { a = inner_.schedule(env); });
+    ++decisions;
+    return a;
+  }
+  std::string name() const override { return "counting SJF-CP"; }
+  long allocations = 0;
+  long decisions = 0;
+
+ private:
+  sched::SjfCpScheduler inner_;
+};
+
+// The same 200 jobs in a Poisson stream (mean interarrival 15 s).
+TEST(AllocCounts, SjfCpEpisode) {
+  sim::ClusterEnv env(FixedState::config());
+  Rng rng(17);
+  auto specs = workload::sample_tpch_batch(rng, 200);
+  workload::load(env, workload::continuous(std::move(specs), rng, 15.0));
+  CountingScheduler sched;
+  env.run(sched);
+  ASSERT_TRUE(env.all_done());
+  EXPECT_EQ(sched.decisions, 31689);
+  EXPECT_EQ(sched.allocations, 66069);
+}
+
+}  // namespace
+}  // namespace decima

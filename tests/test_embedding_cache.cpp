@@ -128,6 +128,31 @@ TEST(EmbeddingCache, EmbedCachedOnEmptyListReturnsEmpty) {
   EXPECT_EQ(cache.stats().graphs_seen, 0u);
 }
 
+// Synthetic graphs all carry env_uid -1, so two graphs with shapes of their
+// own can meet under one key. Equal children through a distinct shape object
+// keep the entry; a different structure with the same node count rebuilds.
+TEST(EmbeddingCache, StructureCheckIsExactAcrossShapeObjects) {
+  Rng rng(5);
+  gnn::GraphEmbedding gnn(gnn::GnnConfig{}, rng);
+  gnn::EmbeddingCache cache;
+  const gnn::JobGraph first = gnn::random_job_graph(300, 20);
+  expect_cached_matches_full(gnn, {first}, cache);
+  EXPECT_EQ(cache.stats().graphs_rebuilt, 1u);
+
+  const gnn::JobGraph twin = gnn::random_job_graph(300, 20);
+  ASSERT_NE(twin.shape, first.shape);
+  expect_cached_matches_full(gnn, {twin}, cache);
+  EXPECT_EQ(cache.stats().graphs_rebuilt, 1u);
+  EXPECT_EQ(cache.stats().graphs_reused, 1u);
+
+  gnn::JobGraph other = gnn::random_job_graph(301, 20);
+  other.features = twin.features;  // only the structure differs
+  ASSERT_NE(other.shape->children, twin.shape->children);
+  expect_cached_matches_full(gnn, {other}, cache);
+  EXPECT_EQ(cache.stats().graphs_rebuilt, 2u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(EmbeddingCache, EpisodeCachedMatchesEmbedEpisodePerSession) {
   Rng rng(5);
   gnn::GraphEmbedding gnn(gnn::GnnConfig{}, rng);

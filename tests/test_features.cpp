@@ -119,9 +119,10 @@ TEST(Features, GraphStructureMirrorsSpec) {
   env.run(fifo, 0.1);
   const auto graphs = extract_graphs(env, FeatureConfig{});
   ASSERT_EQ(graphs.size(), 1u);
-  EXPECT_EQ(graphs[0].children[0], (std::vector<int>{1, 2}));
-  EXPECT_EQ(graphs[0].children[1], (std::vector<int>{2}));
-  EXPECT_EQ(graphs[0].topo.size(), 3u);
+  const sim::JobShape& shape = *graphs[0].shape;
+  EXPECT_EQ(shape.children[0], (std::vector<int>{1, 2}));
+  EXPECT_EQ(shape.children[1], (std::vector<int>{2}));
+  EXPECT_EQ(shape.topo.size(), 3u);
 }
 
 }  // namespace

@@ -16,8 +16,13 @@ JobGraph diamond_graph(int feat_dim = 5) {
           0.1 * static_cast<double>(v + 1);
     }
   }
-  g.children = {{1, 2}, {3}, {3}, {}};
-  g.topo = {0, 1, 2, 3};
+  // 0 -> {1, 2} -> 3.
+  sim::JobBuilder b("diamond");
+  const int s0 = b.stage(1, 1.0);
+  const int s1 = b.stage(1, 1.0, {s0});
+  const int s2 = b.stage(1, 1.0, {s0});
+  b.stage(1, 1.0, {s1, s2});
+  g.shape = sim::JobShape::of(b.build());
   g.runnable = {true, false, false, false};
   return g;
 }
@@ -156,13 +161,10 @@ TEST_P(RandomDagEmbed, ProducesFiniteEmbeddings) {
   g.env_job = 0;
   g.features = nn::Matrix(static_cast<std::size_t>(n), 5);
   for (double& v : g.features.raw()) v = rng.uniform(-1, 1);
-  g.children.resize(static_cast<std::size_t>(n));
-  for (int v = 1; v < n; ++v) {
-    const int p = rng.uniform_int(0, v - 1);
-    g.children[static_cast<std::size_t>(p)].push_back(v);
-  }
-  g.topo.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) g.topo[static_cast<std::size_t>(v)] = v;
+  sim::JobBuilder b("random");
+  b.stage(1, 1.0);
+  for (int v = 1; v < n; ++v) b.stage(1, 1.0, {rng.uniform_int(0, v - 1)});
+  g.shape = sim::JobShape::of(b.build());
   g.runnable.assign(static_cast<std::size_t>(n), true);
 
   Rng init(99);

@@ -16,12 +16,12 @@ JobSpec diamond() {
 }
 
 TEST(JobSpec, TotalWork) {
-  const JobSpec j = diamond();
-  EXPECT_DOUBLE_EQ(j.total_work(), 2 * 1.0 + 4 * 2.0 + 1 * 10.0 + 3 * 1.0);
+  EXPECT_DOUBLE_EQ(JobShape::of(diamond())->total_work,
+                   2 * 1.0 + 4 * 2.0 + 1 * 10.0 + 3 * 1.0);
 }
 
 TEST(JobSpec, ChildrenAdjacency) {
-  const auto kids = diamond().children();
+  const auto kids = JobShape::of(diamond())->children;
   EXPECT_EQ(kids[0], (std::vector<int>{1, 2}));
   EXPECT_EQ(kids[1], (std::vector<int>{3}));
   EXPECT_EQ(kids[2], (std::vector<int>{3}));
@@ -30,10 +30,12 @@ TEST(JobSpec, ChildrenAdjacency) {
 
 TEST(JobSpec, TopoOrderRespectsDependencies) {
   const JobSpec j = diamond();
-  const auto order = j.topo_order();
+  const auto order = JobShape::of(j)->topo;
   ASSERT_EQ(order.size(), 4u);
-  std::vector<int> pos(4);
-  for (int i = 0; i < 4; ++i) pos[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
+  std::vector<std::size_t> pos(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    pos[static_cast<std::size_t>(order[i])] = i;
+  }
   for (std::size_t v = 0; v < 4; ++v) {
     for (int p : j.stages[v].parents) {
       EXPECT_LT(pos[static_cast<std::size_t>(p)], pos[v]);
@@ -42,8 +44,7 @@ TEST(JobSpec, TopoOrderRespectsDependencies) {
 }
 
 TEST(JobSpec, CriticalPathValues) {
-  const JobSpec j = diamond();
-  const auto cp = j.critical_path();
+  const auto cp = JobShape::of(diamond())->critical_path;
   // cp(3) = 3, cp(2) = 10 + 3 = 13, cp(1) = 8 + 3 = 11, cp(0) = 2 + 13 = 15.
   EXPECT_DOUBLE_EQ(cp[3], 3.0);
   EXPECT_DOUBLE_EQ(cp[2], 13.0);
@@ -52,9 +53,8 @@ TEST(JobSpec, CriticalPathValues) {
 }
 
 TEST(JobSpec, CriticalPathDuration) {
-  const JobSpec j = diamond();
   // Longest duration chain: 0 (1s) -> 2 (10s) -> 3 (1s) = 12s.
-  EXPECT_DOUBLE_EQ(j.critical_path_duration(), 12.0);
+  EXPECT_DOUBLE_EQ(JobShape::of(diamond())->critical_path_duration, 12.0);
 }
 
 TEST(JobSpec, ValidateAcceptsDiamond) {
@@ -135,10 +135,9 @@ TEST(JobSpec, SingleStageChainCriticalPath) {
   JobBuilder b("chain");
   int prev = b.stage(1, 2.0);
   for (int i = 0; i < 4; ++i) prev = b.stage(1, 2.0, {prev});
-  const JobSpec j = b.build();
-  const auto cp = j.critical_path();
-  EXPECT_DOUBLE_EQ(cp[0], 10.0);  // 5 stages x 2s
-  EXPECT_DOUBLE_EQ(j.critical_path_duration(), 10.0);
+  const auto shape = JobShape::of(b.build());
+  EXPECT_DOUBLE_EQ(shape->critical_path[0], 10.0);  // 5 stages x 2s
+  EXPECT_DOUBLE_EQ(shape->critical_path_duration, 10.0);
 }
 
 }  // namespace

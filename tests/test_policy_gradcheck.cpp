@@ -18,12 +18,10 @@ gnn::JobGraph make_graph(Rng& rng, int n) {
   g.env_job = 0;
   g.features = nn::Matrix(static_cast<std::size_t>(n), 5);
   for (double& v : g.features.raw()) v = rng.uniform(-0.5, 0.5);
-  g.children.resize(static_cast<std::size_t>(n));
-  for (int v = 1; v < n; ++v) {
-    g.children[static_cast<std::size_t>(rng.uniform_int(0, v - 1))].push_back(v);
-  }
-  g.topo.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) g.topo[static_cast<std::size_t>(v)] = v;
+  sim::JobBuilder b("random");
+  b.stage(1, 1.0);
+  for (int v = 1; v < n; ++v) b.stage(1, 1.0, {rng.uniform_int(0, v - 1)});
+  g.shape = sim::JobShape::of(b.build());
   g.runnable.assign(static_cast<std::size_t>(n), true);
   return g;
 }
@@ -63,8 +61,8 @@ TEST_P(PolicyGradcheck, FullPipelineMatchesFiniteDifferences) {
                                        make_graph(rng, rng.uniform_int(2, 6))};
   const std::size_t total_nodes =
       graphs[0].runnable.size() + graphs[1].runnable.size();
-  const std::size_t pick =
-      static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(total_nodes) - 1));
+  const std::size_t pick = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(total_nodes) - 1));
 
   // Analytic gradient.
   params.zero_grads();

@@ -81,7 +81,7 @@ TEST_P(ScheduleInvariants, RandomWorkloadValidates) {
     const double jct = env.jobs()[j].jct();
     EXPECT_GT(jct, 0.0);
     if (env_config.duration_noise == 0.0) {
-      EXPECT_GE(jct + 1e-6, specs[j].critical_path_duration())
+      EXPECT_GE(jct + 1e-6, env.jobs()[j].shape->critical_path_duration)
           << c.scheduler << " job " << j;
     }
   }

@@ -29,7 +29,8 @@ JobSpec simple_job(const std::string& name, int tasks, double dur) {
 }
 
 std::vector<workload::ArrivingJob> two_jobs() {
-  return workload::batched({simple_job("short", 2, 1.0), simple_job("long", 20, 1.0)});
+  return workload::batched(
+      {simple_job("short", 2, 1.0), simple_job("long", 20, 1.0)});
 }
 
 TEST(Fifo, RunsJobsInArrivalOrder) {
@@ -156,7 +157,9 @@ TEST(Graphene, DetectsTroublesomeStages) {
   GrapheneConfig cfg;
   cfg.work_threshold = 0.5;
   cfg.mem_threshold = 0.5;
-  const auto t = GrapheneScheduler::troublesome_stages(b.build(), cfg);
+  const sim::JobSpec spec = b.build();
+  const auto t = GrapheneScheduler::troublesome_stages(
+      spec, *sim::JobShape::of(spec), cfg);
   EXPECT_EQ(t, (std::vector<int>{0, 1}));
 }
 

@@ -21,7 +21,7 @@ struct Fixture {
     b.stage(1, 1.0, {s0});
     JobState job;
     job.spec = b.build();
-    job.children = job.spec.children();
+    job.shape = JobShape::of(job.spec);
     job.arrival = 0.0;
     job.finish = 2.0;
     job.stages.resize(2);

@@ -31,8 +31,8 @@ TEST(Tpch, AllTemplatesValid) {
 
 TEST(Tpch, WorkGrowsWithInputSize) {
   for (int q : {2, 9, 17}) {
-    EXPECT_LT(make_tpch_job(q, 2).total_work(),
-              make_tpch_job(q, 100).total_work());
+    EXPECT_LT(sim::JobShape::of(make_tpch_job(q, 2))->total_work,
+              sim::JobShape::of(make_tpch_job(q, 100))->total_work);
   }
 }
 
