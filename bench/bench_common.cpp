@@ -109,7 +109,7 @@ std::vector<double> eval_runs(sim::Scheduler& sched,
   for (int i = 0; i < runs; ++i) {
     std::vector<std::vector<workload::ArrivingJob>> w = {
         sampler(seed_base + static_cast<std::uint64_t>(i))};
-    out.push_back(rl::evaluate_avg_jct(sched, env, w));
+    out.push_back(metrics::evaluate_avg_jct(sched, env, w));
   }
   return out;
 }

@@ -21,7 +21,9 @@ int main() {
   const auto sampler = bench::tpch_batch_sampler(8);
   const auto eval_workloads = [&] {
     std::vector<std::vector<workload::ArrivingJob>> w;
-    for (int i = 0; i < 4; ++i) w.push_back(sampler(91000 + static_cast<std::uint64_t>(i)));
+    for (int i = 0; i < 4; ++i) {
+      w.push_back(sampler(91000 + static_cast<std::uint64_t>(i)));
+    }
     return w;
   }();
 
@@ -57,7 +59,7 @@ int main() {
       trainer.iterate();
       if (i % snapshot_every == 0 || i == iters - 1) {
         agent.set_mode(core::Mode::kGreedy);
-        c.jct.push_back(rl::evaluate_avg_jct(agent, env, eval_workloads));
+        c.jct.push_back(metrics::evaluate_avg_jct(agent, env, eval_workloads));
       }
     }
     std::cout << "[fig15a] " << label << " ("
@@ -67,7 +69,8 @@ int main() {
   }
   Table ta({"snapshot", curves[0].label, curves[1].label, curves[2].label});
   for (std::size_t k = 0; k < curves[0].jct.size(); ++k) {
-    ta.add_row({fmt_int(static_cast<long long>(k * static_cast<std::size_t>(snapshot_every))),
+    ta.add_row({fmt_int(static_cast<long long>(
+                    k * static_cast<std::size_t>(snapshot_every))),
                 fmt(curves[0].jct[k], 1), fmt(curves[1].jct[k], 1),
                 fmt(curves[2].jct[k], 1)});
   }
@@ -240,7 +243,8 @@ int main() {
   json.set("batched_step_s", bat.step);
   json.set("batched_iters_per_sec", iters_per_sec_bat);
   json.set("replay_speedup", replay_speedup);
-  json.set("iters_per_sec_speedup", iters_per_sec_bat / std::max(iters_per_sec_ref, 1e-12));
+  json.set("iters_per_sec_speedup",
+           iters_per_sec_bat / std::max(iters_per_sec_ref, 1e-12));
   json.set("rollout_t1_s", t1.rollout);
   json.set("rollout_t2_s", t2.rollout);
   json.set("rollout_t8_s", t8.rollout);

@@ -76,7 +76,7 @@ int main() {
   {
     sched::FifoScheduler probe;
     std::vector<std::vector<workload::ArrivingJob>> w = {clean_sampler(seed)};
-    horizon = rl::evaluate_avg_jct(probe, base, w);
+    horizon = metrics::evaluate_avg_jct(probe, base, w);
   }
 
   std::vector<Scenario> scenarios;
@@ -198,7 +198,6 @@ int main() {
   serve::ServeConfig scfg;
   scfg.max_queue = 4;
   scfg.deadline = 2e-4;
-  scfg.heuristic_fallback = true;
   auto server = std::make_unique<serve::PolicyServer>(
       std::make_unique<const core::DecimaAgent>(bench::agent_with_seed(37)),
       scfg);

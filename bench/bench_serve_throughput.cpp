@@ -1,10 +1,14 @@
 // Serving throughput (docs/serving.md): decisions/sec of the PolicyServer
 // for 1-32 concurrent simulated cluster sessions, along two independent
 // axes. (1) cross-session batched dispatch vs the sequential reference
-// path, both with the embedding cache off — isolating what batching buys:
-// all pending sessions' scheduling events embedded and scored as one
-// levelized GNN + policy-head evaluation instead of one per session.
-// (2) the per-session incremental embedding cache
+// (ServeConfig::max_batch = 1, one request per inference), both with the
+// embedding cache off — isolating what batching buys: all pending
+// sessions' scheduling events embedded and scored as one levelized GNN +
+// policy-head evaluation instead of one per session. The reference wakes
+// every waiting session after each one-request batch (the shard's
+// done_cv.notify_all()), so at 16 and 32 sessions it pays that wake storm
+// once per request and the speedups there read higher than batching alone
+// would make them. (2) the per-session incremental embedding cache
 // (docs/incremental_embedding.md) on top of batched dispatch — isolating
 // what caching buys a long-lived session stream. Decisions are bit-identical
 // in every mode (tests/test_serve.cpp), so the ratios are pure throughput.
@@ -79,7 +83,8 @@ RunResult run_sessions(const std::string& ckpt, bool batching, int wait_us,
                        const std::vector<std::vector<workload::ArrivingJob>>&
                            session_workloads) {
   serve::ServeConfig cfg;
-  cfg.cross_session_batching = batching;
+  // The sequential reference scores one request per inference.
+  cfg.max_batch = batching ? 0 : 1;
   // Adaptive bounded-wait batching (docs/serving.md): the batched rows run
   // with it on, so shallow-session rows coalesce full batches instead of
   // losing to the sequential reference on dispatch overhead. The sequential

@@ -66,8 +66,9 @@ BENCH_REGISTRY = {
     "BENCH_serve.json": {
         # Adaptive bounded-wait batching (docs/serving.md): with
         # ServeConfig::batch_wait_us on, the batched path must not lose to
-        # the sequential reference at shallow session counts anymore —
-        # batching is >= break-even at every row of the sweep.
+        # the sequential reference (ServeConfig::max_batch = 1, one request
+        # per inference) at shallow session counts anymore — batching is
+        # >= break-even at every row of the sweep.
         "sessions2_speedup": 1.0,
         "sessions4_speedup": 1.0,
     },

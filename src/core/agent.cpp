@@ -13,6 +13,26 @@ namespace {
 // per possible limit value up to this many executors.
 constexpr std::size_t kMaxSeparateLimitOutputs = 128;
 
+// Events per batched-replay tape: an episode is scored in chunks of this
+// many scheduling events (one backward per chunk), so the tape's working set
+// stays cache-resident. 8 was the throughput sweet spot on the 50-node-DAG
+// training bench: larger chunks pay DRAM traffic, smaller ones re-pay
+// per-tape overhead.
+constexpr std::size_t kReplayChunk = 8;
+
+// The no-GNN ablation's embedding stand-ins: zero rows in the stacked
+// layout of `num_events` events' `graphs`, beside the raw features that q
+// still sees.
+gnn::EpisodeEmbeddings zero_embeddings(
+    nn::Tape& tape, const std::vector<const gnn::JobGraph*>& graphs,
+    std::size_t num_events, std::size_t d) {
+  gnn::EpisodeEmbeddings emb = gnn::stack_features(tape, graphs);
+  emb.node_all = tape.constant(nn::Matrix(tape.value(emb.feat_all).rows(), d));
+  emb.job_mat = tape.constant(nn::Matrix(graphs.size(), d));
+  emb.global_mat = tape.constant(nn::Matrix(num_events, d));
+  return emb;
+}
+
 // A recorded choice indexes its replayed event's candidate, limit or class
 // list; one recorded on another workload or configuration can index past it.
 int checked_choice(int choice, std::size_t count, const char* head) {
@@ -98,7 +118,7 @@ void DecimaAgent::start_replay(std::vector<RecordedAction> actions,
                                std::vector<double> weights,
                                double entropy_weight) {
   // Leftover snapshots mean the previous batched replay was never finished —
-  // its tail chunk (< replay_batch events) contributed no gradients. Fail
+  // its tail chunk (< kReplayChunk events) contributed no gradients. Fail
   // loudly instead of silently training on partial gradients.
   if (!replay_events_.empty()) {
     throw std::logic_error(
@@ -156,11 +176,7 @@ sim::Action DecimaAgent::schedule(const sim::ClusterEnv& env) {
     ev.weight = replay_weights_[replay_cursor_];
     replay_events_.push_back(std::move(ev));
     ++replay_cursor_;
-    if (config_.replay_batch > 0 &&
-        replay_events_.size() >=
-            static_cast<std::size_t>(config_.replay_batch)) {
-      finish_replay();
-    }
+    if (replay_events_.size() >= kReplayChunk) finish_replay();
     return replayed->action;
   }
 
@@ -205,13 +221,8 @@ DecimaAgent::Scores DecimaAgent::score_batch(
   }
   gnn::EpisodeEmbeddings emb;
   if (!config_.use_gnn) {
-    // Zero embedding stand-ins (the no-GNN ablation); q still sees raw x_v.
-    const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
-    emb = gnn::stack_features(tape, graphs);
-    emb.node_all =
-        tape.constant(nn::Matrix(tape.value(emb.feat_all).rows(), d));
-    emb.job_mat = tape.constant(nn::Matrix(graphs.size(), d));
-    emb.global_mat = tape.constant(nn::Matrix(K, d));
+    emb = zero_embeddings(tape, graphs, K,
+                          static_cast<std::size_t>(config_.emb_dim));
   } else if (cached) {
     emb = gnn_.embed_episode_cached(tape, graphs, event_of_graph, K, caches);
   } else {
@@ -441,37 +452,26 @@ sim::Action DecimaAgent::schedule_reference(
   const bool train = mode_ == Mode::kReplay;
   nn::Tape tape(/*track_gradients=*/train);
 
-  // Embeddings (or zero stand-ins for the no-GNN ablation), consumed in
-  // batched form: one n x emb_dim matrix per graph, one row per job summary,
-  // one global row.
-  const std::size_t d = static_cast<std::size_t>(config_.emb_dim);
-  std::optional<gnn::Embeddings> emb;
-  if (config_.use_gnn) emb = gnn_.embed(tape, graphs);
-  std::vector<nn::Var> node_mats(graphs.size());
-  nn::Var job_mat, glob;
+  // The embedding (or the no-GNN stand-ins) in the stacked layout: node row
+  // node_offset[g] + v, one job_mat row per graph, one global row.
+  gnn::EpisodeEmbeddings emb;
   if (config_.use_gnn) {
-    node_mats = emb->node_mat;
-    job_mat = emb->job_mat;
-    glob = emb->global_emb;
+    emb = gnn_.embed(tape, graphs);
   } else {
-    for (std::size_t g = 0; g < graphs.size(); ++g) {
-      node_mats[g] = tape.constant(nn::Matrix(graphs[g].features.rows(), d));
-    }
-    job_mat = tape.constant(nn::Matrix(graphs.size(), d));
-    glob = tape.constant(nn::Matrix(1, d));
+    std::vector<const gnn::JobGraph*> ptrs;
+    for (const gnn::JobGraph& g : graphs) ptrs.push_back(&g);
+    emb = zero_embeddings(tape, ptrs, 1,
+                          static_cast<std::size_t>(config_.emb_dim));
   }
-
-  // Raw feature rows (the q function sees x_v alongside the embeddings, so
-  // the no-GNN ablation still has the raw signal).
-  std::vector<nn::Var> feature_rows(graphs.size());
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    feature_rows[g] = tape.constant(graphs[g].features);
-  }
+  const nn::Var job_mat = emb.job_mat;
+  const nn::Var glob = emb.global_mat;
 
   // --- Stage selection: softmax over q(x_v, e_v, y_i, z) -------------------
   // Candidates are generated in graph order, so each graph's candidates form
   // a contiguous run; gather them into per-graph blocks and score all
   // candidates with a single q pass over one candidates x (feat + 3d) matrix.
+  // The q function sees x_v alongside the embeddings, so the no-GNN ablation
+  // still has the raw signal.
   std::vector<nn::Var> blocks;
   for (std::size_t start = 0; start < candidates.size();) {
     const std::size_t g = static_cast<std::size_t>(candidates[start].graph);
@@ -480,11 +480,12 @@ sim::Action DecimaAgent::schedule_reference(
     for (; i < candidates.size() &&
            static_cast<std::size_t>(candidates[i].graph) == g;
          ++i) {
-      picks.push_back(static_cast<std::size_t>(candidates[i].node));
+      picks.push_back(emb.node_offset[g] +
+                      static_cast<std::size_t>(candidates[i].node));
     }
     const std::size_t m = picks.size();
-    const nn::Var x = tape.rows(feature_rows[g], picks);
-    const nn::Var e = tape.rows(node_mats[g], std::move(picks));
+    const nn::Var x = tape.rows(emb.feat_all, picks);
+    const nn::Var e = tape.rows(emb.node_all, std::move(picks));
     blocks.push_back(
         tape.concat_cols({x, e, tape.broadcast_row(job_mat, g, m),
                           tape.broadcast_row(glob, 0, m)}));
@@ -528,8 +529,10 @@ sim::Action DecimaAgent::schedule_reference(
           tape.constant(limit_feature_col(limit_values, total_execs));
       std::vector<nn::Var> parts;
       if (config_.limit_encoding == LimitEncoding::kStageLevel) {
-        parts = {tape.broadcast_row(node_mats[cg],
-                                    static_cast<std::size_t>(chosen.node), nl),
+        parts = {tape.broadcast_row(emb.node_all,
+                                    emb.node_offset[cg] +
+                                        static_cast<std::size_t>(chosen.node),
+                                    nl),
                  tape.broadcast_row(job_mat, cg, nl),
                  tape.broadcast_row(glob, 0, nl), lvar};
       } else {
@@ -660,7 +663,7 @@ std::vector<int> DecimaAgent::valid_classes(const sim::ClusterEnv& env,
   const auto& classes = env.executor_classes();
   std::vector<int> out;
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    if (classes[c].mem + 1e-12 < mem_req) continue;
+    if (!classes[c].fits(mem_req)) continue;
     if (env.free_executor_count_of_class(static_cast<int>(c)) == 0) continue;
     out.push_back(static_cast<int>(c));
   }
@@ -668,11 +671,9 @@ std::vector<int> DecimaAgent::valid_classes(const sim::ClusterEnv& env,
 }
 
 std::vector<int> DecimaAgent::limit_values_for(const sim::JobState& job,
-                                               int total_execs) const {
+                                               int total_execs) {
   std::vector<int> out;
-  for (int l = job.executors + 1; l <= total_execs; l += config_.limit_step) {
-    out.push_back(l);
-  }
+  for (int l = job.executors + 1; l <= total_execs; ++l) out.push_back(l);
   return out;
 }
 
@@ -714,9 +715,7 @@ std::vector<DecimaAgent::Candidate> DecimaAgent::build_candidates(
       if (!graphs[g].runnable[v]) continue;
       const double req = job.spec.stages[v].mem_req;
       if (multi && valid_classes(env, req).empty()) continue;
-      if (!multi && classes.size() == 1 && classes[0].mem + 1e-12 < req) {
-        continue;
-      }
+      if (!multi && classes.size() == 1 && !classes[0].fits(req)) continue;
       candidates.push_back(Candidate{
           static_cast<int>(g), static_cast<int>(v),
           sim::NodeRef{graphs[g].env_job, static_cast<int>(v)}});

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "gnn/graph_embedding.h"
 #include "nn/adam.h"
@@ -52,19 +51,10 @@ struct AgentConfig {
   // Episode-batched REINFORCE replay (docs/training.md): while the recorded
   // actions re-drive the simulator, each scheduling event is snapshotted
   // instead of scored; the snapshots are then scored by the inference core
-  // in replay_batch-event chunks, each chunk one tape with one loss and one
-  // backward pass. false falls back to the one-tape-per-action reference
-  // loop (equivalence tests).
+  // in chunks of kReplayChunk events (agent.cpp), each chunk one tape with
+  // one loss and one backward pass. false falls back to the
+  // one-tape-per-action reference loop (equivalence tests).
   bool batched_replay = true;
-  // Events per batched-replay tape: the episode is scored in chunks of this
-  // many scheduling events (one backward per chunk) so the tape's working
-  // set stays cache-resident; 0 holds the whole episode on one tape. 8 was
-  // the throughput sweet spot on the 50-node-DAG training bench — larger
-  // chunks pay DRAM traffic, smaller ones re-pay per-tape overhead.
-  int replay_batch = 8;
-  // Limits are discretized in steps of this size to keep the limit softmax
-  // small on big clusters (1 = every integer limit).
-  int limit_step = 1;
   std::uint64_t seed = 42;
 };
 
@@ -126,8 +116,8 @@ class DecimaAgent : public sim::Scheduler {
   void start_replay(std::vector<RecordedAction> actions,
                     std::vector<double> weights, double entropy_weight);
   // Scores the pending batched-replay snapshots on one tape and accumulates
-  // their gradients with one backward pass (schedule() calls it whenever
-  // replay_batch snapshots are pending). Call after the replayed episode's
+  // their gradients with one backward pass (schedule() calls it whenever a
+  // full chunk of snapshots is pending). Call after the replayed episode's
   // env.run() for the tail; a no-op on the reference path.
   void finish_replay();
   // Number of replay actions consumed so far.
@@ -153,13 +143,7 @@ class DecimaAgent : public sim::Scheduler {
   // features.iat_hint is on.
   void set_observed_iat(double iat) { observed_iat_ = iat; }
 
-  // --- Embedding cache ------------------------------------------------------
-  // Runtime toggle for the schedule()-path cache (tests and A/B benches);
-  // the cache is cleared either way so re-enabling starts from scratch.
-  void set_embed_cache(bool on) {
-    config_.embed_cache = on;
-    embed_cache_.invalidate();
-  }
+  // The schedule()-path embedding cache's accounting.
   const gnn::EmbeddingCacheStats& embed_cache_stats() const {
     return embed_cache_.stats();
   }
@@ -218,8 +202,8 @@ class DecimaAgent : public sim::Scheduler {
                      Mode how, Rng* rng) const;
   // The per-action reference path (batched_inference = false, or
   // batched_replay = false in kReplay): one tape per action, heads built
-  // inline over embed(). The equivalence suites compare score_batch()
-  // against it.
+  // inline over embed()'s stacked rows. The equivalence suites compare
+  // score_batch() against it.
   sim::Action schedule_reference(const sim::ClusterEnv& env,
                                  const std::vector<gnn::JobGraph>& graphs,
                                  const std::vector<Candidate>& candidates,
@@ -238,8 +222,8 @@ class DecimaAgent : public sim::Scheduler {
   std::vector<int> valid_classes(const sim::ClusterEnv& env,
                                  double mem_req) const;
   // Candidate parallelism limits for `job` (> its current allocation).
-  std::vector<int> limit_values_for(const sim::JobState& job,
-                                    int total_execs) const;
+  static std::vector<int> limit_values_for(const sim::JobState& job,
+                                           int total_execs);
   static nn::Matrix limit_feature_col(const std::vector<int>& values,
                                       int total_execs);
   nn::Matrix class_feature_mat(const sim::ClusterEnv& env,

@@ -54,9 +54,9 @@ GraphEmbedding::GraphEmbedding(const GnnConfig& config, decima::Rng& rng)
   g_glob_.init(rng);
 }
 
-std::vector<nn::Var> GraphEmbedding::embed_nodes_reference(
+std::vector<nn::Var> GraphEmbedding::node_sweep_reference(
     nn::Tape& tape, const JobGraph& graph,
-    std::vector<nn::Var>* proj_out) const {
+    std::vector<nn::Var>& proj_out) const {
   const std::size_t n = graph.features.rows();
   const nn::Var x = tape.constant(graph.features);
   std::vector<nn::Var> proj(n), emb(n);
@@ -83,98 +83,52 @@ std::vector<nn::Var> GraphEmbedding::embed_nodes_reference(
     if (config_.two_level_aggregation) agg = g_node_.apply(tape, agg);
     emb[v] = tape.add(agg, proj[v]);
   }
-  if (proj_out) *proj_out = std::move(proj);
+  proj_out = std::move(proj);
   return emb;
 }
 
-std::vector<nn::Var> GraphEmbedding::embed_nodes(
-    nn::Tape& tape, const JobGraph& graph,
-    std::vector<nn::Var>* proj_out) const {
-  if (!config_.batched) return embed_nodes_reference(tape, graph, proj_out);
-  const EpisodeEmbeddings ep = embed_episode(tape, {&graph}, {0}, 1);
-  const std::size_t n = graph.features.rows();
-  std::vector<nn::Var> rows(n);
-  for (std::size_t v = 0; v < n; ++v) rows[v] = tape.row(ep.node_all, v);
-  if (proj_out) {
-    proj_out->resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      (*proj_out)[v] = tape.row(ep.proj_all, v);
-    }
-  }
-  return rows;
-}
-
-Embeddings GraphEmbedding::embed(nn::Tape& tape,
-                                 const std::vector<JobGraph>& graphs) const {
+EpisodeEmbeddings GraphEmbedding::embed(
+    nn::Tape& tape, const std::vector<JobGraph>& graphs) const {
   assert(!graphs.empty());
-  Embeddings out;
-  out.node_mat.reserve(graphs.size());
-  out.proj_mat.reserve(graphs.size());
-  out.node_emb.reserve(graphs.size());
-  out.proj.reserve(graphs.size());
-  out.job_emb.reserve(graphs.size());
-
-  if (!config_.batched) {
-    // Reference path: the original one-node-at-a-time implementation at every
-    // level (the "before" of the latency benchmarks); the batched matrices
-    // are assembled afterwards so both paths expose the same interface.
-    std::vector<nn::Var> job_rows;
-    for (const JobGraph& g : graphs) {
-      std::vector<nn::Var> proj;
-      out.node_emb.push_back(embed_nodes_reference(tape, g, &proj));
-      out.proj.push_back(std::move(proj));
-      std::vector<nn::Var> messages;
-      messages.reserve(out.node_emb.back().size());
-      for (std::size_t v = 0; v < out.node_emb.back().size(); ++v) {
-        const nn::Var joined =
-            tape.concat_cols({out.proj.back()[v], out.node_emb.back()[v]});
-        messages.push_back(f_job_.apply(tape, joined));
-      }
-      nn::Var agg = tape.addn(messages);
-      if (config_.two_level_aggregation) agg = g_job_.apply(tape, agg);
-      job_rows.push_back(agg);
-      out.node_mat.push_back(tape.concat_rows(out.node_emb.back()));
-      out.proj_mat.push_back(tape.concat_rows(out.proj.back()));
-    }
-    std::vector<nn::Var> messages;
-    messages.reserve(job_rows.size());
-    for (const nn::Var& y : job_rows) {
-      messages.push_back(f_glob_.apply(tape, y));
-    }
-    nn::Var agg = tape.addn(messages);
-    if (config_.two_level_aggregation) agg = g_glob_.apply(tape, agg);
-    out.global_emb = agg;
-    out.job_emb = std::move(job_rows);
-    out.job_mat = tape.concat_rows(out.job_emb);
-    return out;
-  }
-
-  // Batched path: the graphs are one event of embed_episode, sliced back
-  // into per-graph views.
   std::vector<const JobGraph*> ptrs;
   ptrs.reserve(graphs.size());
   for (const JobGraph& g : graphs) ptrs.push_back(&g);
-  const EpisodeEmbeddings ep = embed_episode(
-      tape, ptrs, std::vector<std::size_t>(graphs.size(), 0), 1);
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    const std::size_t n = graphs[g].features.rows();
-    std::vector<std::size_t> rows(n);
-    std::vector<nn::Var> node_rows(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      rows[v] = ep.node_offset[g] + v;
-      node_rows[v] = tape.row(ep.node_all, rows[v]);
-    }
-    out.node_mat.push_back(tape.rows(ep.node_all, rows));
-    out.proj_mat.push_back(tape.rows(ep.proj_all, std::move(rows)));
-    out.node_emb.push_back(std::move(node_rows));
-    // proj row views are left empty on the batched path: no batched consumer
-    // reads them (slice proj_mat instead), and materializing n views per
-    // graph would tax every scheduling event.
-    out.proj.emplace_back();
-    out.job_emb.push_back(tape.row(ep.job_mat, g));
+  if (config_.batched) {
+    return embed_episode(tape, ptrs,
+                         std::vector<std::size_t>(graphs.size(), 0), 1);
   }
-  out.job_mat = ep.job_mat;
-  out.global_emb = ep.global_mat;
+
+  // Reference path: the original one-node-at-a-time implementation at every
+  // level (the "before" of the latency benchmarks), its rows stacked into
+  // embed_episode's layout afterwards.
+  EpisodeEmbeddings out = stack_features(tape, ptrs);
+  std::vector<nn::Var> node_rows, proj_rows, job_rows;
+  for (const JobGraph& g : graphs) {
+    std::vector<nn::Var> proj;
+    const std::vector<nn::Var> emb = node_sweep_reference(tape, g, proj);
+    std::vector<nn::Var> messages;
+    messages.reserve(emb.size());
+    for (std::size_t v = 0; v < emb.size(); ++v) {
+      messages.push_back(
+          f_job_.apply(tape, tape.concat_cols({proj[v], emb[v]})));
+    }
+    nn::Var agg = tape.addn(messages);
+    if (config_.two_level_aggregation) agg = g_job_.apply(tape, agg);
+    job_rows.push_back(agg);
+    node_rows.insert(node_rows.end(), emb.begin(), emb.end());
+    proj_rows.insert(proj_rows.end(), proj.begin(), proj.end());
+  }
+  std::vector<nn::Var> messages;
+  messages.reserve(job_rows.size());
+  for (const nn::Var& y : job_rows) {
+    messages.push_back(f_glob_.apply(tape, y));
+  }
+  nn::Var agg = tape.addn(messages);
+  if (config_.two_level_aggregation) agg = g_glob_.apply(tape, agg);
+  out.node_all = tape.concat_rows(node_rows);
+  out.proj_all = tape.concat_rows(proj_rows);
+  out.job_mat = tape.concat_rows(job_rows);
+  out.global_mat = agg;
   return out;
 }
 

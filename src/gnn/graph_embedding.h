@@ -28,37 +28,21 @@ struct GnnConfig {
   int emb_dim = 8;
   bool two_level_aggregation = true;  // false = Fig. 19 ablation
   std::vector<std::size_t> hidden = {32, 16};  // §6.1's layer sizes
-  // true (default) runs embed() and embed_nodes() as views over
-  // embed_episode, which evaluates each message-passing level as one
-  // row-batched matrix per MLP; false keeps the original one-node-at-a-time
-  // reference implementation (used by equivalence tests and latency
-  // benchmarks).
+  // true (default) runs embed() as a one-event embed_episode, which
+  // evaluates each message-passing level as one row-batched matrix per MLP;
+  // false keeps the original one-node-at-a-time reference implementation
+  // (used by equivalence tests and latency benchmarks).
   bool batched = true;
 };
 
-// The embeddings produced for one state observation.
-struct Embeddings {
-  // Batched forms: all rows of one level in a single matrix.
-  std::vector<nn::Var> node_mat;  // per graph, n_g x emb_dim (row v = e_v)
-  std::vector<nn::Var> proj_mat;  // per graph, n_g x emb_dim (row v = proj x_v)
-  nn::Var job_mat;                // num_graphs x emb_dim (row i = y_i)
-  nn::Var global_emb;             // z, 1 x emb_dim
-  // Per-node / per-job row views (slices of the batched forms above), for
-  // call sites that address a single node or job.
-  std::vector<std::vector<nn::Var>> node_emb;  // node_emb[g][v] = e_v
-  // proj[g][v] — populated by the reference path only; the batched path
-  // leaves it empty (slice proj_mat on demand instead).
-  std::vector<std::vector<nn::Var>> proj;
-  std::vector<nn::Var> job_emb;                // y_i per graph
-};
-
-// Embeddings for an entire episode of scheduling events on one tape (the
-// batched REINFORCE replay). All events' graphs are flattened into one list;
+// The embedding of a batch of scheduling events on one tape: one event from
+// embed(), every event of an episode chunk from embed_episode (the batched
+// REINFORCE replay). All events' graphs are flattened into one list;
 // `node_offset[g]` locates graph g's rows inside the stacked matrices.
 struct EpisodeEmbeddings {
   nn::Var feat_all;    // total_nodes x feat_dim constant (stacked raw x_v)
-  nn::Var proj_all;    // total_nodes x emb_dim proj(x_v), same rows; set by
-                       // embed_episode only (the cached form leaves it unset)
+  nn::Var proj_all;    // total_nodes x emb_dim proj(x_v), same rows; the
+                       // cached form leaves it unset
   nn::Var node_all;    // total_nodes x emb_dim; row node_offset[g] + v = e_v
   nn::Var job_mat;     // num_graphs x emb_dim (row g = y of graph g)
   nn::Var global_mat;  // num_events x emb_dim (row t = z of event t)
@@ -75,8 +59,12 @@ class GraphEmbedding {
  public:
   explicit GraphEmbedding(const GnnConfig& config, decima::Rng& rng);
 
-  // Builds the full three-level embedding of `graphs` on `tape`.
-  Embeddings embed(nn::Tape& tape, const std::vector<JobGraph>& graphs) const;
+  // Builds the full three-level embedding of one event's `graphs` on
+  // `tape`. With config().batched it is exactly embed_episode(tape, graphs,
+  // {0, ..., 0}, 1); otherwise the one-node-at-a-time reference sweep,
+  // stacked into the same layout.
+  EpisodeEmbeddings embed(nn::Tape& tape,
+                          const std::vector<JobGraph>& graphs) const;
 
   // Episode-batched embedding: `graphs` holds every graph of every scheduling
   // event of an episode (or chunk), `event_of_graph[g]` names graph g's event
@@ -85,8 +73,8 @@ class GraphEmbedding {
   // message-passing depth (not once per graph per event); the global level
   // segment-sums per event, so global_mat row t is exactly the z the
   // inference path computes for event t. The one batched sweep: always
-  // batched regardless of config().batched, and embed() / embed_nodes()
-  // with config().batched are views over it.
+  // batched regardless of config().batched, and embed() with
+  // config().batched is one event of it.
   EpisodeEmbeddings embed_episode(
       nn::Tape& tape, const std::vector<const JobGraph*>& graphs,
       const std::vector<std::size_t>& event_of_graph,
@@ -115,20 +103,15 @@ class GraphEmbedding {
                                  const std::vector<JobGraph>& graphs,
                                  EmbeddingCache& cache) const;
 
-  // Per-node embeddings only (used by the supervised expressiveness study);
-  // `proj_out` receives the per-node proj(x_v) rows.
-  std::vector<nn::Var> embed_nodes(
-      nn::Tape& tape, const JobGraph& graph,
-      std::vector<nn::Var>* proj_out = nullptr) const;
-
   nn::ParamSet param_set();
   const GnnConfig& config() const { return config_; }
 
  private:
-  // Original one-node-at-a-time sweep (config_.batched = false).
-  std::vector<nn::Var> embed_nodes_reference(
+  // Original one-node-at-a-time sweep of one graph (config_.batched =
+  // false): returns e_v per node; `proj_out` receives proj(x_v) per node.
+  std::vector<nn::Var> node_sweep_reference(
       nn::Tape& tape, const JobGraph& graph,
-      std::vector<nn::Var>* proj_out) const;
+      std::vector<nn::Var>& proj_out) const;
 
   // Brings `cache`'s entry for `graph` up to date (embedding_cache.cpp):
   // validates structure, diffs feature rows against the entry's copy, and

@@ -8,10 +8,14 @@
 //
 // Every file starts with a caller-chosen 32-bit magic, a format version, and
 // an endianness sentinel; BinaryReader::open_header verifies all three so a
-// foreign or corrupt file fails loudly instead of loading garbage.
+// foreign or corrupt file fails loudly instead of loading garbage. Every file
+// ends with a CRC-32 of all preceding bytes, which BinaryReader checks before
+// the first read, so no single changed byte loads.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -23,6 +27,34 @@ namespace decima::io {
 // Written after the magic so a file produced on an exotic big-endian host is
 // rejected rather than silently byte-swapped.
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
+
+// The byte-at-a-time table of the reflected CRC-32 polynomial 0xEDB88320.
+constexpr std::array<std::uint32_t, 256> crc32_table() {
+  std::array<std::uint32_t, 256> t{};
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    std::uint32_t c = n;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[n] = c;
+  }
+  return t;
+}
+
+// CRC-32 (the IEEE 802.3 polynomial, reflected, as zlib computes it). It
+// detects every error burst of up to 32 bits, so every single-byte change.
+class Crc32 {
+ public:
+  void update(const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      state_ = kTable[(state_ ^ p[i]) & 0xFFu] ^ (state_ >> 8);
+    }
+  }
+  std::uint32_t value() const { return ~state_; }
+
+ private:
+  static constexpr std::array<std::uint32_t, 256> kTable = crc32_table();
+  std::uint32_t state_ = 0xFFFFFFFFu;
+};
 
 class BinaryWriter {
  public:
@@ -60,28 +92,51 @@ class BinaryWriter {
 
   // True while every write so far has succeeded.
   bool ok() const { return static_cast<bool>(out_); }
-  // Flushes and reports the final status.
+  // Appends the CRC-32 trailer, flushes and reports the final status.
   bool finish() {
+    const std::uint32_t crc = crc_.value();
+    out_.write(reinterpret_cast<const char*>(&crc), sizeof crc);
     out_.flush();
     return ok();
   }
 
  private:
   void raw(const void* data, std::size_t bytes) {
+    crc_.update(data, bytes);
     out_.write(static_cast<const char*>(data),
                static_cast<std::streamsize>(bytes));
   }
 
   std::ofstream out_;
+  Crc32 crc_;
 };
 
-// Reads the format above. Every accessor sets the fail flag (ok() == false)
-// on short reads; values read after a failure are zero/empty, so callers can
-// batch reads and check ok() once per section.
+// Reads the format above. The constructor reads the whole file and checks
+// its CRC-32 trailer; a missing, oversized or mismatched file starts failed.
+// Every accessor sets the fail flag (ok() == false) on short reads; values
+// read after a failure are zero/empty, so callers can batch reads and check
+// ok() once per section.
 class BinaryReader {
  public:
-  explicit BinaryReader(const std::string& path)
-      : in_(path, std::ios::binary) {}
+  explicit BinaryReader(const std::string& path) {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg())
+                                   : std::streamoff{-1};
+    std::uint32_t stored = 0;
+    if (size < static_cast<std::streamoff>(sizeof stored) ||
+        size > kMaxFileBytes) {
+      return;
+    }
+    buf_.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(buf_.data(), static_cast<std::streamsize>(size));
+    if (!in) return;
+    end_ = buf_.size() - sizeof stored;
+    std::memcpy(&stored, buf_.data() + end_, sizeof stored);
+    Crc32 crc;
+    crc.update(buf_.data(), end_);
+    ok_ = crc.value() == stored;
+  }
 
   // Verifies magic, exact version, and the endianness sentinel.
   bool open_header(std::uint32_t magic, std::uint32_t version) {
@@ -123,20 +178,22 @@ class BinaryReader {
         !sane_count(rows * cols)) {
       return {};
     }
-    nn::Matrix m(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+    nn::Matrix m(static_cast<std::size_t>(rows),
+                 static_cast<std::size_t>(cols));
     raw(m.raw().data(), m.raw().size() * sizeof(double));
     return ok() ? std::move(m) : nn::Matrix{};
   }
 
-  bool ok() const { return static_cast<bool>(in_); }
-  // ok() and the stream is exactly exhausted (no trailing bytes).
-  bool at_end() {
-    if (!ok()) return false;
-    in_.peek();
-    return in_.eof();
-  }
+  bool ok() const { return ok_; }
+  // ok() and every byte before the CRC trailer was read (no trailing bytes).
+  bool at_end() const { return ok_ && pos_ == end_; }
 
  private:
+  // The whole model is ~12.7k parameters (a policy file is ~100 KB, a
+  // trainer file ~300 KB), so 128 MiB is far beyond any legitimate file and
+  // small enough that reading one is never std::bad_alloc.
+  static constexpr std::streamoff kMaxFileBytes = std::streamoff{1} << 27;
+
   template <typename T>
   T scalar() {
     T v{};
@@ -145,20 +202,27 @@ class BinaryReader {
   }
 
   void raw(void* data, std::size_t bytes) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
+    if (!ok_ || bytes > end_ - pos_) {
+      ok_ = false;
+      return;
+    }
+    if (bytes > 0) std::memcpy(data, buf_.data() + pos_, bytes);
+    pos_ += bytes;
   }
 
   // Guards allocations against absurd counts from corrupt length prefixes:
-  // the whole model is ~12.7k parameters, so 16M doubles (128 MiB) is far
-  // beyond any legitimate section and small enough that a corrupt file fails
-  // with `false`, never std::bad_alloc.
+  // 16M doubles (128 MiB) is far beyond any legitimate section, so a
+  // corrupt file fails with `false`, never std::bad_alloc.
   bool sane_count(std::uint64_t n) {
     if (n <= (1ull << 24)) return true;
-    in_.setstate(std::ios::failbit);
+    ok_ = false;
     return false;
   }
 
-  std::ifstream in_;
+  std::vector<char> buf_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;  // the CRC trailer's offset
+  bool ok_ = false;
 };
 
 }  // namespace decima::io

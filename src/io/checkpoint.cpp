@@ -17,8 +17,6 @@ void write_agent_config(BinaryWriter& w, const core::AgentConfig& c) {
   w.boolean(c.batched_inference);
   w.boolean(c.embed_cache);
   w.boolean(c.batched_replay);
-  w.u32(static_cast<std::uint32_t>(c.replay_batch));
-  w.u32(static_cast<std::uint32_t>(c.limit_step));
   w.u64(c.seed);
 }
 
@@ -38,8 +36,6 @@ core::AgentConfig read_agent_config(BinaryReader& r) {
   c.batched_inference = r.boolean();
   c.embed_cache = r.boolean();
   c.batched_replay = r.boolean();
-  c.replay_batch = static_cast<int>(r.u32());
-  c.limit_step = static_cast<int>(r.u32());
   c.seed = r.u64();
   return c;
 }
@@ -55,7 +51,7 @@ bool inference_compatible(const core::AgentConfig& a,
          a.two_level_aggregation == b.two_level_aggregation &&
          a.parallelism_control == b.parallelism_control &&
          a.limit_encoding == b.limit_encoding &&
-         a.multi_resource == b.multi_resource && a.limit_step == b.limit_step;
+         a.multi_resource == b.multi_resource;
 }
 
 bool agent_config_equal(const core::AgentConfig& a,
@@ -63,8 +59,7 @@ bool agent_config_equal(const core::AgentConfig& a,
   return inference_compatible(a, b) &&
          a.batched_inference == b.batched_inference &&
          a.embed_cache == b.embed_cache &&
-         a.batched_replay == b.batched_replay &&
-         a.replay_batch == b.replay_batch && a.seed == b.seed;
+         a.batched_replay == b.batched_replay && a.seed == b.seed;
 }
 
 void write_param_values(BinaryWriter& w, const nn::ParamSet& set) {
@@ -125,20 +120,12 @@ bool save_policy(const core::DecimaAgent& agent, const std::string& path) {
   return w.finish();
 }
 
-std::optional<core::AgentConfig> read_policy_config(const std::string& path) {
-  BinaryReader r(path);
-  if (!r.open_header(kPolicyMagic, kPolicyVersion)) return std::nullopt;
-  core::AgentConfig c = read_agent_config(r);
-  if (!r.ok()) return std::nullopt;
-  return c;
-}
-
 bool load_policy(core::DecimaAgent& agent, const std::string& path) {
   BinaryReader r(path);
   if (!r.open_header(kPolicyMagic, kPolicyVersion)) return false;
   // Parameter names/shapes are verified below, but shape-preserving config
-  // differences (feature scales, limit_step) would silently change what the
-  // weights mean — reject those too.
+  // differences (feature scales) would silently change what the weights
+  // mean — reject those too.
   const core::AgentConfig config = read_agent_config(r);
   if (!r.ok() || !inference_compatible(config, agent.config())) return false;
   // Stage + check exact exhaustion before committing: trailing garbage is

@@ -10,14 +10,15 @@
 //     resumes bit-exactly.
 //
 // Versioning rules: the version is exact-match (no silent migration); any
-// layout change bumps it, and loading rejects a mismatch. All load paths
-// return false/null on magic, version, structure, or I/O errors and never
-// partially mutate their target on a detected-before-commit failure — see
-// docs/serving.md for the precise guarantees.
+// layout change bumps it, and loading rejects a mismatch. Both kinds end with
+// a CRC-32 of every preceding byte (binary.h), checked before anything is
+// read. All load paths return false/null on checksum, magic, version,
+// structure, or I/O errors and never partially mutate their target on a
+// detected-before-commit failure — see docs/serving.md for the precise
+// guarantees.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/agent.h"
@@ -28,25 +29,22 @@ namespace decima::io {
 
 constexpr std::uint32_t kPolicyMagic = 0x44504F4Cu;   // "DPOL"
 constexpr std::uint32_t kTrainerMagic = 0x4454524Eu;  // "DTRN"
-// Version 2: AgentConfig serialization gained the embed_cache flag.
-constexpr std::uint32_t kPolicyVersion = 2;
-// Version 3: the TrainConfig fingerprint is one length-prefixed byte string
-// and covers EnvConfig::faults.
-constexpr std::uint32_t kTrainerVersion = 3;
+// Version 3: AgentConfig serialization lost two retired fields (the replay
+// chunk size and the limit step), and the file gained its CRC-32 trailer.
+constexpr std::uint32_t kPolicyVersion = 3;
+// Version 4: the same AgentConfig change and CRC-32 trailer.
+constexpr std::uint32_t kTrainerVersion = 4;
 
 // --- Policy checkpoints ------------------------------------------------------
 
 // Writes the agent's AgentConfig and parameter values. False on I/O error.
 bool save_policy(const core::DecimaAgent& agent, const std::string& path);
 
-// Reads only the embedded AgentConfig (to construct a matching agent).
-std::optional<core::AgentConfig> read_policy_config(const std::string& path);
-
 // Loads parameter values into `agent`. The checkpoint's parameter list must
 // match the agent's ParamSet name-for-name and shape-for-shape, and the
 // embedded config must be inference-compatible with the agent's (see below —
-// shape-preserving knobs like feature scales or limit_step still change what
-// the weights mean); returns false (agent untouched) otherwise.
+// shape-preserving knobs like feature scales still change what the weights
+// mean); returns false (agent untouched) otherwise.
 bool load_policy(core::DecimaAgent& agent, const std::string& path);
 
 // Constructs an agent from the checkpoint's embedded config and loads the
@@ -59,11 +57,12 @@ std::unique_ptr<core::DecimaAgent> load_policy_agent(const std::string& path);
 
 void write_agent_config(BinaryWriter& w, const core::AgentConfig& c);
 core::AgentConfig read_agent_config(BinaryReader& r);
-// Field-wise equality, perf knobs included: chunked replay reorders gradient
-// accumulation at the ulp level, so bit-exact resume needs identical knobs.
+// Field-wise equality, perf knobs included: the batched and reference replay
+// accumulate gradients in different orders at the ulp level, so bit-exact
+// resume needs identical knobs.
 bool agent_config_equal(const core::AgentConfig& a, const core::AgentConfig& b);
 // Weaker: the fields that give the same weights the same meaning at
-// inference time (features, dimensions, heads, limit encoding/step). The
+// inference time (features, dimensions, heads, limit encoding). The
 // seed and the batched_* implementation selectors may differ — they pick
 // among equivalent execution paths, not different policies.
 bool inference_compatible(const core::AgentConfig& a,

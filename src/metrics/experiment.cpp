@@ -24,4 +24,21 @@ RunResult run_episode(const sim::EnvConfig& config,
   return run_episode(env, workload, sched, until);
 }
 
+double evaluate_avg_jct(
+    sim::Scheduler& sched, const sim::EnvConfig& config,
+    const std::vector<std::vector<workload::ArrivingJob>>& workloads) {
+  double total = 0.0;
+  for (const auto& w : workloads) {
+    sim::ClusterEnv env(config);
+    workload::load(env, w);
+    env.run(sched);
+    double jct_sum = 0.0;
+    for (const auto& job : env.jobs()) {
+      jct_sum += job.done() ? job.jct() : env.now() - job.arrival;
+    }
+    total += jct_sum / static_cast<double>(env.jobs().size());
+  }
+  return total / static_cast<double>(workloads.size());
+}
+
 }  // namespace decima::metrics

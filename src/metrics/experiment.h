@@ -34,4 +34,11 @@ RunResult run_episode(sim::ClusterEnv& env,
                       const std::vector<workload::ArrivingJob>& workload,
                       sim::Scheduler& sched, sim::Time until = sim::kInfTime);
 
+// Mean avg-JCT of `sched` over full episodes of `workloads`; unfinished jobs
+// are charged their age at episode end, so unstable policies score poorly
+// instead of vacuously.
+double evaluate_avg_jct(sim::Scheduler& sched, const sim::EnvConfig& config,
+                        const std::vector<std::vector<workload::ArrivingJob>>&
+                            workloads);
+
 }  // namespace decima::metrics

@@ -104,12 +104,6 @@ std::uint64_t ParamSet::next_version() {
 
 void ParamSet::bump_version() { version_ = next_version(); }
 
-void ParamSet::accumulate_grads_from(const ParamSet& other, double scale) {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    params_[i]->grad.axpy(scale, other.params_[i]->grad);
-  }
-}
-
 std::vector<double> ParamSet::flat_grads() const {
   std::vector<double> out;
   out.reserve(num_parameters());

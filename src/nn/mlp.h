@@ -61,8 +61,6 @@ class ParamSet {
   void zero_grads();
   // Copies values from another set with identical structure.
   void copy_values_from(const ParamSet& other);
-  // Accumulates grads from another set (same structure) scaled by `scale`.
-  void accumulate_grads_from(const ParamSet& other, double scale = 1.0);
   // Flattens all gradients into a single vector (for storage per action).
   std::vector<double> flat_grads() const;
   // Adds `scale * flat` into the grads.

@@ -61,30 +61,6 @@ Var Tape::add(Var a, Var b) {
   })};
 }
 
-Var Tape::add_bias(Var a, Var bias) {
-  const Matrix& A = value(a);
-  const Matrix& B = value(bias);
-  assert(B.rows() == 1 && B.cols() == A.cols());
-  Matrix out = A;
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += B(0, c);
-  }
-  const bool ng = node(a).needs_grad || node(bias).needs_grad;
-  const int ai = a.idx, bi = bias.idx;
-  return Var{push(std::move(out), ng, [ai, bi](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    Node& nb = t.nodes_[bi];
-    if (na.needs_grad) na.grad.add_in_place(self.grad);
-    if (nb.needs_grad) {
-      for (std::size_t r = 0; r < self.grad.rows(); ++r) {
-        for (std::size_t c = 0; c < self.grad.cols(); ++c) {
-          nb.grad(0, c) += self.grad(r, c);
-        }
-      }
-    }
-  })};
-}
-
 Var Tape::addn(const std::vector<Var>& xs) {
   assert(!xs.empty());
   Matrix out = value(xs[0]);
@@ -107,23 +83,9 @@ Var Tape::scale(Var a, double c) {
   Matrix out = value(a);
   for (double& v : out.raw()) v *= c;
   const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad, [ai, c](Tape& t, Node& self) {
-    if (t.nodes_[ai].needs_grad) t.nodes_[ai].grad.axpy(c, self.grad);
-  })};
-}
-
-Var Tape::leaky_relu(Var a, double slope) {
-  Matrix out = value(a);
-  for (double& v : out.raw()) v = v > 0.0 ? v : slope * v;
-  const int ai = a.idx;
   return Var{push(std::move(out), node(a).needs_grad,
-                  [ai, slope](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    if (!na.needs_grad) return;
-    for (std::size_t i = 0; i < self.grad.raw().size(); ++i) {
-      const double x = na.value.raw()[i];
-      na.grad.raw()[i] += self.grad.raw()[i] * (x > 0.0 ? 1.0 : slope);
-    }
+                  [ai, c](Tape& t, Node& self) {
+    if (t.nodes_[ai].needs_grad) t.nodes_[ai].grad.axpy(c, self.grad);
   })};
 }
 
@@ -155,20 +117,6 @@ Var Tape::linear(Var x, Var w, Var bias, bool leaky, double slope) {
           nb.grad(0, c) += dpre(r, c);
         }
       }
-    }
-  })};
-}
-
-Var Tape::tanh(Var a) {
-  Matrix out = value(a);
-  for (double& v : out.raw()) v = std::tanh(v);
-  const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad, [ai](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    if (!na.needs_grad) return;
-    for (std::size_t i = 0; i < self.grad.raw().size(); ++i) {
-      const double y = self.value.raw()[i];
-      na.grad.raw()[i] += self.grad.raw()[i] * (1.0 - y * y);
     }
   })};
 }
@@ -216,10 +164,13 @@ Var Tape::row(Var a, std::size_t r) {
   Matrix out(1, A.cols());
   for (std::size_t c = 0; c < A.cols(); ++c) out(0, c) = A(r, c);
   const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad, [ai, r](Tape& t, Node& self) {
+  return Var{push(std::move(out), node(a).needs_grad,
+                  [ai, r](Tape& t, Node& self) {
     Node& na = t.nodes_[ai];
     if (!na.needs_grad) return;
-    for (std::size_t c = 0; c < self.grad.cols(); ++c) na.grad(r, c) += self.grad(0, c);
+    for (std::size_t c = 0; c < self.grad.cols(); ++c) {
+      na.grad(r, c) += self.grad(0, c);
+    }
   })};
 }
 
@@ -249,7 +200,8 @@ Var Tape::sum_rows(Var a) {
     for (std::size_t c = 0; c < A.cols(); ++c) out(0, c) += A(r, c);
   }
   const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad, [ai](Tape& t, Node& self) {
+  return Var{push(std::move(out), node(a).needs_grad,
+                  [ai](Tape& t, Node& self) {
     Node& na = t.nodes_[ai];
     if (!na.needs_grad) return;
     for (std::size_t r = 0; r < na.value.rows(); ++r) {
@@ -287,7 +239,8 @@ Var Tape::concat_rows(const std::vector<Var>& xs) {
   std::size_t r0 = 0;
   for (Var v : xs) {
     const Matrix& m = value(v);
-    std::copy(m.raw().begin(), m.raw().end(), out.raw().begin() + static_cast<std::ptrdiff_t>(r0 * cols));
+    std::copy(m.raw().begin(), m.raw().end(),
+              out.raw().begin() + static_cast<std::ptrdiff_t>(r0 * cols));
     r0 += m.rows();
   }
   std::vector<int> idxs;
@@ -376,7 +329,8 @@ Var Tape::as_row(Var a) {
   const Matrix& A = value(a);
   Matrix out(1, A.size(), A.raw());
   const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad, [ai](Tape& t, Node& self) {
+  return Var{push(std::move(out), node(a).needs_grad,
+                  [ai](Tape& t, Node& self) {
     Node& na = t.nodes_[ai];
     if (!na.needs_grad) return;
     for (std::size_t i = 0; i < self.grad.raw().size(); ++i) {
@@ -433,9 +387,13 @@ Var Tape::log_prob_pick(Var logits, std::size_t pick) {
   const Matrix& L = value(logits);
   assert(L.rows() == 1 && pick < L.cols());
   double max_logit = L(0, 0);
-  for (std::size_t c = 1; c < L.cols(); ++c) max_logit = std::max(max_logit, L(0, c));
+  for (std::size_t c = 1; c < L.cols(); ++c) {
+    max_logit = std::max(max_logit, L(0, c));
+  }
   double denom = 0.0;
-  for (std::size_t c = 0; c < L.cols(); ++c) denom += std::exp(L(0, c) - max_logit);
+  for (std::size_t c = 0; c < L.cols(); ++c) {
+    denom += std::exp(L(0, c) - max_logit);
+  }
   const double log_z = max_logit + std::log(denom);
   Matrix out(1, 1);
   out(0, 0) = L(0, pick) - log_z;
@@ -453,7 +411,8 @@ Var Tape::log_prob_pick(Var logits, std::size_t pick) {
 }
 
 Var Tape::entropy(Var logits) {
-  const std::vector<double> p = softmax_values(logits);
+  const Matrix& L = value(logits);
+  const std::vector<double> p = softmax(L.raw().data(), L.cols());
   double h = 0.0;
   for (double pi : p) {
     if (pi > 1e-12) h -= pi * std::log(pi);
@@ -493,7 +452,9 @@ Var Tape::log_prob_pick_segments(Var logits, std::vector<std::size_t> seg_start,
       max_logit = std::max(max_logit, L(r, 0));
     }
     double denom = 0.0;
-    for (std::size_t r = lo; r < hi; ++r) denom += std::exp(L(r, 0) - max_logit);
+    for (std::size_t r = lo; r < hi; ++r) {
+      denom += std::exp(L(r, 0) - max_logit);
+    }
     log_z[s] = max_logit + std::log(denom);
     out(0, s) = L(lo + picks[s], 0) - log_z[s];
   }
@@ -521,7 +482,7 @@ Var Tape::entropy_segments(Var logits, std::vector<std::size_t> seg_start) {
   const Matrix& L = value(logits);
   assert(L.cols() == 1);
   const std::size_t S = seg_start.size();
-  // Same probability/entropy sequence as softmax_values + entropy per segment.
+  // Same probability/entropy sequence as entropy() per segment.
   std::vector<double> probs(L.rows());
   std::vector<double> ent(S);
   Matrix out(1, S);
@@ -580,11 +541,6 @@ std::vector<double> softmax(const double* logits, std::size_t n) {
   }
   for (double& v : out) v /= denom;
   return out;
-}
-
-std::vector<double> Tape::softmax_values(Var logits) const {
-  const Matrix& L = value(logits);
-  return softmax(L.raw().data(), L.cols());
 }
 
 void Tape::backward(Var output, double seed) {

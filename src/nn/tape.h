@@ -32,9 +32,8 @@ struct Param {
 class Tape;
 
 // Softmax probabilities of logits[0, n): max-shifted exponentials over their
-// sum. Tape::softmax_values and every policy head's greedy and sampled picks
-// read this one sequence, so the probabilities they compare agree bit for
-// bit.
+// sum. Tape::entropy and every policy head's greedy and sampled picks read
+// this one sequence, so the probabilities they compare agree bit for bit.
 std::vector<double> softmax(const double* logits, std::size_t n);
 
 // Lightweight handle to a node on the tape.
@@ -60,20 +59,14 @@ class Tape {
   // --- Elementwise / linear ops -------------------------------------------
   Var matmul(Var a, Var b);
   Var add(Var a, Var b);               // same shape
-  Var add_bias(Var a, Var bias);       // bias is 1 x cols, broadcast over rows
   Var addn(const std::vector<Var>& xs);// elementwise sum, same shapes
   Var scale(Var a, double c);
-  Var leaky_relu(Var a, double slope = 0.2);
-  Var tanh(Var a);
 
-  // Fused affine layer x @ W + bias with an optional leaky-ReLU: one tape
-  // node (one materialized matrix + grad) instead of the matmul / add_bias /
-  // leaky_relu chain's three. Forward values match the unfused chain bit for
-  // bit; backward weight gradients accumulate row by row instead of through
-  // a zeroed temporary, which reorders the summation when the param grad is
-  // already non-zero (ulp-level differences, inside the 1e-10 equivalence
-  // contract). Every MLP layer runs through this, so it dominates both the
-  // per-event inference cost and the episode-batched replay cost.
+  // Affine layer x @ W + bias (bias 1 x cols, broadcast over rows) with an
+  // optional leaky-ReLU, as one tape node (one materialized matrix + grad).
+  // Backward weight gradients accumulate row by row straight into the
+  // parents' gradients. Every MLP layer runs through this, so it dominates
+  // both the per-event inference cost and the episode-batched replay cost.
   Var linear(Var x, Var w, Var bias, bool leaky, double slope = 0.2);
 
   // --- Shape ops ------------------------------------------------------------
@@ -126,12 +119,7 @@ class Tape {
   // Returns 1 x S with entry s = H(softmax(segment s)).
   Var entropy_segments(Var logits, std::vector<std::size_t> seg_start);
 
-  // Softmax probabilities of a 1 x n logits row (forward value only; the
-  // backward path flows through log_prob_pick in training). Same sequence as
-  // nn::softmax below.
-  std::vector<double> softmax_values(Var logits) const;
-
-  // --- Access / backward ------------------------------------------------------
+  // --- Access / backward ----------------------------------------------------
   const Matrix& value(Var v) const { return nodes_[v.idx].value; }
   const Matrix& grad(Var v) const { return nodes_[v.idx].grad; }
   std::size_t num_nodes() const { return nodes_.size(); }

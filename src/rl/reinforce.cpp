@@ -153,7 +153,8 @@ ReinforceTrainer::EpisodeData ReinforceTrainer::rollout(
   EpisodeData data;
   data.actions = worker.take_recorded();
   data.rewards = episode_rewards(env);
-  data.action_times.assign(env.action_times().begin(), env.action_times().end());
+  data.action_times.assign(env.action_times().begin(),
+                           env.action_times().end());
   data.avg_jct = env.avg_jct();
   data.end_time = env.now();
   data.completed = static_cast<int>(env.jcts().size());
@@ -230,7 +231,8 @@ IterationStats ReinforceTrainer::iterate() {
   // (1) Episode length: memoryless termination with growing mean (§5.3).
   const double tau =
       config_.curriculum ? rng_.exponential(tau_mean_) : sim::kInfTime;
-  tau_mean_ = std::min(tau_mean_ + config_.tau_mean_growth, config_.tau_mean_max);
+  tau_mean_ =
+      std::min(tau_mean_ + config_.tau_mean_growth, config_.tau_mean_max);
 
   // (2) Arrival sequence(s). fixed_sequences shares one sequence across the
   // iteration's episodes (input-dependent baseline); the ablation draws a
@@ -323,7 +325,8 @@ IterationStats ReinforceTrainer::iterate() {
     }
   }
   if (config_.normalize_advantages) {
-    const double scale = adv_stats.stddev() > 1e-9 ? 1.0 / adv_stats.stddev() : 0.0;
+    const double scale =
+        adv_stats.stddev() > 1e-9 ? 1.0 / adv_stats.stddev() : 0.0;
     for (auto& ep : advantages) {
       for (double& a : ep) a *= scale;
     }
@@ -464,23 +467,6 @@ std::vector<IterationStats> ReinforceTrainer::train() {
   curve.reserve(static_cast<std::size_t>(config_.num_iterations));
   for (int i = 0; i < config_.num_iterations; ++i) curve.push_back(iterate());
   return curve;
-}
-
-double evaluate_avg_jct(
-    sim::Scheduler& sched, const sim::EnvConfig& config,
-    const std::vector<std::vector<workload::ArrivingJob>>& workloads) {
-  double total = 0.0;
-  for (const auto& w : workloads) {
-    sim::ClusterEnv env(config);
-    workload::load(env, w);
-    env.run(sched);
-    double jct_sum = 0.0;
-    for (const auto& job : env.jobs()) {
-      jct_sum += job.done() ? job.jct() : env.now() - job.arrival;
-    }
-    total += jct_sum / static_cast<double>(env.jobs().size());
-  }
-  return total / static_cast<double>(workloads.size());
 }
 
 }  // namespace decima::rl

@@ -151,8 +151,8 @@ class ReinforceTrainer {
   // trainer's TrainConfig (env included) and the agent's AgentConfig must
   // match the checkpoint on every dynamics-affecting field
   // (num_iterations/rollout_threads may differ — thread count provably does
-  // not change results); returns false with the trainer untouched otherwise. The
-  // WorkloadSampler cannot be fingerprinted (it is a std::function): the
+  // not change results); returns false with the trainer untouched otherwise.
+  // The WorkloadSampler cannot be fingerprinted (it is a std::function): the
   // caller must install the same sampler for the guarantee to hold. After a
   // successful resume the run continues bit-exactly where the saved one
   // stopped:
@@ -205,11 +205,5 @@ class ReinforceTrainer {
   std::vector<std::unique_ptr<core::DecimaAgent>> worker_agents_;
   std::unique_ptr<util::WorkerPool> pool_;
 };
-
-// Greedy evaluation of a scheduler over full episodes; unfinished jobs are
-// charged their age at episode end so unstable policies are penalized.
-double evaluate_avg_jct(sim::Scheduler& sched, const sim::EnvConfig& config,
-                        const std::vector<std::vector<workload::ArrivingJob>>&
-                            workloads);
 
 }  // namespace decima::rl

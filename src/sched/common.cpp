@@ -46,7 +46,7 @@ int best_fit_class(const ClusterEnv& env, double mem_req) {
   int best = -1;
   double best_mem = 2.0;
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    if (classes[c].mem + 1e-12 < mem_req) continue;
+    if (!classes[c].fits(mem_req)) continue;
     if (env.free_executor_count_of_class(static_cast<int>(c)) == 0) continue;
     if (classes[c].mem < best_mem) {
       best_mem = classes[c].mem;

@@ -21,7 +21,7 @@ Action TetrisScheduler::schedule(const ClusterEnv& env) {
     const auto& spec = env.jobs()[static_cast<std::size_t>(node.job)]
                            .spec.stages[static_cast<std::size_t>(node.stage)];
     for (std::size_t c = 0; c < classes.size(); ++c) {
-      if (classes[c].mem + 1e-12 < spec.mem_req) continue;
+      if (!classes[c].fits(spec.mem_req)) continue;
       const int free_c = env.free_executor_count_of_class(static_cast<int>(c));
       if (free_c == 0) continue;
       // Demand ⟨cpu=1, mem_req⟩ · availability ⟨free slots, free memory⟩.

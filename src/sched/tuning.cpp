@@ -10,29 +10,6 @@ std::vector<double> alpha_grid(double step) {
   return out;
 }
 
-namespace {
-
-// Mean avg-JCT of a scheduler across episodes; incomplete jobs are charged
-// their age so far, so unstable policies score poorly instead of vacuously.
-double evaluate(const sim::EnvConfig& config,
-                const std::vector<std::vector<workload::ArrivingJob>>& workloads,
-                sim::Scheduler& sched) {
-  double total = 0.0;
-  for (const auto& w : workloads) {
-    sim::ClusterEnv env(config);
-    workload::load(env, w);
-    env.run(sched);
-    double jct_sum = 0.0;
-    for (const auto& job : env.jobs()) {
-      jct_sum += job.done() ? job.jct() : env.now() - job.arrival;
-    }
-    total += jct_sum / static_cast<double>(env.jobs().size());
-  }
-  return total / static_cast<double>(workloads.size());
-}
-
-}  // namespace
-
 TuneResult tune_weighted_fair_alpha(
     const sim::EnvConfig& config,
     const std::vector<std::vector<workload::ArrivingJob>>& workloads,
@@ -41,7 +18,7 @@ TuneResult tune_weighted_fair_alpha(
   bool first = true;
   for (double alpha : grid) {
     WeightedFairScheduler sched(alpha);
-    const double jct = evaluate(config, workloads, sched);
+    const double jct = metrics::evaluate_avg_jct(sched, config, workloads);
     if (first || jct < best.avg_jct) {
       best.alpha = alpha;
       best.avg_jct = jct;
@@ -64,7 +41,8 @@ GrapheneTuneResult tune_graphene(
         c.mem_threshold = mem_th;
         c.alpha = alpha;
         GrapheneScheduler sched(c);
-        const double jct = evaluate(config, workloads, sched);
+        const double jct =
+            metrics::evaluate_avg_jct(sched, config, workloads);
         if (first || jct < best.avg_jct) {
           best.config = c;
           best.avg_jct = jct;

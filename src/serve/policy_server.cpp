@@ -195,17 +195,11 @@ const gnn::EmbeddingCacheStats& Session::cache_stats() const {
 }
 
 DecideResult PolicyServer::degraded_answer(const sim::ClusterEnv& env,
-                                           DecideStatus status) const {
-  DecideResult result;
-  result.status = status;
-  if (config_.heuristic_fallback) {
-    // SJF-CP is stateless, cheap (no GNN), and the strongest single
-    // heuristic on average-JCT (§7.2) — the natural degraded-mode policy.
-    sched::SjfCpScheduler fallback;
-    result.action = fallback.schedule(env);
-    result.fallback = true;
-  }
-  return result;
+                                           DecideStatus status) {
+  // SJF-CP is stateless, cheap (no GNN), and the strongest single heuristic
+  // on average-JCT (§7.2) — the natural degraded-mode policy.
+  sched::SjfCpScheduler fallback;
+  return DecideResult{fallback.schedule(env), status, true};
 }
 
 DecideResult PolicyServer::decide_with_status(Session& session,
@@ -239,7 +233,7 @@ DecideResult PolicyServer::decide_with_status(Session& session,
       // is answered below by the (lock-free) heuristic and never reaches
       // the dispatcher.
       ++sh.st.rejections;
-      if (config_.heuristic_fallback) ++sh.st.fallbacks;
+      ++sh.st.fallbacks;
       rejected = true;
     } else {
       sh.queue.push_back(&req);
@@ -253,7 +247,7 @@ DecideResult PolicyServer::decide_with_status(Session& session,
   }
   if (rejected) {
     metrics.rejected.inc();
-    if (config_.heuristic_fallback) metrics.fallbacks.inc();
+    metrics.fallbacks.inc();
     return degraded_answer(env, DecideStatus::kRejected);
   }
 
@@ -279,7 +273,7 @@ DecideResult PolicyServer::decide_with_status(Session& session,
         // max_queue slot at once, and answer from the fallback.
         sh.queue.erase(std::find(sh.queue.begin(), sh.queue.end(), &req));
         ++sh.st.timeouts;
-        if (config_.heuristic_fallback) ++sh.st.fallbacks;
+        ++sh.st.fallbacks;
         timed_out = true;
         break;
       }
@@ -290,7 +284,7 @@ DecideResult PolicyServer::decide_with_status(Session& session,
   }
   if (timed_out) {
     metrics.timed_out.inc();
-    if (config_.heuristic_fallback) metrics.fallbacks.inc();
+    metrics.fallbacks.inc();
     return degraded_answer(env, DecideStatus::kTimedOut);
   }
   metrics.ok.inc();
@@ -406,23 +400,15 @@ void PolicyServer::dispatch_loop(Shard& sh) {
     {
       obs::Span batch_span(obs::names::kSpanServeBatch, "serve");
       obs::ScopedLatencyUs infer_latency(metrics.batch_infer_us);
-      if (config_.cross_session_batching) {
-        std::vector<const sim::ClusterEnv*> envs;
-        std::vector<gnn::EmbeddingCache*> caches;
-        envs.reserve(batch.size());
-        caches.reserve(batch.size());
-        for (const Request* p : batch) {
-          envs.push_back(p->env);
-          caches.push_back(p->cache);
-        }
-        actions = policy->decide_batch(envs, caches);
-      } else {
-        // Sequential reference path: one decide() per request.
-        actions.reserve(batch.size());
-        for (const Request* p : batch) {
-          actions.push_back(policy->decide(*p->env, p->cache));
-        }
+      std::vector<const sim::ClusterEnv*> envs;
+      std::vector<gnn::EmbeddingCache*> caches;
+      envs.reserve(batch.size());
+      caches.reserve(batch.size());
+      for (const Request* p : batch) {
+        envs.push_back(p->env);
+        caches.push_back(p->cache);
       }
+      actions = policy->decide_batch(envs, caches);
     }
 
     {

@@ -76,11 +76,10 @@ namespace decima::serve {
 
 struct ServeConfig {
   // Most pending requests one dispatch may coalesce; 0 drains the whole
-  // queue. Decisions do not depend on batch composition, only latency does.
+  // queue, 1 scores one request per inference (the sequential reference of
+  // bench_serve_throughput). Decisions do not depend on batch composition,
+  // only latency does.
   int max_batch = 0;
-  // false scores queued requests one at a time (the sequential reference
-  // path of bench_serve_throughput); decisions are identical either way.
-  bool cross_session_batching = true;
 
   // --- Sharding (docs/serving.md) ------------------------------------------
   // Dispatcher shards. 1 (the default) is the reference path, bit-identical
@@ -105,13 +104,10 @@ struct ServeConfig {
   // Per-request deadline in seconds: a request still QUEUED this long after
   // submission gives up (kTimedOut). A request the dispatcher already picked
   // up always waits for its answer — decisions are never half-delivered.
-  // 0 = no deadline.
+  // 0 = no deadline. Rejected and timed-out requests are always answered
+  // by the SJF-CP heuristic (src/sched), so a session keeps making progress
+  // while the server is saturated; stopped servers answer Action::none().
   double deadline = 0.0;
-  // When a request is rejected or times out, answer it from the SJF-CP
-  // heuristic (src/sched) instead of returning Action::none(): the session
-  // keeps making progress on a good-but-not-learned policy while the server
-  // is saturated. Stopped servers never fall back — sessions must wind down.
-  bool heuristic_fallback = true;
 
   // Fail-loudly construction: throws std::invalid_argument on nonsense
   // (shards < 1, negative budgets/deadlines, a per-shard queue bound smaller
@@ -147,7 +143,7 @@ enum class DecideStatus {
 };
 
 struct DecideResult {
-  sim::Action action;  // Action::none() for kStopped (and fallback-off paths)
+  sim::Action action;  // Action::none() for kStopped
   DecideStatus status = DecideStatus::kOk;
   bool fallback = false;  // action came from the SJF-CP heuristic
 };
@@ -224,7 +220,7 @@ class PolicyServer {
   // session's current state on its shard and waits for that shard's
   // dispatcher — or degrades per the config (kRejected on a full queue,
   // kTimedOut past the deadline, kStopped once stopped), answering
-  // rejected/timed-out requests from SJF-CP when heuristic_fallback is set.
+  // rejected/timed-out requests from SJF-CP.
   // The session's embedding cache rides along: consecutive queries re-embed
   // only what changed between them, even inside a cross-session batch. The
   // fallback path never touches the cache, so a degraded answer cannot
@@ -322,10 +318,9 @@ class PolicyServer {
   // stopping, or a lone session could never be joined by another.
   void bounded_batch_wait(Shard& sh) REQUIRES(sh.mu);
   void close_session(const Session& session);
-  // Builds the degraded (rejected/timed-out) answer: SJF-CP when
-  // heuristic_fallback is on, Action::none() otherwise.
-  DecideResult degraded_answer(const sim::ClusterEnv& env,
-                               DecideStatus status) const;
+  // Builds the degraded (rejected/timed-out) answer from SJF-CP.
+  static DecideResult degraded_answer(const sim::ClusterEnv& env,
+                                      DecideStatus status);
 
   const ServeConfig config_;
 

@@ -352,14 +352,8 @@ int ClusterEnv::dispatch(NodeRef node, int count, int exec_class) {
   std::vector<int> eligible;
   for (const ExecutorState& e : executors_) {
     if (e.busy || e.failed) continue;
-    if (exec_class >= 0) {
-      if (e.cls != exec_class) continue;
-      if (config_.classes[static_cast<std::size_t>(e.cls)].mem <
-          spec.mem_req) {
-        continue;
-      }
-    } else if (config_.classes[static_cast<std::size_t>(e.cls)].mem <
-               spec.mem_req) {
+    if (exec_class >= 0 && e.cls != exec_class) continue;
+    if (!config_.classes[static_cast<std::size_t>(e.cls)].fits(spec.mem_req)) {
       continue;
     }
     eligible.push_back(e.id);

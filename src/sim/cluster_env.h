@@ -31,6 +31,10 @@ namespace decima::sim {
 struct ExecutorClass {
   double mem = 1.0;
   std::string name = "default";
+  // Whether a task of a stage needing `mem_req` may run here: exactly the
+  // simulator's placement rule, so every scheduler asks only for classes
+  // that dispatch will use.
+  bool fits(double mem_req) const { return mem >= mem_req; }
 };
 
 struct EnvConfig {

@@ -74,7 +74,8 @@ bool validate_trace_data(const std::vector<TaskRecord>& trace,
   for (const TaskRecord& t : trace) {
     auto key = std::make_pair(t.job, t.stage);
     auto it = stage_end.find(key);
-    stage_end[key] = it == stage_end.end() ? t.end : std::max(it->second, t.end);
+    stage_end[key] =
+        it == stage_end.end() ? t.end : std::max(it->second, t.end);
     auto fit = stage_first_dispatch.find(key);
     stage_first_dispatch[key] =
         fit == stage_first_dispatch.end() ? t.dispatched
@@ -121,7 +122,7 @@ bool validate_trace_data(const std::vector<TaskRecord>& trace,
     const double req =
         job.spec.stages[static_cast<std::size_t>(t.stage)].mem_req;
     const int cls = executors[static_cast<std::size_t>(t.executor)].cls;
-    if (classes[static_cast<std::size_t>(cls)].mem < req - 1e-12) {
+    if (!classes[static_cast<std::size_t>(cls)].fits(req)) {
       std::ostringstream os;
       os << "task of job " << t.job << " stage " << t.stage
          << " ran on executor class with insufficient memory";

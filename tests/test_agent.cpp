@@ -173,9 +173,9 @@ void replay_episode(DecimaAgent& agent, const sim::EnvConfig& env_cfg) {
 }
 
 TEST(AgentReplay, StartReplayThrowsOverUnfinishedBatchedTail) {
-  AgentConfig cfg = agent_config();
-  cfg.replay_batch = 8;
+  const AgentConfig cfg = agent_config();
   const auto recorded = record_episode(cfg, config(4));
+  // The batched replay scores chunks of 8 events.
   ASSERT_NE(recorded.size() % 8, 0u) << "no pending tail to lose";
   DecimaAgent agent(cfg);
   const std::vector<double> weights(recorded.size(), 1.0);

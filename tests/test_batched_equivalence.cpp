@@ -49,12 +49,10 @@ void expect_matrix_near(const nn::Matrix& a, const nn::Matrix& b) {
 
 // A scalar reduction over every embedding level, built the same way on both
 // tapes so gradient flow is comparable.
-nn::Var embedding_loss(nn::Tape& tape, const gnn::Embeddings& emb,
+nn::Var embedding_loss(nn::Tape& tape, const gnn::EpisodeEmbeddings& emb,
                        std::size_t emb_dim) {
-  std::vector<nn::Var> parts = emb.node_mat;
-  parts.push_back(emb.job_mat);
-  parts.push_back(emb.global_emb);
-  const nn::Var total = tape.sum_rows(tape.concat_rows(parts));
+  const nn::Var total = tape.sum_rows(
+      tape.concat_rows({emb.node_all, emb.job_mat, emb.global_mat}));
   const nn::Var ones = tape.constant(nn::Matrix(emb_dim, 1, 1.0));
   return tape.matmul(total, ones);
 }
@@ -68,16 +66,13 @@ TEST(BatchedEquivalence, ForwardEmbeddingsMatch) {
     nn::Tape tb(false), tr(false);
     const auto eb = gnns.batched.embed(tb, graphs);
     const auto er = gnns.reference.embed(tr, graphs);
-    for (std::size_t g = 0; g < graphs.size(); ++g) {
-      expect_matrix_near(tb.value(eb.node_mat[g]), tr.value(er.node_mat[g]));
-      expect_matrix_near(tb.value(eb.proj_mat[g]), tr.value(er.proj_mat[g]));
-      for (std::size_t v = 0; v < eb.node_emb[g].size(); ++v) {
-        expect_matrix_near(tb.value(eb.node_emb[g][v]),
-                           tr.value(er.node_emb[g][v]));
-      }
-    }
+    // Both paths return the same stacked layout.
+    EXPECT_EQ(eb.node_offset, er.node_offset);
+    EXPECT_EQ(tb.value(eb.feat_all).raw(), tr.value(er.feat_all).raw());
+    expect_matrix_near(tb.value(eb.node_all), tr.value(er.node_all));
+    expect_matrix_near(tb.value(eb.proj_all), tr.value(er.proj_all));
     expect_matrix_near(tb.value(eb.job_mat), tr.value(er.job_mat));
-    expect_matrix_near(tb.value(eb.global_emb), tr.value(er.global_emb));
+    expect_matrix_near(tb.value(eb.global_mat), tr.value(er.global_mat));
   }
 }
 
@@ -135,12 +130,13 @@ TEST(BatchedEquivalence, EpisodeEmbeddingMatchesPerEventEmbed) {
       nn::Tape tp(false);
       const auto per_event = gnns.batched.embed(tp, events[t]);
       for (std::size_t g = 0; g < events[t].size(); ++g, ++graph_idx) {
-        const nn::Matrix& want = tp.value(per_event.node_mat[g]);
+        const nn::Matrix& want = tp.value(per_event.node_all);
         const nn::Matrix& all = te.value(ep.node_all);
         const std::size_t off = ep.node_offset[graph_idx];
-        for (std::size_t v = 0; v < want.rows(); ++v) {
+        const std::size_t want_off = per_event.node_offset[g];
+        for (std::size_t v = 0; v < events[t][g].features.rows(); ++v) {
           for (std::size_t c = 0; c < want.cols(); ++c) {
-            EXPECT_NEAR(all(off + v, c), want(v, c), kTol);
+            EXPECT_NEAR(all(off + v, c), want(want_off + v, c), kTol);
           }
         }
         const nn::Matrix& jobs = te.value(ep.job_mat);
@@ -151,7 +147,7 @@ TEST(BatchedEquivalence, EpisodeEmbeddingMatchesPerEventEmbed) {
       }
       const nn::Matrix& glob = te.value(ep.global_mat);
       for (std::size_t c = 0; c < glob.cols(); ++c) {
-        EXPECT_NEAR(glob(t, c), tp.value(per_event.global_emb)(0, c), kTol);
+        EXPECT_NEAR(glob(t, c), tp.value(per_event.global_mat)(0, c), kTol);
       }
     }
   }
@@ -159,15 +155,15 @@ TEST(BatchedEquivalence, EpisodeEmbeddingMatchesPerEventEmbed) {
 
 // --- Replay-path checks ------------------------------------------------------
 
-// Rolls out one recorded episode and expects the batched replay to reproduce
-// the reference loop's gradients.
+// Rolls out one recorded episode and expects the batched replay, which
+// scores it in chunks of 8 events, to reproduce the reference loop's
+// gradients. `events` receives the episode's event count.
 void expect_replay_grads_match(const core::AgentConfig& base,
                                const sim::EnvConfig& env_config,
                                const std::vector<workload::ArrivingJob>& jobs,
-                               int replay_batch = 0) {
+                               std::size_t* events = nullptr) {
   core::AgentConfig ab = base;
   ab.batched_replay = true;
-  ab.replay_batch = replay_batch;
   core::AgentConfig ar = base;
   ar.batched_replay = false;
   ar.batched_inference = false;
@@ -181,6 +177,7 @@ void expect_replay_grads_match(const core::AgentConfig& base,
   env.run(batched);
   const auto recorded = batched.take_recorded();
   ASSERT_FALSE(recorded.empty());
+  if (events) *events = recorded.size();
 
   // The reference agent samples the same choices from the same seed.
   reference.set_mode(core::Mode::kSample);
@@ -232,7 +229,11 @@ TEST(BatchedEquivalence, ReplayGradientsMatchReference) {
   ac.seed = 21;
   sim::EnvConfig env;
   env.num_executors = 4;
-  expect_replay_grads_match(ac, env, tpch_jobs(3, 4));
+  std::size_t events = 0;
+  expect_replay_grads_match(ac, env, tpch_jobs(3, 4), &events);
+  // Six full 8-event chunks and a 3-event tail: the chunk boundaries and
+  // the finish_replay() tail both count.
+  EXPECT_EQ(events, 51u);
 }
 
 TEST(BatchedEquivalence, ReplayGradientsMatchAcrossVariants) {
@@ -272,16 +273,6 @@ TEST(BatchedEquivalence, ReplayGradientsMatchWithExecutorClasses) {
   ac.seed = 27;
   ac.multi_resource = true;
   expect_replay_grads_match(ac, env, workload::batched(std::move(jobs)));
-}
-
-TEST(BatchedEquivalence, ChunkedReplayMatchesWholeEpisode) {
-  // replay_batch caps the events per tape; chunked scoring must reproduce the
-  // single-tape episode gradients (and therefore the reference's).
-  core::AgentConfig ac;
-  ac.seed = 29;
-  sim::EnvConfig env;
-  env.num_executors = 3;
-  expect_replay_grads_match(ac, env, tpch_jobs(7, 3), /*replay_batch=*/2);
 }
 
 // --- Full-pipeline checks through the trainer -------------------------------

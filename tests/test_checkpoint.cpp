@@ -1,5 +1,6 @@
-// Checkpoint round-trips (src/io): policy save/load bit-exactness, corrupt-
-// and mismatched-file rejection, and the trainer resume-determinism contract
+// Checkpoint round-trips (src/io): policy save/load bit-exactness, corrupt-,
+// truncated- and mismatched-file rejection, and the trainer
+// resume-determinism contract
 //   train(N) == train(k) + save_checkpoint + resume + train(N-k)
 // compared bit for bit on every parameter and Adam moment.
 #include <gtest/gtest.h>
@@ -69,12 +70,8 @@ TEST(PolicyCheckpoint, RoundTripIsBitExact) {
   const std::string path = tmp_path("policy_roundtrip.ckpt");
   ASSERT_TRUE(io::save_policy(agent, path));
 
-  // The embedded config is readable standalone and round-trips every field.
-  const auto embedded = io::read_policy_config(path);
-  ASSERT_TRUE(embedded.has_value());
-  EXPECT_TRUE(io::agent_config_equal(*embedded, ac));
-
-  // Fresh agent from the embedded config, different initial weights.
+  // Fresh agent from the embedded config (which round-trips every field),
+  // different initial weights.
   auto loaded = io::load_policy_agent(path);
   ASSERT_NE(loaded, nullptr);
   EXPECT_TRUE(io::agent_config_equal(loaded->config(), ac));
@@ -108,7 +105,8 @@ TEST(PolicyCheckpoint, RejectsStructuralMismatch) {
   core::DecimaAgent small(other);
   const auto before = all_values(small.params());
   EXPECT_FALSE(io::load_policy(small, path));
-  EXPECT_EQ(all_values(small.params()), before) << "failed load must not mutate";
+  EXPECT_EQ(all_values(small.params()), before)
+      << "failed load must not mutate";
 
   // Shape-preserving but meaning-changing config: same parameter structure,
   // different feature normalization — the weights would silently misread
@@ -151,21 +149,26 @@ std::string file_bytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// Copies `full` to `cut` and shrinks the copy through every length in the
-// first and last 4 KiB of the file and every 61st length in between (longest
-// first, so each cut is one truncate), calling `expect_rejected` after each.
+// The sweeps' positions in a file of `size` bytes: every one in the first
+// and last 4 KiB and every 61st in between.
+std::vector<std::uintmax_t> sweep_positions(std::uintmax_t size) {
+  constexpr std::uintmax_t kEdge = 4096;
+  constexpr std::uintmax_t kStride = 61;
+  std::vector<std::uintmax_t> out;
+  for (std::uintmax_t n = 0; n < size; ++n) {
+    if (n < kEdge || n + kEdge >= size || n % kStride == 0) out.push_back(n);
+  }
+  return out;
+}
+
+// Copies `full` to `cut` and shrinks the copy to every sweep position as a
+// length (longest first, so each cut is one truncate), calling
+// `expect_rejected` after each.
 template <typename F>
 void sweep_truncations(const std::string& full, const std::string& cut,
                        F&& expect_rejected) {
-  constexpr std::uintmax_t kEdge = 4096;
-  constexpr std::uintmax_t kStride = 61;
-  const std::uintmax_t size = std::filesystem::file_size(full);
-  std::vector<std::uintmax_t> lengths;
-  for (std::uintmax_t n = 0; n < size; ++n) {
-    if (n < kEdge || n + kEdge >= size || n % kStride == 0) {
-      lengths.push_back(n);
-    }
-  }
+  const std::vector<std::uintmax_t> lengths =
+      sweep_positions(std::filesystem::file_size(full));
   std::filesystem::copy_file(
       full, cut, std::filesystem::copy_options::overwrite_existing);
   for (auto it = lengths.rbegin(); it != lengths.rend(); ++it) {
@@ -173,6 +176,32 @@ void sweep_truncations(const std::string& full, const std::string& cut,
     expect_rejected(*it);
     if (testing::Test::HasFailure()) return;  // one report, not thousands
   }
+}
+
+// Copies `full` to `bad` and, at every sweep position in turn, flips every
+// bit of that one byte in the copy, calls `expect_rejected`, and restores it.
+template <typename F>
+void sweep_byte_flips(const std::string& full, const std::string& bad,
+                      F&& expect_rejected) {
+  const std::string bytes = file_bytes(full);
+  std::filesystem::copy_file(
+      full, bad, std::filesystem::copy_options::overwrite_existing);
+  std::fstream f(bad, std::ios::binary | std::ios::in | std::ios::out);
+  const auto put = [&f](std::uintmax_t pos, char c) {
+    f.seekp(static_cast<std::streamoff>(pos));
+    f.put(c);
+    f.flush();
+  };
+  for (std::uintmax_t pos : sweep_positions(bytes.size())) {
+    const char c = bytes[static_cast<std::size_t>(pos)];
+    put(pos, static_cast<char>(~c));
+    expect_rejected(pos);
+    put(pos, c);
+    if (testing::Test::HasFailure()) return;  // one report, not thousands
+  }
+  ASSERT_TRUE(f.good());
+  f.close();
+  EXPECT_EQ(file_bytes(bad), bytes);
 }
 
 TEST(PolicyCheckpoint, EveryTruncationIsRejected) {
@@ -193,6 +222,32 @@ TEST(PolicyCheckpoint, EveryTruncationIsRejected) {
     EXPECT_FALSE(io::load_policy(agent, cut)) << "cut at " << n;
   });
   EXPECT_EQ(all_values(agent.params()), before);
+}
+
+// A CRC-32 trailer detects every single-byte change, so no position may load.
+TEST(PolicyCheckpoint, EverySingleByteCorruptionIsRejected) {
+  core::AgentConfig ac;
+  ac.seed = 11;
+  core::DecimaAgent source(ac);
+  const std::string full = tmp_path("policy_flip_full.ckpt");
+  const std::string bad = tmp_path("policy_flip_bad.ckpt");
+  ASSERT_TRUE(io::save_policy(source, full));
+  ASSERT_NE(io::load_policy_agent(full), nullptr);
+
+  core::AgentConfig other = ac;
+  other.seed = 12;  // same structure, different values
+  core::DecimaAgent agent(other);
+  const auto before = all_values(agent.params());
+  std::size_t flips = 0;
+  sweep_byte_flips(full, bad, [&](std::uintmax_t pos) {
+    EXPECT_EQ(io::load_policy_agent(bad), nullptr) << "flip at " << pos;
+    EXPECT_FALSE(io::load_policy(agent, bad)) << "flip at " << pos;
+    ++flips;
+  });
+  EXPECT_EQ(flips, sweep_positions(std::filesystem::file_size(full)).size());
+  EXPECT_EQ(all_values(agent.params()), before);
+  // The restored copy loads again: every rejection was the flip's doing.
+  EXPECT_TRUE(io::load_policy(agent, bad));
 }
 
 TEST(TrainerCheckpoint, ResumeContinuesBitExactly) {
@@ -220,7 +275,8 @@ TEST(TrainerCheckpoint, ResumeContinuesBitExactly) {
   EXPECT_EQ(resumed.iteration(), split);
   for (int i = split; i < total_iters; ++i) resumed.iterate();
 
-  EXPECT_EQ(all_values(resumed_agent.params()), all_values(straight_agent.params()));
+  EXPECT_EQ(all_values(resumed_agent.params()),
+            all_values(straight_agent.params()));
 }
 
 TEST(TrainerCheckpoint, SaveLoadRestoresAdamAndSchedules) {
@@ -379,6 +435,47 @@ TEST(TrainerCheckpoint, EveryTruncationIsRejected) {
   ASSERT_TRUE(trainer.save_checkpoint(after));
   ASSERT_TRUE(twin.save_checkpoint(twin_after));
   EXPECT_EQ(file_bytes(after), file_bytes(twin_after));
+}
+
+TEST(TrainerCheckpoint, EverySingleByteCorruptionIsRejected) {
+  core::AgentConfig ac;
+  ac.seed = 5;
+  const std::string full = tmp_path("trainer_flip_full.ckpt");
+  const std::string bad = tmp_path("trainer_flip_bad.ckpt");
+  {
+    core::DecimaAgent agent(ac);
+    rl::ReinforceTrainer trainer(agent, train_config());
+    trainer.iterate();
+    ASSERT_TRUE(trainer.save_checkpoint(full));
+  }
+
+  core::DecimaAgent agent(ac);
+  rl::ReinforceTrainer trainer(agent, train_config());
+  std::size_t flips = 0;
+  sweep_byte_flips(full, bad, [&](std::uintmax_t pos) {
+    EXPECT_FALSE(trainer.resume(bad)) << "flip at " << pos;
+    ++flips;
+  });
+  EXPECT_EQ(flips, sweep_positions(std::filesystem::file_size(full)).size());
+  EXPECT_EQ(trainer.iteration(), 0);
+
+  // Every failed resume left the trainer untouched: its next iteration is
+  // byte-equal to that of a twin that never tried to resume.
+  core::DecimaAgent twin_agent(ac);
+  rl::ReinforceTrainer twin(twin_agent, train_config());
+  trainer.iterate();
+  twin.iterate();
+  EXPECT_EQ(all_values(agent.params()), all_values(twin_agent.params()));
+  const std::string after = tmp_path("trainer_flip_after.ckpt");
+  const std::string twin_after = tmp_path("trainer_flip_twin.ckpt");
+  ASSERT_TRUE(trainer.save_checkpoint(after));
+  ASSERT_TRUE(twin.save_checkpoint(twin_after));
+  EXPECT_EQ(file_bytes(after), file_bytes(twin_after));
+
+  // The restored copy resumes: every rejection was the flip's doing.
+  core::DecimaAgent fresh_agent(ac);
+  rl::ReinforceTrainer fresh(fresh_agent, train_config());
+  EXPECT_TRUE(fresh.resume(bad));
 }
 
 TEST(RngState, RoundTripReproducesDrawSequence) {

@@ -34,18 +34,34 @@ GnnConfig small_config() {
   return c;
 }
 
+// Row v of graph g's node embeddings.
+nn::Matrix node_row(const nn::Tape& tape, const EpisodeEmbeddings& emb,
+                    std::size_t g, std::size_t v) {
+  const nn::Matrix& all = tape.value(emb.node_all);
+  nn::Matrix out(1, all.cols());
+  for (std::size_t c = 0; c < all.cols(); ++c) {
+    out(0, c) = all(emb.node_offset[g] + v, c);
+  }
+  return out;
+}
+
 TEST(GraphEmbedding, ShapesAreConsistent) {
   Rng rng(1);
   GraphEmbedding gnn(small_config(), rng);
   nn::Tape tape;
   const auto graphs = std::vector<JobGraph>{diamond_graph(), diamond_graph()};
   const auto emb = gnn.embed(tape, graphs);
-  ASSERT_EQ(emb.node_emb.size(), 2u);
-  ASSERT_EQ(emb.node_emb[0].size(), 4u);
-  EXPECT_EQ(tape.value(emb.node_emb[0][0]).cols(), 8u);
-  ASSERT_EQ(emb.job_emb.size(), 2u);
-  EXPECT_EQ(tape.value(emb.job_emb[0]).cols(), 8u);
-  EXPECT_EQ(tape.value(emb.global_emb).cols(), 8u);
+  EXPECT_EQ(emb.node_offset, (std::vector<std::size_t>{0, 4}));
+  EXPECT_EQ(tape.value(emb.feat_all).rows(), 8u);
+  EXPECT_EQ(tape.value(emb.feat_all).cols(), 5u);
+  for (const nn::Var v : {emb.node_all, emb.proj_all}) {
+    EXPECT_EQ(tape.value(v).rows(), 8u);
+    EXPECT_EQ(tape.value(v).cols(), 8u);
+  }
+  EXPECT_EQ(tape.value(emb.job_mat).rows(), 2u);
+  EXPECT_EQ(tape.value(emb.job_mat).cols(), 8u);
+  EXPECT_EQ(tape.value(emb.global_mat).rows(), 1u);
+  EXPECT_EQ(tape.value(emb.global_mat).cols(), 8u);
 }
 
 TEST(GraphEmbedding, DeterministicForFixedSeed) {
@@ -55,7 +71,7 @@ TEST(GraphEmbedding, DeterministicForFixedSeed) {
   const auto graphs = std::vector<JobGraph>{diamond_graph()};
   const auto ea = a.embed(ta, graphs);
   const auto eb = b.embed(tb, graphs);
-  EXPECT_EQ(ta.value(ea.global_emb).raw(), tb.value(eb.global_emb).raw());
+  EXPECT_EQ(ta.value(ea.global_mat).raw(), tb.value(eb.global_mat).raw());
 }
 
 TEST(GraphEmbedding, InformationFlowsChildToParentOnly) {
@@ -71,11 +87,10 @@ TEST(GraphEmbedding, InformationFlowsChildToParentOnly) {
     mod.features(change_node, 0) += 1.0;
     nn::Tape t2;
     const auto e2 = gnn.embed(t2, {mod});
+    const nn::Matrix r1 = node_row(t1, e1, 0, observe_node);
+    const nn::Matrix r2 = node_row(t2, e2, 0, observe_node);
     double diff = 0.0;
-    for (std::size_t c = 0; c < 8; ++c) {
-      diff += std::abs(t1.value(e1.node_emb[0][observe_node])(0, c) -
-                       t2.value(e2.node_emb[0][observe_node])(0, c));
-    }
+    for (std::size_t c = 0; c < 8; ++c) diff += std::abs(r1(0, c) - r2(0, c));
     return diff;
   };
 
@@ -89,17 +104,18 @@ TEST(GraphEmbedding, LeafEmbeddingEqualsProjection) {
   Rng rng(5);
   GraphEmbedding gnn(small_config(), rng);
   nn::Tape tape;
-  std::vector<nn::Var> proj;
-  const JobGraph g = diamond_graph();
-  const auto emb = gnn.embed_nodes(tape, g, &proj);
+  const auto emb = gnn.embed(tape, {diamond_graph()});
+  const nn::Matrix& e = tape.value(emb.node_all);
+  const nn::Matrix& proj = tape.value(emb.proj_all);
   // Node 3 has no children: e_3 == proj(x_3).
-  EXPECT_EQ(tape.value(emb[3]).raw(), tape.value(proj[3]).raw());
-  // Node 0 has children: embeddings differ from the projection.
-  double diff = 0.0;
+  double diff3 = 0.0, diff0 = 0.0;
   for (std::size_t c = 0; c < 8; ++c) {
-    diff += std::abs(tape.value(emb[0])(0, c) - tape.value(proj[0])(0, c));
+    diff3 += std::abs(e(3, c) - proj(3, c));
+    diff0 += std::abs(e(0, c) - proj(0, c));
   }
-  EXPECT_GT(diff, 1e-9);
+  EXPECT_EQ(diff3, 0.0);
+  // Node 0 has children: embeddings differ from the projection.
+  EXPECT_GT(diff0, 1e-9);
 }
 
 TEST(GraphEmbedding, SingleLevelAblationDiffers) {
@@ -111,11 +127,10 @@ TEST(GraphEmbedding, SingleLevelAblationDiffers) {
   nn::Tape t1, t2;
   const auto e2 = g2.embed(t1, {diamond_graph()});
   const auto e1 = g1.embed(t2, {diamond_graph()});
+  const nn::Matrix r2 = node_row(t1, e2, 0, 0);
+  const nn::Matrix r1 = node_row(t2, e1, 0, 0);
   double diff = 0.0;
-  for (std::size_t c = 0; c < 8; ++c) {
-    diff += std::abs(t1.value(e2.node_emb[0][0])(0, c) -
-                     t2.value(e1.node_emb[0][0])(0, c));
-  }
+  for (std::size_t c = 0; c < 8; ++c) diff += std::abs(r2(0, c) - r1(0, c));
   EXPECT_GT(diff, 1e-9);
 }
 
@@ -128,9 +143,10 @@ TEST(GraphEmbedding, GradientsReachAllTransforms) {
   const auto emb = gnn.embed(tape, {diamond_graph()});
   // Scalar loss touching node, job, and global embeddings.
   nn::Var loss = tape.element(
-      tape.concat_cols({emb.node_emb[0][0], emb.job_emb[0], emb.global_emb}),
+      tape.concat_cols({tape.row(emb.node_all, 0), tape.row(emb.job_mat, 0),
+                        emb.global_mat}),
       0, 0);
-  nn::Var loss2 = tape.element(emb.global_emb, 0, 3);
+  nn::Var loss2 = tape.element(emb.global_mat, 0, 3);
   tape.backward(tape.add(loss, loss2));
   int with_grad = 0;
   for (const auto* p : params.params()) {
@@ -171,11 +187,11 @@ TEST_P(RandomDagEmbed, ProducesFiniteEmbeddings) {
   GraphEmbedding gnn(small_config(), init);
   nn::Tape tape;
   const auto emb = gnn.embed(tape, {g});
-  for (double v : tape.value(emb.global_emb).raw()) {
+  for (double v : tape.value(emb.global_mat).raw()) {
     EXPECT_TRUE(std::isfinite(v));
   }
-  for (const auto& e : emb.node_emb[0]) {
-    for (double v : tape.value(e).raw()) EXPECT_TRUE(std::isfinite(v));
+  for (double v : tape.value(emb.node_all).raw()) {
+    EXPECT_TRUE(std::isfinite(v));
   }
 }
 

@@ -537,14 +537,14 @@ TEST(JobShape, ExtractedGraphEmbedsAfterEnvIsDestroyed) {
     env.run(fifo, 3.0);
     graphs = gnn::extract_graphs(env, gnn::FeatureConfig{});
     nn::Tape tape(false);
-    before = tape.value(gnn.embed(tape, graphs).global_emb).raw();
+    before = tape.value(gnn.embed(tape, graphs).global_mat).raw();
   }
   ASSERT_FALSE(graphs.empty());
   for (const gnn::JobGraph& g : graphs) {
     EXPECT_EQ(g.shape.use_count(), 1);  // the env's reference is gone
   }
   nn::Tape tape(false);
-  EXPECT_EQ(tape.value(gnn.embed(tape, graphs).global_emb).raw(), before);
+  EXPECT_EQ(tape.value(gnn.embed(tape, graphs).global_mat).raw(), before);
   gnn::EmbeddingCache cache;
   cache.ensure_param_version(0);
   nn::Tape cached_tape(false);

@@ -63,7 +63,7 @@ TEST(ParamSet, CopyAndAccumulate) {
   sa.zero_grads();
   sb.zero_grads();
   for (Param* p : sb.params()) p->grad.fill(3.0);
-  sa.accumulate_grads_from(sb, 0.5);
+  sa.add_flat_to_grads(sb.flat_grads(), 0.5);
   EXPECT_DOUBLE_EQ(sa.params()[0]->grad.raw()[0], 1.5);
 }
 

@@ -133,7 +133,7 @@ TEST(MultiResource, AgentReplayIsExactWithClasses) {
   clone->finish_replay();
   EXPECT_DOUBLE_EQ(env1.avg_jct(), env2.avg_jct());
   EXPECT_EQ(clone->replay_cursor(), recorded.size());
-  // The batched replay scored the episode (class head included) on one tape.
+  // The batched replay scored the episode (class head included).
   double gnorm = 0.0;
   for (const auto* p : clone->params().params()) {
     gnorm += p->grad.squared_norm();
@@ -160,6 +160,44 @@ TEST(MultiResource, GrapheneAndTetrisComplete) {
     }
     env.run(*s);
     EXPECT_TRUE(env.all_done()) << s->name();
+    std::string err;
+    EXPECT_TRUE(sim::validate_trace(env, &err)) << s->name() << ": " << err;
+  }
+}
+
+// A stage needing a hair more memory than the small class holds (a valid
+// spec) fits only the large class. Every scheduler must ask for a class the
+// simulator will place it on: one that asked for the small class would see
+// dispatch assign nothing and the job never start.
+TEST(MultiResource, StageJustAboveClassMemoryRunsOnLargerClass) {
+  sim::EnvConfig config = multi_config(2);
+  config.classes = {{0.5, "m"}, {1.0, "xl"}};
+  const double mem_req = 0.5 + 5e-13;
+  ASSERT_FALSE(config.classes[0].fits(mem_req));
+  ASSERT_TRUE(config.classes[1].fits(mem_req));
+
+  core::AgentConfig ac;
+  ac.multi_resource = true;
+  ac.seed = 19;
+  core::DecimaAgent decima(ac);
+  sched::SjfCpScheduler sjf_cp;
+  sched::FifoScheduler fifo;
+  sched::WeightedFairScheduler fair(/*alpha=*/0.0);  // simple fair
+  sched::TetrisScheduler tetris;
+  sched::GrapheneScheduler graphene;
+  for (sim::Scheduler* s : std::vector<sim::Scheduler*>{
+           &sjf_cp, &fifo, &fair, &tetris, &graphene, &decima}) {
+    sim::ClusterEnv env(config);
+    sim::JobBuilder b("edge");
+    b.stage(3, 1.0, {}, mem_req);
+    env.add_job(b.build(), 0.0);
+    env.run(*s);
+    EXPECT_TRUE(env.all_done()) << s->name();
+    EXPECT_EQ(env.trace().size(), 3u) << s->name();
+    for (const auto& t : env.trace()) {
+      EXPECT_EQ(env.executors()[static_cast<std::size_t>(t.executor)].cls, 1)
+          << s->name();
+    }
     std::string err;
     EXPECT_TRUE(sim::validate_trace(env, &err)) << s->name() << ": " << err;
   }

@@ -33,10 +33,11 @@ double forward_logp(gnn::GraphEmbedding& gnn, nn::Mlp& q,
   const auto emb = gnn.embed(tape, graphs);
   std::vector<nn::Var> scores;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
-    const nn::Var x = tape.constant(graphs[g].features);
     for (std::size_t v = 0; v < graphs[g].runnable.size(); ++v) {
-      const nn::Var in = tape.concat_cols({tape.row(x, v), emb.node_emb[g][v],
-                                           emb.job_emb[g], emb.global_emb});
+      const std::size_t r = emb.node_offset[g] + v;
+      const nn::Var in = tape.concat_cols(
+          {tape.row(emb.feat_all, r), tape.row(emb.node_all, r),
+           tape.row(emb.job_mat, g), emb.global_mat});
       scores.push_back(q.apply(tape, in));
     }
   }
@@ -71,10 +72,11 @@ TEST_P(PolicyGradcheck, FullPipelineMatchesFiniteDifferences) {
     const auto emb = gnn.embed(tape, graphs);
     std::vector<nn::Var> scores;
     for (std::size_t g = 0; g < graphs.size(); ++g) {
-      const nn::Var x = tape.constant(graphs[g].features);
       for (std::size_t v = 0; v < graphs[g].runnable.size(); ++v) {
-        const nn::Var in = tape.concat_cols({tape.row(x, v), emb.node_emb[g][v],
-                                             emb.job_emb[g], emb.global_emb});
+        const std::size_t r = emb.node_offset[g] + v;
+        const nn::Var in = tape.concat_cols(
+            {tape.row(emb.feat_all, r), tape.row(emb.node_all, r),
+             tape.row(emb.job_mat, g), emb.global_mat});
         scores.push_back(q.apply(tape, in));
       }
     }

@@ -208,7 +208,6 @@ void overload_backpressure_and_fairness(int shards, int max_queue) {
   cfg.shards = shards;
   cfg.max_queue = max_queue;
   cfg.deadline = 2e-4;
-  cfg.heuristic_fallback = true;
   if (max_queue == 0) {
     // A dispatcher that claims the whole queue each round answers these
     // lockstep sessions in time, so an unbounded queue never ages past the

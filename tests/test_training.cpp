@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "metrics/experiment.h"
 #include "rl/reinforce.h"
 #include "sched/heuristics.h"
 
 namespace decima::rl {
 namespace {
+
+using metrics::evaluate_avg_jct;
 
 sim::EnvConfig tiny_env() {
   sim::EnvConfig c;
