@@ -10,21 +10,19 @@ std::vector<JobGraph> extract_graphs(const sim::ClusterEnv& env,
                                      const FeatureConfig& config,
                                      double observed_iat) {
   std::vector<JobGraph> out;
-  const auto& jobs = env.jobs();
+  out.reserve(env.active_jobs().size());
   const double total_execs = static_cast<double>(env.total_executors());
   const double free_execs = static_cast<double>(env.free_executor_count());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const sim::JobState& job = jobs[j];
-    if (!job.arrived || job.done()) continue;
+  for (int j : env.active_jobs()) {
+    const sim::JobState& job = env.jobs()[static_cast<std::size_t>(j)];
     JobGraph g;
-    g.env_job = static_cast<int>(j);
+    g.env_job = j;
     g.env_uid = env.uid();
     const std::size_t n = job.spec.stages.size();
     g.features = nn::Matrix(n, static_cast<std::size_t>(config.dim()));
     g.shape = job.shape;
     g.runnable.resize(n, false);
-    const double local =
-        env.local_free_executors(static_cast<int>(j)) > 0 ? 1.0 : 0.0;
+    const double local = env.local_free_executors(j) > 0 ? 1.0 : 0.0;
     for (std::size_t v = 0; v < n; ++v) {
       const auto& spec = job.spec.stages[v];
       const auto& st = job.stages[v];

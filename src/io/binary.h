@@ -28,13 +28,22 @@ namespace decima::io {
 // rejected rather than silently byte-swapped.
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
 
-// The byte-at-a-time table of the reflected CRC-32 polynomial 0xEDB88320.
-constexpr std::array<std::uint32_t, 256> crc32_table() {
-  std::array<std::uint32_t, 256> t{};
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// The slicing-by-8 tables of the reflected CRC-32 polynomial 0xEDB88320.
+// t[0] is the byte-at-a-time table; t[k][n] is the CRC state of byte n
+// followed by k zero bytes, so one lookup per table consumes eight bytes.
+constexpr Crc32Tables crc32_tables() {
+  Crc32Tables t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[n] = c;
+    t[0][n] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t n = 0; n < 256; ++n) {
+      t[k][n] = t[0][t[k - 1][n] & 0xFFu] ^ (t[k - 1][n] >> 8);
+    }
   }
   return t;
 }
@@ -45,14 +54,31 @@ class Crc32 {
  public:
   void update(const void* data, std::size_t bytes) {
     const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      state_ = kTable[(state_ ^ p[i]) & 0xFFu] ^ (state_ >> 8);
+    std::uint32_t c = state_;
+    for (; bytes >= 8; p += 8, bytes -= 8) {
+      const std::uint32_t lo = c ^ le32(p);
+      const std::uint32_t hi = le32(p + 4);
+      c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
     }
+    for (; bytes > 0; ++p, --bytes) {
+      c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+    }
+    state_ = c;
   }
   std::uint32_t value() const { return ~state_; }
 
  private:
-  static constexpr std::array<std::uint32_t, 256> kTable = crc32_table();
+  // Four bytes as a little-endian word, assembled by shifts so the result
+  // does not depend on the host's byte order.
+  static std::uint32_t le32(const unsigned char* p) {
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+  }
+
+  static constexpr Crc32Tables kTables = crc32_tables();
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
 

@@ -56,20 +56,4 @@ int best_fit_class(const ClusterEnv& env, double mem_req) {
   return best;
 }
 
-std::vector<int> jobs_with_runnable_stages(const ClusterEnv& env) {
-  std::vector<int> out;
-  const auto& jobs = env.jobs();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const sim::JobState& job = jobs[j];
-    if (!job.arrived || job.done()) continue;
-    for (const auto& st : job.stages) {
-      if (st.runnable()) {
-        out.push_back(static_cast<int>(j));
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace decima::sched

@@ -19,41 +19,42 @@ Action WeightedFairScheduler::schedule(const ClusterEnv& env) {
 
   // Shares are computed over all active (arrived, unfinished) jobs, whether
   // or not they have a runnable stage at this instant.
-  auto weight = [&](std::size_t j) {
-    return std::pow(std::max(jobs[j].shape->total_work, 1e-9), alpha_);
+  auto weight = [&](int j) {
+    return std::pow(
+        std::max(jobs[static_cast<std::size_t>(j)].shape->total_work, 1e-9),
+        alpha_);
   };
-  bool any_active = false;
   double total_weight = 0.0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (!jobs[j].arrived || jobs[j].done()) continue;
-    any_active = true;
-    total_weight += weight(j);
-  }
-  if (!any_active || total_weight <= 0.0) return Action::none();
-
-  const auto runnable = jobs_with_runnable_stages(env);
-  if (runnable.empty()) return Action::none();
+  for (int j : env.active_jobs()) total_weight += weight(j);
+  if (env.active_jobs().empty() || total_weight <= 0.0) return Action::none();
 
   // Target allocation per job (at least 1 to avoid starvation).
   auto target = [&](int j) {
-    const double w = weight(static_cast<std::size_t>(j));
-    return std::max(1, static_cast<int>(std::floor(env.total_executors() * w /
-                                                   total_weight)));
+    return std::max(1, static_cast<int>(std::floor(
+                           env.total_executors() * weight(j) / total_weight)));
   };
 
-  // First pass: most-deficit job below its target.
+  // Over the jobs with a runnable stage: the most-deficit job below its
+  // target, and the first with the fewest executors (for backfill).
   int best = -1;
+  int fewest = -1;
   double best_deficit = 0.0;
-  for (int j : runnable) {
+  for (int j : env.active_jobs()) {
+    const sim::JobState& job = jobs[static_cast<std::size_t>(j)];
+    if (job.runnable_stages == 0) continue;
+    if (fewest < 0 ||
+        job.executors < jobs[static_cast<std::size_t>(fewest)].executors) {
+      fewest = j;
+    }
     const int t = target(j);
-    const int cur = jobs[static_cast<std::size_t>(j)].executors;
-    const double deficit =
-        static_cast<double>(t - cur) / static_cast<double>(std::max(t, 1));
-    if (cur < t && deficit > best_deficit) {
+    const double deficit = static_cast<double>(t - job.executors) /
+                           static_cast<double>(std::max(t, 1));
+    if (job.executors < t && deficit > best_deficit) {
       best_deficit = deficit;
       best = j;
     }
   }
+  if (fewest < 0) return Action::none();
 
   int limit;
   if (best >= 0) {
@@ -61,13 +62,7 @@ Action WeightedFairScheduler::schedule(const ClusterEnv& env) {
   } else {
     // Backfill: all runnable jobs are at/above target but executors remain
     // free. Give the spare capacity to the job with the fewest executors.
-    best = runnable[0];
-    for (int j : runnable) {
-      if (jobs[static_cast<std::size_t>(j)].executors <
-          jobs[static_cast<std::size_t>(best)].executors) {
-        best = j;
-      }
-    }
+    best = fewest;
     limit = jobs[static_cast<std::size_t>(best)].executors +
             env.free_executor_count();
   }

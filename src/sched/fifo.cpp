@@ -8,11 +8,11 @@ namespace decima::sched {
 // Leftover executors spill over to the next job in arrival order because the
 // environment re-queries within the same scheduling event.
 Action FifoScheduler::schedule(const ClusterEnv& env) {
-  const auto candidates = jobs_with_runnable_stages(env);
   int best = -1;
   double best_arrival = sim::kInfTime;
-  for (int j : candidates) {
+  for (int j : env.active_jobs()) {
     const auto& job = env.jobs()[static_cast<std::size_t>(j)];
+    if (job.runnable_stages == 0) continue;
     if (job.arrival < best_arrival) {
       best_arrival = job.arrival;
       best = j;

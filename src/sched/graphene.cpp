@@ -33,21 +33,17 @@ Action GrapheneScheduler::schedule(const ClusterEnv& env) {
   troublesome_.resize(jobs.size());
 
   // Weighted fair targets, as in WeightedFairScheduler.
-  auto weight = [&](std::size_t j) {
-    return std::pow(std::max(jobs[j].shape->total_work, 1e-9), config_.alpha);
+  auto weight = [&](int j) {
+    return std::pow(
+        std::max(jobs[static_cast<std::size_t>(j)].shape->total_work, 1e-9),
+        config_.alpha);
   };
-  bool any_active = false;
   double total_weight = 0.0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (!jobs[j].arrived || jobs[j].done()) continue;
-    any_active = true;
-    total_weight += weight(j);
-  }
-  if (!any_active) return Action::none();
+  for (int j : env.active_jobs()) total_weight += weight(j);
+  if (env.active_jobs().empty()) return Action::none();
   auto target = [&](int j) {
-    const double w = weight(static_cast<std::size_t>(j));
     return std::max(1, static_cast<int>(std::floor(
-                           env.total_executors() * w /
+                           env.total_executors() * weight(j) /
                            std::max(total_weight, 1e-12))));
   };
 

@@ -41,10 +41,6 @@ NodeRef round_robin_stage(const ClusterEnv& env, int job, int& cursor);
 // free executor; -1 if none (or if the environment has one class).
 int best_fit_class(const ClusterEnv& env, double mem_req);
 
-// Jobs that have arrived, are unfinished, and have at least one runnable
-// stage right now.
-std::vector<int> jobs_with_runnable_stages(const ClusterEnv& env);
-
 // --- (1) FIFO ----------------------------------------------------------------
 
 class FifoScheduler : public sim::Scheduler {

@@ -6,11 +6,11 @@ namespace decima::sched {
 // prioritizes the job with the least total work, and within that job runs
 // tasks from the next stage on its critical path.
 Action SjfCpScheduler::schedule(const ClusterEnv& env) {
-  const auto candidates = jobs_with_runnable_stages(env);
   int best = -1;
   double best_work = sim::kInfTime;
-  for (int j : candidates) {
+  for (int j : env.active_jobs()) {
     const auto& job = env.jobs()[static_cast<std::size_t>(j)];
+    if (job.runnable_stages == 0) continue;
     const double w = job.shape->total_work;
     if (w < best_work) {
       best_work = w;

@@ -23,7 +23,11 @@ ClusterEnv::ClusterEnv(EnvConfig config)
   if (config_.classes.empty()) {
     throw std::invalid_argument("at least one executor class required");
   }
-  executors_.reserve(static_cast<std::size_t>(config_.num_executors));
+  const auto num_executors = static_cast<std::size_t>(config_.num_executors);
+  executors_.reserve(num_executors);
+  eligible_.reserve(num_executors);
+  free_bits_.assign((num_executors + 63) / 64, 0);
+  free_of_class_.assign(config_.classes.size(), 0);
   // Executors are spread round-robin across classes so each class holds an
   // (almost) equal share, matching the paper's 25%-per-class setup.
   for (int i = 0; i < config_.num_executors; ++i) {
@@ -31,6 +35,7 @@ ClusterEnv::ClusterEnv(EnvConfig config)
     e.id = i;
     e.cls = i % static_cast<int>(config_.classes.size());
     executors_.push_back(e);
+    set_free(e, true);
   }
   for (const ExecutorFault& f : config_.faults.failures) {
     if (f.executor < 0 || f.executor >= config_.num_executors) {
@@ -67,6 +72,7 @@ void ClusterEnv::add_job(JobSpec spec, Time arrival) {
     job.stages[v].waiting = spec.stages[v].num_tasks;
     job.stages[v].parents_pending =
         static_cast<int>(spec.stages[v].parents.size());
+    if (job.stages[v].runnable()) ++job.runnable_stages;
   }
   job.spec = std::move(spec);
   const int idx = static_cast<int>(jobs_.size());
@@ -105,6 +111,15 @@ void ClusterEnv::run(Scheduler& sched, Time until, std::size_t max_actions) {
     running_started_ = true;
     schedule_faults();
     sched.reset();
+    // One record per task, plus one re-run per outage: an outage kills at
+    // most one task.
+    std::size_t records = config_.faults.failures.size();
+    for (const JobState& j : jobs_) {
+      for (const StageSpec& st : j.spec.stages) {
+        records += static_cast<std::size_t>(st.num_tasks);
+      }
+    }
+    trace_.reserve(records);
   }
   actions_taken_ = 0;
   while (!queue_.empty() && actions_taken_ < max_actions) {
@@ -145,6 +160,9 @@ void ClusterEnv::run(Scheduler& sched, Time until, std::size_t max_actions) {
 void ClusterEnv::handle_arrival(const Event& e) {
   JobState& job = jobs_[static_cast<std::size_t>(e.job)];
   job.arrived = true;
+  // Jobs may be added out of arrival order; active_ stays in index order.
+  active_.insert(std::lower_bound(active_.begin(), active_.end(), e.job),
+                 e.job);
   record_job_count_change(now_, +1);
 }
 
@@ -171,6 +189,7 @@ bool ClusterEnv::handle_task_finish(const Event& e) {
     // Stage ran out of tasks: the executor frees up (§5.2 event (i)).
     ex.busy = false;
     ex.cur_stage = -1;
+    set_free(ex, true);
     --job.executors;
     needs_scheduling = true;
   }
@@ -179,10 +198,14 @@ bool ClusterEnv::handle_task_finish(const Event& e) {
     // Stage completion unlocks child stages (§5.2 event (ii)).
     ++job.stages_complete;
     for (int c : job.shape->children[static_cast<std::size_t>(e.stage)]) {
-      --job.stages[static_cast<std::size_t>(c)].parents_pending;
+      StageState& child = job.stages[static_cast<std::size_t>(c)];
+      --child.parents_pending;
+      if (child.runnable()) ++job.runnable_stages;
     }
     if (job.done()) {
       job.finish = now_;
+      active_.erase(std::find(active_.begin(), active_.end(), e.job));
+      ++jobs_done_;
       record_job_count_change(now_, -1);
     }
     needs_scheduling = true;
@@ -203,7 +226,7 @@ bool ClusterEnv::handle_executor_fail(const Event& e) {
     TaskRecord& rec = trace_[ex.cur_trace];
     job.executed_work -= std::max(0.0, rec.end - std::max(rec.start, now_));
     --st.running;
-    ++st.waiting;
+    if (++st.waiting == 1) ++job.runnable_stages;  // a drained stage refills
     --st.started;  // the re-run reuses this task index
     rec.killed = true;
     rec.start = std::min(rec.start, now_);
@@ -212,6 +235,8 @@ bool ClusterEnv::handle_executor_fail(const Event& e) {
     ex.cur_stage = -1;
     --job.executors;
     killed_task = true;
+  } else {
+    set_free(ex, false);
   }
   ex.failed = true;
   ++ex.fail_epoch;
@@ -225,52 +250,49 @@ bool ClusterEnv::handle_executor_recover(const Event& e) {
   ExecutorState& ex = executors_[static_cast<std::size_t>(e.executor)];
   if (!ex.failed) return false;
   ex.failed = false;
+  set_free(ex, true);
   return true;  // give the scheduler a shot at the fresh capacity
 }
 
 std::vector<NodeRef> ClusterEnv::runnable_nodes() const {
   std::vector<NodeRef> out;
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const JobState& job = jobs_[j];
-    if (!job.arrived || job.done()) continue;
+  for (int j : active_) {
+    const JobState& job = jobs_[static_cast<std::size_t>(j)];
+    if (job.runnable_stages == 0) continue;
     for (std::size_t v = 0; v < job.stages.size(); ++v) {
       if (job.stages[v].runnable()) {
-        out.push_back(NodeRef{static_cast<int>(j), static_cast<int>(v)});
+        out.push_back(NodeRef{j, static_cast<int>(v)});
       }
     }
   }
   return out;
 }
 
-int ClusterEnv::free_executor_count() const {
-  int n = 0;
-  for (const ExecutorState& e : executors_) {
-    if (!e.busy && !e.failed) ++n;
-  }
-  return n;
+void ClusterEnv::set_free(const ExecutorState& ex, bool free) {
+  std::uint64_t& word = free_bits_[static_cast<std::size_t>(ex.id) / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (ex.id % 64);
+  assert(((word & bit) != 0) != free);
+  const int delta = free ? 1 : -1;
+  word ^= bit;
+  free_count_ += delta;
+  free_of_class_[static_cast<std::size_t>(ex.cls)] += delta;
 }
 
-int ClusterEnv::free_executor_count_of_class(int cls) const {
-  int n = 0;
-  for (const ExecutorState& e : executors_) {
-    if (!e.busy && !e.failed && e.cls == cls) ++n;
+template <typename Fn>
+void ClusterEnv::for_each_free(Fn&& fn) const {
+  for (std::size_t w = 0; w < free_bits_.size(); ++w) {
+    for (std::uint64_t bits = free_bits_[w]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<int>(w * 64) + __builtin_ctzll(bits));
+    }
   }
-  return n;
 }
 
 int ClusterEnv::local_free_executors(int job) const {
   int n = 0;
-  for (const ExecutorState& e : executors_) {
-    if (!e.busy && !e.failed && e.bound_job == job) ++n;
-  }
+  for_each_free([&](int id) {
+    n += executors_[static_cast<std::size_t>(id)].bound_job == job ? 1 : 0;
+  });
   return n;
-}
-
-bool ClusterEnv::all_done() const {
-  for (const JobState& j : jobs_) {
-    if (!j.done()) return false;
-  }
-  return true;
 }
 
 double ClusterEnv::avg_jct() const {
@@ -318,7 +340,7 @@ void ClusterEnv::run_scheduling_event(Scheduler& sched) {
       break;
     }
     JobState& job = jobs_[static_cast<std::size_t>(node.job)];
-    if (node.stage < 0 ||
+    if (!job.arrived || node.stage < 0 ||
         static_cast<std::size_t>(node.stage) >= job.spec.stages.size() ||
         !job.stages[static_cast<std::size_t>(node.stage)].runnable()) {
       break;  // malformed or stale action: decline to loop forever
@@ -348,29 +370,33 @@ int ClusterEnv::dispatch(NodeRef node, int count, int exec_class) {
 
   // Eligible free executors: class matches the request (or any class whose
   // memory fits the stage when unconstrained). Prefer job-local executors
-  // (no moving delay), then best-fit by memory to limit fragmentation.
-  std::vector<int> eligible;
-  for (const ExecutorState& e : executors_) {
-    if (e.busy || e.failed) continue;
-    if (exec_class >= 0 && e.cls != exec_class) continue;
-    if (!config_.classes[static_cast<std::size_t>(e.cls)].fits(spec.mem_req)) {
-      continue;
+  // (no moving delay), then best-fit by memory to limit fragmentation, then
+  // the lowest id.
+  eligible_.clear();
+  for_each_free([&](int id) {
+    const ExecutorState& e = executors_[static_cast<std::size_t>(id)];
+    if ((exec_class < 0 || e.cls == exec_class) &&
+        config_.classes[static_cast<std::size_t>(e.cls)].fits(spec.mem_req)) {
+      eligible_.push_back(id);
     }
-    eligible.push_back(e.id);
-  }
-  std::stable_sort(eligible.begin(), eligible.end(), [&](int a, int b) {
+  });
+  // A total order, so std::sort (which, unlike std::stable_sort, never
+  // allocates) gives the one ordering.
+  std::sort(eligible_.begin(), eligible_.end(), [&](int a, int b) {
     const ExecutorState& ea = executors_[static_cast<std::size_t>(a)];
     const ExecutorState& eb = executors_[static_cast<std::size_t>(b)];
     const bool la = ea.bound_job == node.job;
     const bool lb = eb.bound_job == node.job;
     if (la != lb) return la;
-    return config_.classes[static_cast<std::size_t>(ea.cls)].mem <
-           config_.classes[static_cast<std::size_t>(eb.cls)].mem;
+    const double ma = config_.classes[static_cast<std::size_t>(ea.cls)].mem;
+    const double mb = config_.classes[static_cast<std::size_t>(eb.cls)].mem;
+    if (ma != mb) return ma < mb;
+    return a < b;
   });
 
-  const int assigned = std::min<int>(want, static_cast<int>(eligible.size()));
+  const int assigned = std::min<int>(want, static_cast<int>(eligible_.size()));
   for (int i = 0; i < assigned; ++i) {
-    start_task(eligible[static_cast<std::size_t>(i)], node);
+    start_task(eligible_[static_cast<std::size_t>(i)], node);
   }
   return assigned;
 }
@@ -390,6 +416,7 @@ void ClusterEnv::start_task(int executor_id, NodeRef node) {
     }
     ex.busy = true;
     ex.bound_job = node.job;
+    set_free(ex, false);
     ++job.executors;
   }
 
@@ -397,7 +424,7 @@ void ClusterEnv::start_task(int executor_id, NodeRef node) {
   const double duration =
       sample_task_duration(job, node.stage, first_wave, executor_id);
 
-  --st.waiting;
+  if (--st.waiting == 0) --job.runnable_stages;
   ++st.running;
   const int task_index = st.started++;
 

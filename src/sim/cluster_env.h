@@ -97,6 +97,8 @@ struct JobState {
   int executors = 0;          // executors currently running tasks of this job
   int parallelism_limit = 0;  // most recent limit set by a scheduling action
   int stages_complete = 0;
+  // Stages with runnable() true, kept by ClusterEnv's event handlers.
+  int runnable_stages = 0;
 
   bool done() const {
     return static_cast<std::size_t>(stages_complete) == spec.stages.size();
@@ -165,6 +167,8 @@ class ClusterEnv {
   // Runnable nodes: stages of arrived, unfinished jobs whose parents have all
   // completed and which still have waiting tasks (the action set A_t of §5.2).
   std::vector<NodeRef> runnable_nodes() const;
+  // Indices of the arrived, unfinished jobs, ascending.
+  const std::vector<int>& active_jobs() const { return active_; }
 
   // --- Embedding-cache identity (src/gnn/embedding_cache.h) ----------------
   // Unique id of this env instance (from a process-wide counter), so cached
@@ -172,11 +176,15 @@ class ClusterEnv {
   // to share an index.
   std::int64_t uid() const { return uid_; }
 
-  int free_executor_count() const;
-  int free_executor_count_of_class(int cls) const;
+  int free_executor_count() const { return free_count_; }
+  // 0 for a class the cluster does not have.
+  int free_executor_count_of_class(int cls) const {
+    const auto c = static_cast<std::size_t>(cls);
+    return cls >= 0 && c < free_of_class_.size() ? free_of_class_[c] : 0;
+  }
   // Free executors whose last job was `job` ("local" executors, feature (v)).
   int local_free_executors(int job) const;
-  bool all_done() const;
+  bool all_done() const { return jobs_done_ == jobs_.size(); }
 
   // --- Results --------------------------------------------------------------
   double avg_jct() const;
@@ -245,6 +253,12 @@ class ClusterEnv {
   // returns how many were assigned.
   int dispatch(NodeRef node, int count, int exec_class);
   void start_task(int executor_id, NodeRef node);
+  // Moves an executor into or out of the free set: its bit in free_bits_,
+  // free_count_ and its class's count.
+  void set_free(const ExecutorState& ex, bool free);
+  // Calls fn(id) on each free executor in ascending id order.
+  template <typename Fn>
+  void for_each_free(Fn&& fn) const;
   double sample_task_duration(const JobState& job, int stage, bool first_wave,
                               int executor_id);
   void record_job_count_change(Time t, int delta);
@@ -260,6 +274,15 @@ class ClusterEnv {
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
   std::vector<JobState> jobs_;
   std::vector<ExecutorState> executors_;
+  // The indexes every state query reads, kept by the event handlers. The
+  // free executors (neither busy nor failed): one bit per executor id.
+  std::vector<std::uint64_t> free_bits_;
+  int free_count_ = 0;
+  std::vector<int> free_of_class_;
+  std::vector<int> active_;  // arrived, unfinished jobs, ascending index
+  std::size_t jobs_done_ = 0;
+  // dispatch()'s eligible executors, reserved for every executor.
+  std::vector<int> eligible_;
   std::vector<TaskRecord> trace_;
   std::vector<Time> action_times_;
   std::vector<std::pair<Time, int>> job_count_changes_;  // (time, delta)

@@ -1,8 +1,9 @@
-// Exact heap-allocation counts of two per-decision paths on fixed states:
-// one SJF-CP schedule() and one extract_graphs() (ROADMAP item 3). Counts
-// depend on the seeded state and the standard library's container growth,
-// not on host speed, so any change to them, up or down, must update the pins
-// below with a line in CHANGES.md.
+// Exact heap-allocation counts on fixed states: one SJF-CP schedule(), one
+// extract_graphs(), and the scheduler's and the simulator's shares of one
+// SJF-CP episode (ROADMAP item 3). Counts depend on the seeded state and
+// the standard library's container growth, not on host speed, so any change
+// to them, up or down, must update the pins below with a line in
+// CHANGES.md.
 //
 // This binary replaces the global operator new to count; the library never
 // does.
@@ -21,6 +22,7 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<long> g_allocations{0};
+std::atomic<long> g_bytes{0};
 
 }  // namespace
 
@@ -29,6 +31,7 @@ namespace {
 void* counted_malloc(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(static_cast<long>(size), std::memory_order_relaxed);
   }
   return std::malloc(size == 0 ? 1 : size);
 }
@@ -68,6 +71,7 @@ namespace {
 template <typename Fn>
 long count_allocations(Fn&& fn) {
   g_allocations.store(0);
+  g_bytes.store(0);
   g_counting.store(true);
   fn();
   g_counting.store(false);
@@ -91,17 +95,16 @@ struct FixedState {
     c.seed = 5;
     return c;
   }
-  int active_jobs() const {
-    int n = 0;
-    for (const auto& j : env.jobs()) n += j.arrived && !j.done() ? 1 : 0;
-    return n;
-  }
 };
 
 TEST(AllocCounts, FixedStateIsTheExpectedOne) {
   const FixedState s;
-  EXPECT_EQ(s.active_jobs(), 126);
-  EXPECT_EQ(sched::jobs_with_runnable_stages(s.env).size(), 121u);
+  EXPECT_EQ(s.env.active_jobs().size(), 126u);
+  int runnable = 0;
+  for (int j : s.env.active_jobs()) {
+    runnable += s.env.jobs()[static_cast<std::size_t>(j)].runnable_stages > 0;
+  }
+  EXPECT_EQ(runnable, 121);
 }
 
 TEST(AllocCounts, OneSjfCpDecision) {
@@ -110,9 +113,8 @@ TEST(AllocCounts, OneSjfCpDecision) {
   sim::Action a;
   const long n = count_allocations([&] { a = sjf.schedule(s.env); });
   ASSERT_TRUE(a.valid());
-  // The candidate list's growth: 121 jobs with a runnable stage take 8
-  // doublings.
-  EXPECT_EQ(n, 8);
+  // SJF-CP walks the env's active-job list and builds nothing.
+  EXPECT_EQ(n, 0);
 }
 
 TEST(AllocCounts, OneExtractGraphsCall) {
@@ -123,8 +125,8 @@ TEST(AllocCounts, OneExtractGraphsCall) {
   });
   ASSERT_EQ(graphs.size(), 126u);
   // Per graph: its feature matrix and its runnable mask; plus the output
-  // vector's 8 growths.
-  EXPECT_EQ(n, 2 * 126 + 8);
+  // vector, reserved once.
+  EXPECT_EQ(n, 2 * 126 + 1);
 }
 
 // Whole-episode view: every schedule() call of one seeded SJF-CP episode.
@@ -154,7 +156,41 @@ TEST(AllocCounts, SjfCpEpisode) {
   env.run(sched);
   ASSERT_TRUE(env.all_done());
   EXPECT_EQ(sched.decisions, 31689);
-  EXPECT_EQ(sched.allocations, 66069);
+  EXPECT_EQ(sched.allocations, 0);
+}
+
+// Counts nothing while SJF-CP decides, so a count around env.run() holds
+// the simulator's own allocations.
+class PausingScheduler : public sim::Scheduler {
+ public:
+  sim::Action schedule(const sim::ClusterEnv& env) override {
+    g_counting.store(false);
+    const sim::Action a = inner_.schedule(env);
+    g_counting.store(true);
+    return a;
+  }
+  std::string name() const override { return "pausing SJF-CP"; }
+
+ private:
+  sched::SjfCpScheduler inner_;
+};
+
+// The simulator's share of the same episode: allocations and requested
+// bytes inside env.run() but outside schedule(). Dispatch allocates
+// nothing, and the trace is reserved for every task up front; what is left
+// is the doubling growth of the event queue, the active-job list and the
+// per-episode logs (action times, latencies, event intervals, job-count
+// changes).
+TEST(AllocCounts, SjfCpEpisodeSimulatorShare) {
+  sim::ClusterEnv env(FixedState::config());
+  Rng rng(17);
+  auto specs = workload::sample_tpch_batch(rng, 200);
+  workload::load(env, workload::continuous(std::move(specs), rng, 15.0));
+  PausingScheduler sched;
+  const long n = count_allocations([&] { env.run(sched); });
+  ASSERT_TRUE(env.all_done());
+  EXPECT_EQ(n, 65);
+  EXPECT_EQ(g_bytes.load(), 3766868);
 }
 
 }  // namespace

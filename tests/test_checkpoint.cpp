@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
+#include "io/binary.h"
 #include "io/checkpoint.h"
 #include "rl/reinforce.h"
 
@@ -476,6 +478,49 @@ TEST(TrainerCheckpoint, EverySingleByteCorruptionIsRejected) {
   core::DecimaAgent fresh_agent(ac);
   rl::ReinforceTrainer fresh(fresh_agent, train_config());
   EXPECT_TRUE(fresh.resume(bad));
+}
+
+// The CRC-32 one bit at a time, straight from its definition: the oracle of
+// the sliced io::Crc32.
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesBytewiseReference) {
+  io::Crc32 check;
+  check.update("123456789", 9);
+  EXPECT_EQ(check.value(), 0xCBF43926u);
+
+  constexpr std::size_t kMax = 1024;
+  std::vector<unsigned char> buf(kMax + 8);
+  Rng rng(29);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  }
+  // Every length at every alignment: each tail length after the
+  // eight-byte steps, from every start offset within a word.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= kMax; ++len) {
+      io::Crc32 crc;
+      crc.update(buf.data() + offset, len);
+      ASSERT_EQ(crc.value(), bytewise_crc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Split updates continue the one stream.
+  io::Crc32 whole;
+  whole.update(buf.data(), kMax);
+  for (std::size_t split = 0; split <= kMax; ++split) {
+    io::Crc32 parts;
+    parts.update(buf.data(), split);
+    parts.update(buf.data() + split, kMax - split);
+    ASSERT_EQ(parts.value(), whole.value()) << "split at " << split;
+  }
 }
 
 TEST(RngState, RoundTripReproducesDrawSequence) {

@@ -192,6 +192,65 @@ TEST(JobShape, MatchesOnDemandDerivationsOnTpch) {
 
 // --- Oracle heuristics: the same policies, re-deriving per decision ---------
 
+namespace oracle {
+
+// Full scans of the env's state, so the oracles read none of the indexes
+// the simulator keeps.
+std::vector<int> runnable_jobs(const sim::ClusterEnv& env) {
+  std::vector<int> out;
+  for (std::size_t j = 0; j < env.jobs().size(); ++j) {
+    const sim::JobState& job = env.jobs()[j];
+    if (!job.arrived || job.done()) continue;
+    for (const sim::StageState& st : job.stages) {
+      if (st.runnable()) {
+        out.push_back(static_cast<int>(j));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<sched::NodeRef> runnable_nodes(const sim::ClusterEnv& env) {
+  std::vector<sched::NodeRef> out;
+  for (int j : runnable_jobs(env)) {
+    const sim::JobState& job = env.jobs()[static_cast<std::size_t>(j)];
+    for (std::size_t v = 0; v < job.stages.size(); ++v) {
+      if (job.stages[v].runnable()) {
+        out.push_back(sched::NodeRef{j, static_cast<int>(v)});
+      }
+    }
+  }
+  return out;
+}
+
+// Free executors of class `cls`, or of every class when `cls` < 0.
+int free_executors(const sim::ClusterEnv& env, int cls = -1) {
+  int n = 0;
+  for (const sim::ExecutorState& e : env.executors()) {
+    if (!e.busy && !e.failed && (cls < 0 || e.cls == cls)) ++n;
+  }
+  return n;
+}
+
+int best_fit_class(const sim::ClusterEnv& env, double mem_req) {
+  const auto& classes = env.executor_classes();
+  if (classes.size() == 1) return -1;
+  int best = -1;
+  double best_mem = 2.0;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    if (!classes[c].fits(mem_req)) continue;
+    if (free_executors(env, static_cast<int>(c)) == 0) continue;
+    if (classes[c].mem < best_mem) {
+      best_mem = classes[c].mem;
+      best = static_cast<int>(c);
+    }
+  }
+  return best;
+}
+
+}  // namespace oracle
+
 sched::NodeRef oracle_critical_path_stage(const sim::ClusterEnv& env,
                                           int job) {
   const sim::JobState& j = env.jobs()[static_cast<std::size_t>(job)];
@@ -219,7 +278,7 @@ class OracleSjfCp : public sim::Scheduler {
   sim::Action schedule(const sim::ClusterEnv& env) override {
     int best = -1;
     double best_work = sim::kInfTime;
-    for (int j : sched::jobs_with_runnable_stages(env)) {
+    for (int j : oracle::runnable_jobs(env)) {
       const double w =
           oracle::total_work(env.jobs()[static_cast<std::size_t>(j)].spec);
       if (w < best_work) {
@@ -233,7 +292,7 @@ class OracleSjfCp : public sim::Scheduler {
     sim::Action a;
     a.node = node;
     a.limit = env.total_executors();
-    a.exec_class = sched::best_fit_class(env, stage_mem(env, node));
+    a.exec_class = oracle::best_fit_class(env, stage_mem(env, node));
     return a;
   }
   std::string name() const override { return "oracle SJF-CP"; }
@@ -258,7 +317,7 @@ class OracleWeightedFair : public sim::Scheduler {
       total_weight += weight(j);
     }
     if (!any_active || total_weight <= 0.0) return sim::Action::none();
-    const auto runnable = sched::jobs_with_runnable_stages(env);
+    const auto runnable = oracle::runnable_jobs(env);
     if (runnable.empty()) return sim::Action::none();
     auto target = [&](int j) {
       const double w = weight(static_cast<std::size_t>(j));
@@ -289,7 +348,7 @@ class OracleWeightedFair : public sim::Scheduler {
         }
       }
       limit = jobs[static_cast<std::size_t>(best)].executors +
-              env.free_executor_count();
+              oracle::free_executors(env);
     }
     const sched::NodeRef node = sched::round_robin_stage(
         env, best, cursors_[static_cast<std::size_t>(best)]);
@@ -297,7 +356,7 @@ class OracleWeightedFair : public sim::Scheduler {
     sim::Action a;
     a.node = node;
     a.limit = limit;
-    a.exec_class = sched::best_fit_class(env, stage_mem(env, node));
+    a.exec_class = oracle::best_fit_class(env, stage_mem(env, node));
     return a;
   }
   std::string name() const override { return "oracle weighted fair"; }
@@ -331,7 +390,7 @@ class OracleGraphene : public sim::Scheduler {
                              env.total_executors() * w /
                              std::max(total_weight, 1e-12))));
     };
-    const auto runnable = env.runnable_nodes();
+    const auto runnable = oracle::runnable_nodes(env);
     if (runnable.empty()) return sim::Action::none();
     auto group_ready = [&](int j) {
       const sim::JobSpec& spec = jobs[static_cast<std::size_t>(j)].spec;
@@ -376,18 +435,18 @@ class OracleGraphene : public sim::Scheduler {
       if (key > best_key) {
         best_key = key;
         best = node;
-        best_limit = cur < tgt ? tgt : cur + env.free_executor_count();
+        best_limit = cur < tgt ? tgt : cur + oracle::free_executors(env);
       }
     }
     if (!best.valid()) {
       best = runnable[0];
       best_limit = jobs[static_cast<std::size_t>(best.job)].executors +
-                   env.free_executor_count();
+                   oracle::free_executors(env);
     }
     sim::Action a;
     a.node = best;
     a.limit = best_limit;
-    a.exec_class = sched::best_fit_class(env, stage_mem(env, best));
+    a.exec_class = oracle::best_fit_class(env, stage_mem(env, best));
     return a;
   }
   std::string name() const override { return "oracle Graphene*"; }
