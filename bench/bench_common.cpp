@@ -1,7 +1,5 @@
 #include "bench_common.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -112,39 +110,6 @@ std::vector<double> eval_runs(sim::Scheduler& sched,
     out.push_back(metrics::evaluate_avg_jct(sched, env, w));
   }
   return out;
-}
-
-LatencyStats latency_from_samples(std::vector<double> samples_us) {
-  LatencyStats out;
-  if (samples_us.empty()) return out;
-  std::sort(samples_us.begin(), samples_us.end());
-  out.median_us = samples_us[samples_us.size() / 2];
-  out.p95_us = samples_us[std::min(samples_us.size() - 1,
-                                   samples_us.size() * 95 / 100)];
-  out.samples = samples_us.size();
-  return out;
-}
-
-LatencyStats time_reps(int reps, const std::function<void()>& fn) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  return latency_from_samples(std::move(samples));
-}
-
-sim::Action TimedScheduler::schedule(const sim::ClusterEnv& env) {
-  const auto t0 = std::chrono::steady_clock::now();
-  sim::Action a = inner_.schedule(env);
-  const auto t1 = std::chrono::steady_clock::now();
-  samples_us_.push_back(
-      std::chrono::duration<double, std::micro>(t1 - t0).count());
-  return a;
 }
 
 namespace {

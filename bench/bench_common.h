@@ -9,7 +9,6 @@
 // sharing a configuration skip training.
 #pragma once
 
-#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -57,9 +56,9 @@ rl::WorkloadSampler tpch_continuous_sampler(int num_jobs, double mean_iat);
 // Jobs whose DAG topology is a seeded random `num_nodes`-stage graph (job i
 // uses gnn::random_job_graph(seed + i, num_nodes, feat_dim)): 2 tasks per
 // stage, 1s mean duration, mem_req 0.25. The 50-node-DAG profiling workload
-// of BENCH_fig12 / BENCH_train. feat_dim must match the graphs being
-// profiled alongside — the RNG draws features before edges, so it shifts
-// the topology too.
+// of BENCH_train and of the work-count pins in tests/. feat_dim must match
+// the graphs being profiled alongside — the RNG draws features before
+// edges, so it shifts the topology too.
 std::vector<sim::JobSpec> random_dag_jobs(int num_jobs, int num_nodes,
                                           std::uint64_t seed,
                                           int feat_dim = 5);
@@ -72,30 +71,6 @@ std::vector<double> eval_runs(sim::Scheduler& sched,
                               std::uint64_t seed_base = 900000);
 
 // --- Machine-readable benchmark output --------------------------------------
-
-// Wall-clock latency of `fn` over `reps` repetitions (microseconds).
-struct LatencyStats {
-  double median_us = 0.0;
-  double p95_us = 0.0;
-  std::size_t samples = 0;
-};
-LatencyStats latency_from_samples(std::vector<double> samples_us);
-LatencyStats time_reps(int reps, const std::function<void()>& fn);
-
-// Scheduler decorator that records the wall-clock latency of every
-// schedule() call — measures per-event inference cost over a real episode.
-class TimedScheduler : public sim::Scheduler {
- public:
-  explicit TimedScheduler(sim::Scheduler& inner) : inner_(inner) {}
-  sim::Action schedule(const sim::ClusterEnv& env) override;
-  void reset() override { inner_.reset(); }
-  std::string name() const override { return inner_.name(); }
-  LatencyStats stats() const { return latency_from_samples(samples_us_); }
-
- private:
-  sim::Scheduler& inner_;
-  std::vector<double> samples_us_;
-};
 
 // Flat key/value metrics written as BENCH_<name>.json alongside the stdout
 // tables, so successive PRs accumulate a machine-comparable perf trajectory.

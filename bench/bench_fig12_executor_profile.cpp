@@ -12,111 +12,6 @@
 
 using namespace decima;
 
-namespace {
-
-// (c): per-event inference latency, one-node-at-a-time vs batched, at both
-// the GNN level (synthetic 50-node DAGs) and the full agent level (trained
-// policy on a loaded cluster). Seeds the BENCH_fig12.json perf trajectory.
-void inference_profile(core::DecimaAgent& trained,
-                       const sim::EnvConfig& env_config) {
-  constexpr int kNodes = 50;
-  constexpr int kGraphs = 5;
-  constexpr int kReps = 200;
-
-  Rng rng_b(7), rng_r(7);
-  gnn::GnnConfig cfg;
-  gnn::GnnConfig ref_cfg = cfg;
-  ref_cfg.batched = false;
-  const gnn::GraphEmbedding gnn_batched(cfg, rng_b);
-  const gnn::GraphEmbedding gnn_ref(ref_cfg, rng_r);
-
-  std::vector<gnn::JobGraph> graphs;
-  for (int g = 0; g < kGraphs; ++g) {
-    graphs.push_back(gnn::random_job_graph(100 + static_cast<std::uint64_t>(g),
-                                           kNodes, cfg.feat_dim));
-  }
-  const auto gnn_stats_ref = bench::time_reps(kReps, [&] {
-    nn::Tape tape(/*track_gradients=*/false);
-    gnn_ref.embed(tape, graphs);
-  });
-  const auto gnn_stats_bat = bench::time_reps(kReps, [&] {
-    nn::Tape tape(/*track_gradients=*/false);
-    gnn_batched.embed(tape, graphs);
-  });
-
-  // Agent level: the trained policy scoring a fully loaded cluster, with the
-  // same weights running through the reference GNN sweep.
-  core::AgentConfig ref_agent_cfg = trained.config();
-  ref_agent_cfg.batched_inference = false;
-  core::DecimaAgent agent_ref(ref_agent_cfg);
-  agent_ref.params().copy_values_from(trained.params());
-  auto agent_batched = trained.clone();
-  agent_batched->set_mode(core::Mode::kGreedy);
-  agent_ref.set_mode(core::Mode::kGreedy);
-
-  // Agent level over a real episode: batch arrivals of kGraphs jobs with
-  // exactly the DAG topologies profiled above (random_dag_jobs re-derives
-  // them from the same seeds), then time every schedule() call of a full
-  // greedy run. While a job is unfinished its whole kNodes-node DAG is
-  // embedded at every event, so this measures per-event inference on the
-  // same graphs as the GNN profile.
-  const std::vector<sim::JobSpec> jobs =
-      bench::random_dag_jobs(kGraphs, kNodes, 100, cfg.feat_dim);
-  auto timed_episode = [&](sim::Scheduler& agent) {
-    sim::ClusterEnv cluster(env_config);
-    workload::load(cluster, workload::batched(jobs));
-    bench::TimedScheduler timed(agent);
-    cluster.run(timed);
-    return timed.stats();
-  };
-  const auto agent_stats_ref = timed_episode(agent_ref);
-  const auto agent_stats_bat = timed_episode(*agent_batched);
-
-  const double gnn_speedup = gnn_stats_ref.median_us / gnn_stats_bat.median_us;
-  const double agent_speedup =
-      agent_stats_ref.median_us / agent_stats_bat.median_us;
-  const double nodes_per_sec =
-      1e6 * kNodes * kGraphs / gnn_stats_bat.median_us;
-
-  Table tc({"inference path", "median (us)", "p95 (us)", "speedup"});
-  tc.add_row({"GNN  per-node (50-node DAGs x5)",
-              fmt(gnn_stats_ref.median_us, 1), fmt(gnn_stats_ref.p95_us, 1),
-              "1.00"});
-  tc.add_row({"GNN  batched  (50-node DAGs x5)",
-              fmt(gnn_stats_bat.median_us, 1), fmt(gnn_stats_bat.p95_us, 1),
-              fmt(gnn_speedup, 2)});
-  tc.add_row({"agent per-node (trained, loaded)",
-              fmt(agent_stats_ref.median_us, 1),
-              fmt(agent_stats_ref.p95_us, 1), "1.00"});
-  tc.add_row({"agent batched  (trained, loaded)",
-              fmt(agent_stats_bat.median_us, 1),
-              fmt(agent_stats_bat.p95_us, 1), fmt(agent_speedup, 2)});
-  std::cout << "\n(c) per-event inference latency (batched GNN vs the\n"
-               "    one-node-at-a-time reference path)\n"
-            << tc.to_string();
-
-  bench::BenchJson json("fig12");
-  json.set("bench", "fig12_executor_profile");
-  json.set("gnn_dag_nodes", static_cast<double>(kNodes));
-  json.set("gnn_graphs", static_cast<double>(kGraphs));
-  json.set("reps", static_cast<double>(kReps));
-  json.set("gnn_per_node_median_us", gnn_stats_ref.median_us);
-  json.set("gnn_per_node_p95_us", gnn_stats_ref.p95_us);
-  json.set("gnn_batched_median_us", gnn_stats_bat.median_us);
-  json.set("gnn_batched_p95_us", gnn_stats_bat.p95_us);
-  json.set("gnn_speedup_median", gnn_speedup);
-  json.set("gnn_batched_nodes_per_sec", nodes_per_sec);
-  json.set("agent_per_node_median_us", agent_stats_ref.median_us);
-  json.set("agent_per_node_p95_us", agent_stats_ref.p95_us);
-  json.set("agent_batched_median_us", agent_stats_bat.median_us);
-  json.set("agent_batched_p95_us", agent_stats_bat.p95_us);
-  json.set("agent_speedup_median", agent_speedup);
-  const std::string path = json.write();
-  if (!path.empty()) std::cout << "\n[bench] wrote " << path << "\n";
-}
-
-}  // namespace
-
 int main() {
   bench::print_header(
       "Figure 12 (§7.3) / Appendix G",
@@ -248,7 +143,5 @@ int main() {
   std::cout << "\n(b) executor-class usage on smallest 20% of jobs (paper:\n"
                "    Decima uses ~1.39x more largest-class executors)\n"
             << tb.to_string();
-
-  inference_profile(*decima, env);
   return 0;
 }

@@ -2,10 +2,12 @@
 //
 // Supervised study: train the graph neural network to predict each node's
 // critical-path value on random DAGs, then test whether it identifies the
-// node with the maximum critical path on unseen DAGs. The two-level
-// non-linear aggregation (f and g, Eq. 1) can express the needed max
-// operation and approaches high accuracy; the single-level variant plateaus
-// (paper: near-perfect vs unstable/low).
+// node with the maximum critical path on unseen DAGs. The paper reports that
+// the two-level non-linear aggregation (f and g, Eq. 1), which can express
+// the needed max operation, approaches 100% accuracy while the single-level
+// variant stays unstable and low. This bench prints both accuracies as
+// measured and the paper's claim beside them; it does not assume the gap,
+// which a small budget on these DAGs need not show.
 #include "bench_common.h"
 
 #include "gnn/graph_embedding.h"
@@ -142,7 +144,7 @@ int main() {
       "Figure 19 (Appendix E)",
       "Supervised critical-path identification on unseen random DAGs:\n"
       "two-level non-linear aggregation (Eq. 1) vs a single-level\n"
-      "aggregation that cannot express the max operation.");
+      "aggregation.");
 
   const int iterations = std::max(60, bench::train_iters(150));
   std::vector<double> curve_two, curve_one;
@@ -156,9 +158,11 @@ int main() {
                fmt_pct(curve_one[k])});
   }
   std::cout << t.to_string();
-  std::cout << "\nfinal test accuracy: two-level " << fmt_pct(acc_two)
-            << ", single-level " << fmt_pct(acc_one)
-            << "\n(paper: two-level approaches ~100%; single-level never\n"
-               " reaches stable high accuracy)\n";
+  std::cout << "\nmeasured final test accuracy: two-level " << fmt_pct(acc_two)
+            << ", single-level " << fmt_pct(acc_one) << " (gap "
+            << fmt(100.0 * (acc_two - acc_one), 1) << " points after "
+            << iterations << " iterations)\n"
+            << "the paper's claim: two-level approaches ~100%; single-level\n"
+               "never reaches stable high accuracy\n";
   return 0;
 }

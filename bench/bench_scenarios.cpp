@@ -1,19 +1,11 @@
 // Robustness scenario suite (docs/robustness.md): one trained Decima policy
 // against the heuristic baselines across a stress matrix — clean, executor
 // failures, stragglers, heterogeneous executor speeds, flash crowd, diurnal
-// load with micro-bursts — plus a serving-plane overload phase that drives
-// the PolicyServer through its graceful-degradation ladder (bounded queue,
-// deadlines, SJF-CP fallback). Per-scenario average JCTs and the degradation
-// counters go to BENCH_scenarios.json; the clean-scenario policy-vs-worst-
-// heuristic ratio and the overload indicators are gated in CI
-// (scripts/check_bench.py). DECIMA_SCENARIO_SEED re-seeds the fault plans
-// and stress workloads without recompiling.
-#include <atomic>
-#include <memory>
-#include <thread>
-
+// load with micro-bursts. Per-scenario average JCTs go to
+// BENCH_scenarios.json; the clean-scenario policy-vs-worst-heuristic ratio
+// is gated in CI (scripts/check_bench.py). DECIMA_SCENARIO_SEED re-seeds the
+// fault plans and stress workloads without recompiling.
 #include "bench_common.h"
-#include "serve/policy_server.h"
 #include "sim/faults.h"
 #include "workload/arrivals.h"
 
@@ -27,29 +19,13 @@ struct Scenario {
   rl::WorkloadSampler sampler;
 };
 
-// The overload phase's session workload: two short chain jobs, as in the
-// serving stress tests — the point is queue pressure, not JCT quality.
-sim::JobSpec chain_job(const std::string& name, int tasks, double dur) {
-  sim::JobBuilder b(name);
-  const int root = b.stage(tasks, dur);
-  b.stage(tasks, dur, {root});
-  return b.build();
-}
-
-std::vector<workload::ArrivingJob> overload_session_jobs(std::uint64_t v) {
-  const int tasks = 1 + static_cast<int>(v % 3);
-  return workload::batched({chain_job("s", tasks, 1.0),
-                            chain_job("t", tasks + 1, 0.5)});
-}
-
 }  // namespace
 
 int main() {
   bench::print_header(
       "Robustness scenario suite (docs/robustness.md)",
       "Decima vs heuristics across fault scenarios (failures, stragglers,\n"
-      "heterogeneity, flash crowd, diurnal bursts) plus a PolicyServer\n"
-      "overload phase exercising graceful degradation\n"
+      "heterogeneity, flash crowd, diurnal bursts)\n"
       "(writes BENCH_scenarios.json; DECIMA_SCENARIO_SEED re-seeds).");
 
   const std::uint64_t seed = bench::scenario_seed();
@@ -186,81 +162,6 @@ int main() {
                fmt(vs_best, 2)});
   }
   std::cout << t.to_string();
-
-  // --- serving-plane overload phase ---------------------------------------
-  // Hundreds of short sessions against a tiny bounded queue and a tight
-  // deadline: the server must answer every request (fallback, rejection or
-  // timeout — never a hang or a loss), hold its queue bound, and actually
-  // degrade. Mirrors tests/test_serve_stress.cpp's overload test; here the
-  // counters are recorded as trajectory metrics.
-  std::cout
-      << "\n--- overload: 256 sessions, max_queue=4, deadline=200us ---\n";
-  serve::ServeConfig scfg;
-  scfg.max_queue = 4;
-  scfg.deadline = 2e-4;
-  auto server = std::make_unique<serve::PolicyServer>(
-      std::make_unique<const core::DecimaAgent>(bench::agent_with_seed(37)),
-      scfg);
-  sim::EnvConfig serve_env;
-  serve_env.num_executors = 3;
-
-  const int kThreads = 16;
-  const int kSessionsPerThread = 16;
-  std::uint64_t queries = 0, answered = 0, sessions_done = 0;
-  // Saturation is statistical: repeat waves until degradation shows up (the
-  // first wave nearly always saturates a 4-deep queue at 16 threads).
-  int waves = 0;
-  while (waves < 10) {
-    std::vector<std::thread> threads;
-    std::atomic<std::uint64_t> wave_queries{0}, wave_answered{0}, wave_done{0};
-    for (int th = 0; th < kThreads; ++th) {
-      threads.emplace_back([&, th] {
-        for (int s = 0; s < kSessionsPerThread; ++s) {
-          const auto r = serve::run_session(
-              *server, serve_env,
-              overload_session_jobs(static_cast<std::uint64_t>(th * 131 + s)));
-          wave_queries += r.decisions;
-          wave_answered += r.degradation.answered();
-          if (r.completed == 2) ++wave_done;
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    queries += wave_queries.load();
-    answered += wave_answered.load();
-    sessions_done += wave_done.load();
-    ++waves;
-    if (server->stats().fallbacks > 0) break;
-  }
-  const auto stats = server->stats();
-  server->stop();
-
-  const std::uint64_t sessions =
-      static_cast<std::uint64_t>(kThreads * kSessionsPerThread) *
-      static_cast<std::uint64_t>(waves);
-  std::cout << "sessions: " << sessions << " (completed " << sessions_done
-            << "), queries: " << queries << ", answered: " << answered << "\n"
-            << "degradation: " << stats.rejections << " rejected, "
-            << stats.timeouts << " timed out, " << stats.fallbacks
-            << " fallback answers; max queue depth " << stats.max_queue_depth
-            << "\n";
-
-  // Indicator metrics (1.0 = pass), gated at floor 1.0 by check_bench.py.
-  json.set("overload_all_answered", queries == answered ? 1.0 : 0.0);
-  json.set("overload_bounded_queue",
-           stats.max_queue_depth <= static_cast<std::uint64_t>(scfg.max_queue)
-               ? 1.0
-               : 0.0);
-  json.set("overload_fallback_nonzero", stats.fallbacks > 0 ? 1.0 : 0.0);
-  json.set("overload_sessions", static_cast<double>(sessions));
-  json.set("overload_sessions_completed", static_cast<double>(sessions_done));
-  json.set("overload_queries", static_cast<double>(queries));
-  json.set("overload_rejections", static_cast<double>(stats.rejections));
-  json.set("overload_timeouts", static_cast<double>(stats.timeouts));
-  json.set("overload_fallbacks", static_cast<double>(stats.fallbacks));
-  json.set("overload_max_queue_depth",
-           static_cast<double>(stats.max_queue_depth));
-
   const std::string path = json.write();
   if (!path.empty()) std::cout << "\n[bench] wrote " << path << "\n";
   return 0;

@@ -1,25 +1,23 @@
 // Serving throughput (docs/serving.md): decisions/sec of the PolicyServer
-// for 1-32 concurrent simulated cluster sessions, along two independent
-// axes. (1) cross-session batched dispatch vs the sequential reference
-// (ServeConfig::max_batch = 1, one request per inference), both with the
-// embedding cache off — isolating what batching buys: all pending
-// sessions' scheduling events embedded and scored as one levelized GNN +
-// policy-head evaluation instead of one per session. The reference wakes
-// every waiting session after each one-request batch (the shard's
-// done_cv.notify_all()), so at 16 and 32 sessions it pays that wake storm
-// once per request and the speedups there read higher than batching alone
-// would make them. (2) the per-session incremental embedding cache
-// (docs/incremental_embedding.md) on top of batched dispatch — isolating
-// what caching buys a long-lived session stream. Decisions are bit-identical
-// in every mode (tests/test_serve.cpp), so the ratios are pure throughput.
-// Each row runs its arms as kPairs alternated rounds and reports the median
-// of the per-round ratios, so one stalled pass cannot decide a ratio.
-// Writes BENCH_serve.json.
+// for 2-32 concurrent simulated cluster sessions, cross-session batched
+// dispatch vs the sequential reference (ServeConfig::max_batch = 1, one
+// request per inference), both with the embedding cache off — isolating
+// what batching buys: all pending sessions' scheduling events embedded and
+// scored as one levelized GNN + policy-head evaluation instead of one per
+// session. The reference wakes every waiting session after each one-request
+// batch (the shard's done_cv.notify_all()), so at 16 and 32 sessions it pays
+// that wake storm once per request and the speedups there read higher than
+// batching alone would make them. Decisions are bit-identical in both modes
+// (tests/test_serve.cpp), so the ratios are pure throughput. Each row runs
+// its arms as kPairs alternated rounds and reports the median of the
+// per-round ratios, so one stalled pass cannot decide a ratio. One session
+// has nothing to batch: it never waits for a batch
+// (PolicyServer.LoneSessionNeverWaitsForABatch), so its two arms make the
+// same call. Writes BENCH_serve.json.
 #include <chrono>
 #include <thread>
 
 #include "bench_common.h"
-#include "gnn/embedding_cache.h"
 #include "io/checkpoint.h"
 #include "serve/policy_server.h"
 #include "util/stats.h"
@@ -28,9 +26,9 @@ using namespace decima;
 
 namespace {
 
-// Rounds per row. Every round runs the sequential, batched and cached arms
-// back to back, in an order that flips each round, so drift and warm-up
-// reach every arm alike.
+// Rounds per row. Every round runs the sequential and batched arms back to
+// back, in an order that flips each round, so drift and warm-up reach both
+// arms alike.
 constexpr int kPairs = 5;
 
 struct RunResult {
@@ -40,9 +38,6 @@ struct RunResult {
   // End-to-end decide_with_status latency as the sessions saw it, merged
   // across session threads after the join (docs/observability.md).
   std::vector<double> latencies_us;
-  // Aggregate per-session embedding-cache accounting; 0 when the policy
-  // snapshot was exported with embed_cache off.
-  double cache_hit_rate = 0.0;
   double decisions_per_sec() const {
     return static_cast<double>(decisions) / std::max(wall_seconds, 1e-12);
   }
@@ -69,9 +64,6 @@ class TimedServedScheduler : public sim::Scheduler {
     return a;
   }
   std::string name() const override { return "Decima-served-timed"; }
-  const gnn::EmbeddingCacheStats& embed_cache_stats() const {
-    return sched_.embed_cache_stats();
-  }
 
  private:
   serve::ServedScheduler sched_;
@@ -98,8 +90,6 @@ RunResult run_sessions(const std::string& ckpt, bool batching, int wait_us,
   }
   std::vector<std::vector<double>> latencies(
       static_cast<std::size_t>(sessions));
-  std::vector<gnn::EmbeddingCacheStats> cache_stats(
-      static_cast<std::size_t>(sessions));
   for (auto& v : latencies) v.reserve(4096);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -111,7 +101,6 @@ RunResult run_sessions(const std::string& ckpt, bool batching, int wait_us,
       workload::load(cluster, session_workloads[ss]);
       TimedServedScheduler sched(*server, latencies[ss]);
       cluster.run(sched, sim::kInfTime);
-      cache_stats[ss] = sched.embed_cache_stats();
     });
   }
   for (auto& t : threads) t.join();
@@ -122,17 +111,10 @@ RunResult run_sessions(const std::string& ckpt, bool batching, int wait_us,
   const auto stats = server->stats();
   r.decisions = stats.decisions;
   r.mean_batch = stats.mean_batch_size;
-  std::uint64_t seen = 0, reused = 0;
-  for (int s = 0; s < sessions; ++s) {
-    const std::size_t ss = static_cast<std::size_t>(s);
-    r.latencies_us.insert(r.latencies_us.end(), latencies[ss].begin(),
-                          latencies[ss].end());
-    seen += cache_stats[ss].graphs_seen;
-    reused += cache_stats[ss].graphs_reused;
+  for (const auto& session : latencies) {
+    r.latencies_us.insert(r.latencies_us.end(), session.begin(),
+                          session.end());
   }
-  r.cache_hit_rate =
-      seen == 0 ? 0.0
-                : static_cast<double>(reused) / static_cast<double>(seen);
   return r;
 }
 
@@ -145,7 +127,7 @@ int main() {
       "batched dispatch vs sequential scoring of the same request queue\n"
       "(writes BENCH_serve.json).");
 
-  // The 50-node-DAG profiling family of BENCH_fig12/BENCH_train, sized per
+  // The random-DAG family of BENCH_train's 50-node-DAG workload, sized per
   // session so a full sweep stays in CI budget. Decisions are identical in
   // both modes; only wall-clock differs.
   const int dag_jobs = env_int("DECIMA_SERVE_JOBS", 3);
@@ -157,32 +139,22 @@ int main() {
   sim::EnvConfig env;
   env.num_executors = 10;
 
-  // Policy checkpoints: a freshly initialized agent (throughput does not
-  // care about training quality, and the weights round-trip bit-exactly
-  // anyway), once with the embedding cache off (the batching comparison's
-  // baseline policy) and once with it on.
+  // Policy checkpoint: a freshly initialized agent with the embedding cache
+  // off (throughput does not care about training quality, and the weights
+  // round-trip bit-exactly anyway).
   core::AgentConfig ac;
   ac.seed = 37;
   ac.embed_cache = false;
   core::DecimaAgent agent(ac);
   const std::string ckpt = "serve_bench_policy.ckpt";
-  core::AgentConfig cached_ac = ac;
-  cached_ac.embed_cache = true;
-  core::DecimaAgent cached_agent(cached_ac);
-  cached_agent.params().copy_values_from(agent.params());
-  const std::string cached_ckpt = "serve_bench_policy_cached.ckpt";
   if (!io::save_policy(agent, ckpt)) {
     std::cerr << "cannot write " << ckpt << "\n";
-    return 1;
-  }
-  if (!io::save_policy(cached_agent, cached_ckpt)) {
-    std::cerr << "cannot write " << cached_ckpt << "\n";
     return 1;
   }
   std::cout << "policy checkpoint: " << ckpt << " ("
             << agent.num_parameters() << " params)\n\n";
 
-  const std::vector<int> session_counts = {1, 2, 4, 8, 16, 32};
+  const std::vector<int> session_counts = {2, 4, 8, 16, 32};
   const int max_sessions = session_counts.back();
   std::vector<std::vector<workload::ArrivingJob>> session_workloads;
   for (int s = 0; s < max_sessions; ++s) {
@@ -202,84 +174,58 @@ int main() {
   run_sessions(ckpt, /*batching=*/true, wait_us, 2, env, session_workloads);
 
   Table t({"sessions", "sequential [dec/s]", "batched [dec/s]", "speedup",
-           "+embed cache [dec/s]", "cache speedup", "mean batch",
-           "p50/p95/p99 [us]", "cache hit"});
+           "mean batch", "p50/p95/p99 [us]"});
   double speedup_at_max = 0.0;
-  double cache_speedup_at_max = 0.0;
-  double cache_hit_rate_at_max = 0.0;
   for (int sessions : session_counts) {
-    auto run = [&](const std::string& policy, bool batching) {
-      return run_sessions(policy, batching, wait_us, sessions, env,
+    auto run = [&](bool batching) {
+      return run_sessions(ckpt, batching, wait_us, sessions, env,
                           session_workloads);
     };
-    std::vector<double> seq_dps, bat_dps, cached_dps, mean_batch;
-    std::vector<double> speedups, cache_speedups;
+    std::vector<double> seq_dps, bat_dps, mean_batch, speedups;
     RunResult bat;  // every batched round's latencies, pooled
-    RunResult cached;
     for (int round = 0; round < kPairs; ++round) {
-      RunResult s, b, c;
+      RunResult s, b;
       if (round % 2 == 0) {
-        s = run(ckpt, /*batching=*/false);
-        b = run(ckpt, /*batching=*/true);
-        c = run(cached_ckpt, /*batching=*/true);
+        s = run(/*batching=*/false);
+        b = run(/*batching=*/true);
       } else {
-        c = run(cached_ckpt, /*batching=*/true);
-        b = run(ckpt, /*batching=*/true);
-        s = run(ckpt, /*batching=*/false);
+        b = run(/*batching=*/true);
+        s = run(/*batching=*/false);
       }
       seq_dps.push_back(s.decisions_per_sec());
       bat_dps.push_back(b.decisions_per_sec());
-      cached_dps.push_back(c.decisions_per_sec());
       mean_batch.push_back(b.mean_batch);
       speedups.push_back(b.decisions_per_sec() /
                          std::max(s.decisions_per_sec(), 1e-12));
-      cache_speedups.push_back(c.decisions_per_sec() /
-                               std::max(b.decisions_per_sec(), 1e-12));
       bat.decisions = b.decisions;
       bat.latencies_us.insert(bat.latencies_us.end(), b.latencies_us.begin(),
                               b.latencies_us.end());
-      cached = std::move(c);
     }
     const double speedup = percentile(speedups, 50.0);
-    const double cache_speedup = percentile(cache_speedups, 50.0);
     const double batch = percentile(mean_batch, 50.0);
     speedup_at_max = speedup;
-    cache_speedup_at_max = cache_speedup;
-    cache_hit_rate_at_max = cached.cache_hit_rate;
     t.add_row({fmt_int(sessions), fmt(percentile(seq_dps, 50.0), 0),
                fmt(percentile(bat_dps, 50.0), 0), fmt(speedup, 2),
-               fmt(percentile(cached_dps, 50.0), 0), fmt(cache_speedup, 2),
                fmt(batch, 2),
                fmt(bat.latency_pct(50.0), 0) + "/" +
                    fmt(bat.latency_pct(95.0), 0) + "/" +
-                   fmt(bat.latency_pct(99.0), 0),
-               fmt(cached.cache_hit_rate, 2)});
+                   fmt(bat.latency_pct(99.0), 0)});
     std::cout << "sessions " << sessions << " per-round speedups:";
     for (double r : speedups) std::cout << " " << fmt(r, 3);
-    std::cout << " | cache speedups:";
-    for (double r : cache_speedups) std::cout << " " << fmt(r, 3);
     std::cout << "\n";
     const std::string key = "sessions" + std::to_string(sessions);
     json.set(key + "_sequential_dps", percentile(seq_dps, 50.0));
     json.set(key + "_batched_dps", percentile(bat_dps, 50.0));
     json.set(key + "_speedup", speedup);
-    json.set(key + "_cached_dps", percentile(cached_dps, 50.0));
-    json.set(key + "_cache_speedup", cache_speedup);
     json.set(key + "_mean_batch", batch);
     json.set(key + "_decisions", static_cast<double>(bat.decisions));
     json.set(key + "_latency_p50_us", bat.latency_pct(50.0));
     json.set(key + "_latency_p95_us", bat.latency_pct(95.0));
     json.set(key + "_latency_p99_us", bat.latency_pct(99.0));
-    json.set(key + "_cache_hit_rate", cached.cache_hit_rate);
   }
-  // The headline hit rate of the cached configuration at the deepest
-  // concurrency level — the number the ROADMAP cache refactor tracks.
-  json.set("cache_hit_rate", cache_hit_rate_at_max);
   std::cout << t.to_string();
   std::cout << "\nat " << max_sessions << " sessions: cross-session batching "
-            << fmt(speedup_at_max, 2) << "x, embedding cache a further "
-            << fmt(cache_speedup_at_max, 2) << "x on top (hit rate "
-            << fmt(cache_hit_rate_at_max, 2) << ")\n";
+            << fmt(speedup_at_max, 2) << "x\n";
 
   const std::string path = json.write();
   if (!path.empty()) std::cout << "\n[bench] wrote " << path << "\n";

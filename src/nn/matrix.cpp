@@ -213,8 +213,4 @@ double Matrix::squared_norm() const {
   return s;
 }
 
-std::string Matrix::shape_str() const {
-  return std::to_string(rows_) + "x" + std::to_string(cols_);
-}
-
 }  // namespace decima::nn

@@ -7,8 +7,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace decima::nn {
@@ -21,13 +19,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
       : rows_(rows), cols_(cols), data_(std::move(data)) {
     assert(data_.size() == rows_ * cols_);
-  }
-
-  static Matrix row_vector(std::initializer_list<double> values) {
-    return Matrix(1, values.size(), std::vector<double>(values));
-  }
-  static Matrix row_vector(const std::vector<double>& values) {
-    return Matrix(1, values.size(), values);
   }
 
   std::size_t rows() const { return rows_; }
@@ -83,8 +74,6 @@ class Matrix {
 
   double sum() const;
   double squared_norm() const;
-
-  std::string shape_str() const;
 
  private:
   std::size_t rows_ = 0;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "nn/matrix.h"

@@ -30,7 +30,12 @@ std::vector<int> GrapheneScheduler::troublesome_stages(
 
 Action GrapheneScheduler::schedule(const ClusterEnv& env) {
   const auto& jobs = env.jobs();
-  troublesome_.resize(jobs.size());
+  // The troublesome groups of jobs loaded since the last call.
+  troublesome_.reserve(jobs.size());
+  for (std::size_t j = troublesome_.size(); j < jobs.size(); ++j) {
+    troublesome_.push_back(
+        troublesome_stages(jobs[j].spec, *jobs[j].shape, config_));
+  }
 
   // Weighted fair targets, as in WeightedFairScheduler.
   auto weight = [&](int j) {
@@ -47,58 +52,56 @@ Action GrapheneScheduler::schedule(const ClusterEnv& env) {
                            std::max(total_weight, 1e-12))));
   };
 
-  const auto runnable = env.runnable_nodes();
-  if (runnable.empty()) return Action::none();
-
-  // Classify candidates: a troublesome node is eligible only when its job's
-  // entire troublesome group is currently runnable or already finished.
-  auto group_ready = [&](int j) {
-    const sim::JobState& job = jobs[static_cast<std::size_t>(j)];
-    auto& memo = troublesome_[static_cast<std::size_t>(j)];
-    if (!memo) {
-      const auto t = troublesome_stages(job.spec, *job.shape, config_);
-      memo.emplace(t.begin(), t.end());
-    }
-    for (int v : *memo) {
+  // A troublesome node is eligible only when its job's entire troublesome
+  // group is currently runnable or already finished.
+  auto group_ready = [&](const sim::JobState& job,
+                         const std::vector<int>& group) {
+    for (int v : group) {
       const auto& st = job.stages[static_cast<std::size_t>(v)];
       const bool finished_or_running = st.waiting == 0;
       if (!st.runnable() && !finished_or_running) return false;
     }
     return true;
   };
-  auto is_troublesome = [&](const NodeRef& n) {
-    auto& memo = troublesome_[static_cast<std::size_t>(n.job)];
-    return memo && memo->count(n.stage) > 0;
-  };
 
-  // Choose among candidates: prefer jobs under their fair-share target with
-  // the largest deficit; among a job's runnable stages prefer (a) eligible
-  // troublesome groups (schedule them together), then (b) critical-path order.
+  // Choose among the runnable stages, in job-then-stage order: prefer jobs
+  // under their fair-share target with the largest deficit; among a job's
+  // runnable stages prefer (a) eligible troublesome groups (schedule them
+  // together), then (b) critical-path order.
+  NodeRef first;  // the first runnable stage
   NodeRef best;
   double best_key = -1e18;
   int best_limit = 0;
-  for (const NodeRef node : runnable) {
-    const int j = node.job;
-    const bool ready = group_ready(j);
-    if (is_troublesome(node) && !ready) continue;  // suppressed
+  for (int j : env.active_jobs()) {
+    const sim::JobState& job = jobs[static_cast<std::size_t>(j)];
+    if (job.runnable_stages == 0) continue;
+    const std::vector<int>& group = troublesome_[static_cast<std::size_t>(j)];
+    const bool ready = group_ready(job, group);
     const int tgt = target(j);
-    const int cur = jobs[static_cast<std::size_t>(j)].executors;
+    const int cur = job.executors;
     const double deficit =
         static_cast<double>(tgt - cur) / static_cast<double>(std::max(tgt, 1));
-    const std::vector<double>& cp =
-        jobs[static_cast<std::size_t>(j)].shape->critical_path;
-    double key = deficit * 1e6 + cp[static_cast<std::size_t>(node.stage)];
-    if (is_troublesome(node) && ready) key += 1e9;  // group goes together
-    if (key > best_key) {
-      best_key = key;
-      best = node;
-      best_limit = cur < tgt ? tgt : cur + env.free_executor_count();
+    for (std::size_t v = 0; v < job.stages.size(); ++v) {
+      if (!job.stages[v].runnable()) continue;
+      const NodeRef node{j, static_cast<int>(v)};
+      if (!first.valid()) first = node;
+      const bool troublesome =
+          std::binary_search(group.begin(), group.end(), node.stage);
+      if (troublesome && !ready) continue;  // suppressed
+      double key = deficit * 1e6 + job.shape->critical_path[v];
+      if (troublesome) key += 1e9;  // group goes together
+      if (key > best_key) {
+        best_key = key;
+        best = node;
+        best_limit = cur < tgt ? tgt : cur + env.free_executor_count();
+      }
     }
   }
+  if (!first.valid()) return Action::none();
   if (!best.valid()) {
     // Everything runnable is a suppressed troublesome node; fall back to the
-    // critical-path choice so the cluster is not left idle.
-    best = runnable[0];
+    // first runnable stage so the cluster is not left idle.
+    best = first;
     best_limit = jobs[static_cast<std::size_t>(best.job)].executors +
                  env.free_executor_count();
   }

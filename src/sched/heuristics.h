@@ -12,8 +12,6 @@
 // environment protocol as Decima.
 #pragma once
 
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "sim/cluster_env.h"
@@ -103,16 +101,16 @@ class GrapheneScheduler : public sim::Scheduler {
   std::string name() const override { return "Graphene*"; }
   const GrapheneConfig& config() const { return config_; }
 
-  // Exposed for tests: the troublesome-stage group of a job spec, given
-  // its shape (for the total work).
+  // The troublesome-stage group of a job spec in ascending stage order,
+  // given its shape (for the total work).
   static std::vector<int> troublesome_stages(const sim::JobSpec& spec,
                                              const sim::JobShape& shape,
                                              const GrapheneConfig& config);
 
  private:
   GrapheneConfig config_;
-  // Lazily computed per job index.
-  std::vector<std::optional<std::set<int>>> troublesome_;
+  // troublesome_stages() per job index, derived once per loaded job.
+  std::vector<std::vector<int>> troublesome_;
 };
 
 }  // namespace decima::sched

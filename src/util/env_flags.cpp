@@ -13,18 +13,4 @@ int env_int(const char* name, int fallback) {
   return static_cast<int>(parsed);
 }
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v) return fallback;
-  return parsed;
-}
-
-std::string env_str(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::string(v) : fallback;
-}
-
 }  // namespace decima

@@ -5,18 +5,10 @@
 //   DECIMA_TRAIN_ITERS=2000 ./bench_fig09_spark_cluster
 #pragma once
 
-#include <string>
-
 namespace decima {
 
 // Returns the integer value of the environment variable `name`, or
 // `fallback` if unset or unparsable.
 int env_int(const char* name, int fallback);
-
-// Returns the double value of the environment variable `name`, or fallback.
-double env_double(const char* name, double fallback);
-
-// Returns the string value, or fallback.
-std::string env_str(const char* name, const std::string& fallback);
 
 }  // namespace decima

@@ -45,18 +45,6 @@ double mean_of(const std::vector<double>& samples) {
   return s / static_cast<double>(samples.size());
 }
 
-std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> samples) {
-  std::vector<std::pair<double, double>> out;
-  if (samples.empty()) return out;
-  std::sort(samples.begin(), samples.end());
-  out.reserve(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    out.emplace_back(samples[i],
-                     static_cast<double>(i + 1) / static_cast<double>(samples.size()));
-  }
-  return out;
-}
-
 std::string ascii_sparkline(const std::vector<double>& values, int width) {
   static const char* levels = " .:-=+*#%@";
   if (values.empty() || width <= 0) return "";

@@ -62,9 +62,6 @@ double percentile(std::vector<double> samples, double p);
 
 double mean_of(const std::vector<double>& samples);
 
-// Empirical CDF: returns (value, fraction <= value) pairs at each sample.
-std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> samples);
-
 // Render a crude ASCII CDF/series sparkline for console output.
 std::string ascii_sparkline(const std::vector<double>& values, int width = 60);
 

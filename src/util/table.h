@@ -26,8 +26,6 @@ class Table {
   // Writes CSV to a file; returns false on I/O error.
   bool write_csv(const std::string& path) const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -1,9 +1,10 @@
-// Exact heap-allocation counts on fixed states: one SJF-CP schedule(), one
-// extract_graphs(), and the scheduler's and the simulator's shares of one
-// SJF-CP episode (ROADMAP item 3). Counts depend on the seeded state and
-// the standard library's container growth, not on host speed, so any change
-// to them, up or down, must update the pins below with a line in
-// CHANGES.md.
+// Exact heap-allocation counts on fixed states: one schedule() of each
+// packing heuristic, one extract_graphs(), the scheduler's and the
+// simulator's shares of one SJF-CP episode (ROADMAP item 3), and the
+// learned paths per decision and per replayed action on the benches'
+// 50-node-DAG workload. Counts depend on the seeded state and the standard
+// library's container growth, not on host speed, so any change to them, up
+// or down, must update the pins below with a line in CHANGES.md.
 //
 // This binary replaces the global operator new to count; the library never
 // does.
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "bench_common.h"
 #include "gnn/features.h"
 #include "sched/heuristics.h"
 #include "workload/arrivals.h"
@@ -117,6 +119,22 @@ TEST(AllocCounts, OneSjfCpDecision) {
   EXPECT_EQ(n, 0);
 }
 
+// Tetris and Graphene* walk the env's active-job list too. Every executor is
+// busy on the fixed state, so Tetris finds no class to fill and answers
+// none; Graphene* picks a stage. Graphene*'s first call derives the
+// troublesome group of every loaded job; later decisions only read them.
+TEST(AllocCounts, PackingHeuristicDecisions) {
+  const FixedState s;
+  sched::TetrisScheduler tetris;
+  sim::Action a;
+  EXPECT_EQ(count_allocations([&] { a = tetris.schedule(s.env); }), 0);
+  EXPECT_FALSE(a.valid());
+  sched::GrapheneScheduler graphene;
+  EXPECT_EQ(count_allocations([&] { a = graphene.schedule(s.env); }), 150);
+  ASSERT_TRUE(a.valid());
+  EXPECT_EQ(count_allocations([&] { a = graphene.schedule(s.env); }), 0);
+}
+
 TEST(AllocCounts, OneExtractGraphsCall) {
   const FixedState s;
   std::vector<gnn::JobGraph> graphs;
@@ -129,34 +147,60 @@ TEST(AllocCounts, OneExtractGraphsCall) {
   EXPECT_EQ(n, 2 * 126 + 1);
 }
 
-// Whole-episode view: every schedule() call of one seeded SJF-CP episode.
+// Whole-episode view: every schedule() call `inner` makes in one episode.
 class CountingScheduler : public sim::Scheduler {
  public:
+  explicit CountingScheduler(sim::Scheduler& inner) : inner_(inner) {}
   sim::Action schedule(const sim::ClusterEnv& env) override {
     sim::Action a;
     allocations += count_allocations([&] { a = inner_.schedule(env); });
     ++decisions;
     return a;
   }
-  std::string name() const override { return "counting SJF-CP"; }
+  std::string name() const override { return "counting " + inner_.name(); }
   long allocations = 0;
   long decisions = 0;
 
  private:
-  sched::SjfCpScheduler inner_;
+  sim::Scheduler& inner_;
 };
 
-// The same 200 jobs in a Poisson stream (mean interarrival 15 s).
-TEST(AllocCounts, SjfCpEpisode) {
-  sim::ClusterEnv env(FixedState::config());
+// The fixed state's 200 jobs in a Poisson stream (mean interarrival 15 s).
+void load_poisson_episode(sim::ClusterEnv& env) {
   Rng rng(17);
   auto specs = workload::sample_tpch_batch(rng, 200);
   workload::load(env, workload::continuous(std::move(specs), rng, 15.0));
-  CountingScheduler sched;
+}
+
+TEST(AllocCounts, SjfCpEpisode) {
+  sim::ClusterEnv env(FixedState::config());
+  load_poisson_episode(env);
+  sched::SjfCpScheduler sjf;
+  CountingScheduler sched(sjf);
   env.run(sched);
   ASSERT_TRUE(env.all_done());
   EXPECT_EQ(sched.decisions, 31689);
   EXPECT_EQ(sched.allocations, 0);
+}
+
+// Tetris and Graphene* over the same episode: nothing after Graphene*'s
+// first call allocates.
+TEST(AllocCounts, PackingHeuristicEpisodes) {
+  sched::TetrisScheduler tetris;
+  sched::GrapheneScheduler graphene;
+  struct Arm {
+    sim::Scheduler* inner;
+    long allocations, decisions;
+  };
+  for (const Arm& arm : {Arm{&tetris, 0, 33142}, Arm{&graphene, 150, 26964}}) {
+    sim::ClusterEnv env(FixedState::config());
+    load_poisson_episode(env);
+    CountingScheduler sched(*arm.inner);
+    env.run(sched);
+    ASSERT_TRUE(env.all_done());
+    EXPECT_EQ(sched.decisions, arm.decisions) << arm.inner->name();
+    EXPECT_EQ(sched.allocations, arm.allocations) << arm.inner->name();
+  }
 }
 
 // Counts nothing while SJF-CP decides, so a count around env.run() holds
@@ -183,14 +227,81 @@ class PausingScheduler : public sim::Scheduler {
 // changes).
 TEST(AllocCounts, SjfCpEpisodeSimulatorShare) {
   sim::ClusterEnv env(FixedState::config());
-  Rng rng(17);
-  auto specs = workload::sample_tpch_batch(rng, 200);
-  workload::load(env, workload::continuous(std::move(specs), rng, 15.0));
+  load_poisson_episode(env);
   PausingScheduler sched;
   const long n = count_allocations([&] { env.run(sched); });
   ASSERT_TRUE(env.all_done());
   EXPECT_EQ(n, 65);
   EXPECT_EQ(g_bytes.load(), 3766868);
+}
+
+// The benches' 50-node-DAG workload: 5 seeded DAGs arriving at t = 0.
+std::vector<workload::ArrivingJob> dag_jobs() {
+  return workload::batched(bench::random_dag_jobs(5, 50, 100));
+}
+
+sim::EnvConfig executors(int n) {
+  sim::EnvConfig c;
+  c.num_executors = n;
+  return c;
+}
+
+// A greedy episode on 25 executors through each inference path: the
+// batched scoring core with and without the embedding cache, and the
+// per-action reference over the one-node-at-a-time GNN sweep.
+TEST(AllocCounts, GreedyEpisodePerInferencePath) {
+  struct Arm {
+    bool batched, cache;
+    long allocations;
+  };
+  for (const Arm& arm : {Arm{true, true, 300989}, Arm{true, false, 491591},
+                         Arm{false, false, 4591473}}) {
+    core::AgentConfig config;
+    config.batched_inference = arm.batched;
+    config.embed_cache = arm.cache;
+    core::DecimaAgent agent(config);
+    sim::ClusterEnv env(executors(25));
+    workload::load(env, dag_jobs());
+    CountingScheduler counting(agent);
+    env.run(counting);
+    ASSERT_TRUE(env.all_done());
+    EXPECT_EQ(counting.decisions, 347);
+    EXPECT_EQ(counting.allocations, arm.allocations)
+        << "batched " << arm.batched << " cache " << arm.cache;
+  }
+}
+
+// One sampled episode on 10 executors (bench_fig15's training workload),
+// replayed through each replay path: the replayed schedule() calls plus
+// finish_replay(), which scores the batched path's last chunk.
+TEST(AllocCounts, ReplayedEpisodePerReplayPath) {
+  struct Arm {
+    bool batched;
+    long allocations;
+  };
+  for (const Arm& arm : {Arm{true, 102858}, Arm{false, 632139}}) {
+    core::AgentConfig config;
+    config.seed = 37;
+    config.batched_replay = arm.batched;
+    core::DecimaAgent agent(config);
+    sim::ClusterEnv rollout(executors(10));
+    workload::load(rollout, dag_jobs());
+    agent.set_mode(core::Mode::kSample);
+    agent.start_recording();
+    rollout.run(agent);
+    std::vector<core::RecordedAction> actions = agent.take_recorded();
+    ASSERT_EQ(actions.size(), 359u);
+
+    sim::ClusterEnv replay(executors(10));
+    workload::load(replay, dag_jobs());
+    std::vector<double> advantages(actions.size(), 1.0);
+    agent.start_replay(std::move(actions), std::move(advantages), 0.01);
+    CountingScheduler counting(agent);
+    replay.run(counting);
+    const long tail = count_allocations([&] { agent.finish_replay(); });
+    EXPECT_EQ(counting.allocations + tail, arm.allocations)
+        << "batched " << arm.batched;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // recompute to floating-point noise across every ablation, and every
 // invalidation edge (job arrival, job completion, executor churn,
 // multi-resource columns, parameter changes, mid-run enable/disable) must
-// leave decisions identical to an uncached agent.
+// leave decisions identical to an uncached agent. Exact counts of the nodes
+// it re-embeds pin the work it saves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <set>
 
+#include "bench_common.h"
 #include "gnn/embedding_cache.h"
 #include "gnn/graph_embedding.h"
 #include "nn/adam.h"
@@ -195,6 +197,53 @@ TEST(EmbeddingCache, ParamVersionChangeInvalidates) {
   cache.ensure_param_version(params.version());
   EXPECT_EQ(cache.size(), 0u);  // cleared
   expect_cached_matches_full(gnn, graphs, cache);
+}
+
+// The rows the cache re-embeds on a stream of events: five seeded DAGs, and
+// between events `pct`% of each DAG's rows (at least one) get a fresh
+// column-0 value. After a full warm-up pass, each event recomputes the
+// changed rows plus their ancestors in message flow, and nothing else.
+TEST(EmbeddingCache, RecomputedNodesOnAMutationStreamArePinned) {
+  constexpr int kGraphs = 5;
+  constexpr std::uint64_t kEvents = 100;
+  struct Row {
+    int nodes, pct;
+    std::uint64_t recomputed;
+  };
+  const Row rows[] = {
+      {20, 2, 2933},   {20, 10, 3943},   {20, 50, 7129},   {20, 100, 8579},
+      {50, 2, 4930},   {50, 10, 10482},  {50, 50, 18040},  {50, 100, 21327},
+      {100, 2, 9532},  {100, 10, 20475}, {100, 50, 36290}, {100, 100, 42952}};
+  Rng rng(7);
+  const gnn::GraphEmbedding gnn(gnn::GnnConfig{}, rng);
+  for (const Row& row : rows) {
+    const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(row.nodes);
+    auto graphs = synthetic_graphs(seed, kGraphs, row.nodes);
+    gnn::EmbeddingCache cache;
+    {
+      nn::Tape warm(false);
+      gnn.embed_cached(warm, graphs, cache);
+    }
+    const gnn::EmbeddingCacheStats before = cache.stats();
+    Rng mutations(seed ^ 0xabcdefULL);
+    const int per_graph = std::max(1, row.nodes * row.pct / 100);
+    for (std::uint64_t e = 0; e < kEvents; ++e) {
+      for (auto& g : graphs) {
+        for (int k = 0; k < per_graph; ++k) {
+          const std::size_t v = static_cast<std::size_t>(
+              mutations.uniform_int(0, row.nodes - 1));
+          g.features(v, 0) = mutations.uniform(-1, 1);
+        }
+      }
+      nn::Tape tape(false);
+      gnn.embed_cached(tape, graphs, cache);
+    }
+    const gnn::EmbeddingCacheStats& after = cache.stats();
+    EXPECT_EQ(after.nodes_total - before.nodes_total,
+              kEvents * kGraphs * static_cast<std::uint64_t>(row.nodes));
+    EXPECT_EQ(after.nodes_recomputed - before.nodes_recomputed, row.recomputed)
+        << row.nodes << " nodes, " << row.pct << "% dirty";
+  }
 }
 
 // --- Agent-level equivalence over real simulated episodes -------------------
@@ -445,6 +494,22 @@ TEST(EmbeddingCacheAgent, ObservedIatChangeRefreshesCachedRows) {
   EXPECT_EQ(cache.stats().graphs_rebuilt, kJobs);
   // The hint moves the answer, so a row left stale would show.
   EXPECT_GT(answers.size(), 1u);
+}
+
+// A greedy episode of five seeded 50-node DAGs on 25 executors: here the
+// simulator decides what is dirty, and executor churn touches every job's
+// shared feature columns.
+TEST(EmbeddingCacheAgent, RecomputedNodesOnAGreedyEpisodeArePinned) {
+  core::DecimaAgent agent(core::AgentConfig{});
+  sim::ClusterEnv env(small_env(25));
+  workload::load(env,
+                 workload::batched(bench::random_dag_jobs(5, 50, 100)));
+  env.run(agent);
+  ASSERT_TRUE(env.all_done());
+  const gnn::EmbeddingCacheStats& stats = agent.embed_cache_stats();
+  EXPECT_EQ(stats.events, 326u);
+  EXPECT_EQ(stats.nodes_total, 72150u);
+  EXPECT_EQ(stats.nodes_recomputed, 65043u);
 }
 
 TEST(EmbeddingCacheAgent, TrainingWithCachedRolloutsIsUnchanged) {

@@ -167,6 +167,27 @@ TEST(GraphEmbedding, ParamCountIsSmall) {
   EXPECT_LT(params.num_parameters(), 30000u);
 }
 
+// embed()'s tape on five seeded 50-node DAGs (the profiling graphs of the
+// 50-node-DAG benches): the level-batched sweep records a fixed set of nodes
+// per message-passing level, the one-node-at-a-time reference a set per
+// node. The counts follow from the DAG structure alone.
+TEST(GraphEmbedding, BatchedSweepTapeNodesArePinned) {
+  std::vector<JobGraph> graphs;
+  for (std::uint64_t g = 0; g < 5; ++g) {
+    graphs.push_back(random_job_graph(100 + g, 50));
+  }
+  GnnConfig reference_config;
+  reference_config.batched = false;
+  Rng rng_b(7), rng_r(7);
+  const GraphEmbedding batched(GnnConfig{}, rng_b);
+  const GraphEmbedding reference(reference_config, rng_r);
+  nn::Tape tb(/*track_gradients=*/false), tr(/*track_gradients=*/false);
+  batched.embed(tb, graphs);
+  reference.embed(tr, graphs);
+  EXPECT_EQ(tb.num_nodes(), 452u);
+  EXPECT_EQ(tr.num_nodes(), 10466u);
+}
+
 // Property sweep: embeddings are finite for random DAG shapes.
 class RandomDagEmbed : public ::testing::TestWithParam<int> {};
 

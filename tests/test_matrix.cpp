@@ -20,13 +20,6 @@ TEST(Matrix, ConstructAndIndex) {
   EXPECT_DOUBLE_EQ(m(0, 1), -2.0);
 }
 
-TEST(Matrix, RowVector) {
-  const Matrix r = Matrix::row_vector({1.0, 2.0, 3.0});
-  EXPECT_EQ(r.rows(), 1u);
-  EXPECT_EQ(r.cols(), 3u);
-  EXPECT_DOUBLE_EQ(r(0, 2), 3.0);
-}
-
 TEST(Matrix, Matmul) {
   Matrix a(2, 3, {1, 2, 3, 4, 5, 6});
   Matrix b(3, 2, {7, 8, 9, 10, 11, 12});
@@ -249,7 +242,6 @@ TEST(Matrix, ShapeChecks) {
   Matrix c(3, 2);
   EXPECT_TRUE(a.same_shape(b));
   EXPECT_FALSE(a.same_shape(c));
-  EXPECT_EQ(a.shape_str(), "2x3");
 }
 
 }  // namespace

