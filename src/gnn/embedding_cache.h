@@ -6,10 +6,12 @@
 // last embedding per (env, job) — proj(x_v), e_v, f(e_v), f'([proj, e_v]),
 // the job summary y and f''(y) — and lets
 // GraphEmbedding::embed_episode_cached re-evaluate only nodes whose feature
-// rows changed, plus their ancestors in message flow. Clean rows are
-// gathered from the cache; job and global summaries are re-reduced by
-// segment-sum over the mixed cached/fresh rows in the same order as the full
-// batched pass, so the result is numerically identical to
+// rows changed, plus their ancestors in message flow. One call refreshes
+// every graph of every event (every session of a served batch) together:
+// each MLP runs once per message-passing level over the dirty rows of all of
+// them. Clean rows are gathered from the cache; job and global summaries are
+// re-reduced by segment-sum over the mixed cached/fresh rows in the same
+// order as the full batched pass, so the result is numerically identical to
 // GraphEmbedding::embed.
 //
 // Dirty tracking has two layers, and the cache owns both:
@@ -92,7 +94,11 @@ class EmbeddingCache {
     nn::Matrix fg;  // 1 x d f''(y)
 
     std::uint64_t last_used = 0;  // event clock, for garbage collection
+    std::uint64_t round = 0;      // the refresh round that last claimed it
   };
+
+  // The batched refresh's per-thread working set (embedding_cache.cpp).
+  struct Refresh;
 
   std::map<std::pair<std::int64_t, int>, Entry> entries_;  // (env_uid, job)
   std::uint64_t param_version_ = 0;

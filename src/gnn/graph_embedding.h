@@ -84,7 +84,10 @@ class GraphEmbedding {
   // serving path with one event per session): graphs of event t are those
   // with event_of_graph[g] == t and refresh caches[t] (one per-session
   // cache, nullptr = compute without caching) — re-embedding only dirty
-  // nodes and their ancestors in message flow (src/gnn/embedding_cache.h).
+  // nodes and their ancestors in message flow (src/gnn/embedding_cache.h),
+  // each MLP once per level across every event's dirty rows. Per-thread
+  // buffers make it safe to call on one const GraphEmbedding from several
+  // threads, each with caches of its own.
   // Produces the same stacked layout as embed_episode, as forward-only tape
   // constants, numerically identical to it (the cache evaluates the same
   // kernels in the same order on the dirty rows and re-reduces summaries
@@ -113,17 +116,11 @@ class GraphEmbedding {
       nn::Tape& tape, const JobGraph& graph,
       std::vector<nn::Var>& proj_out) const;
 
-  // Brings `cache`'s entry for `graph` up to date (embedding_cache.cpp):
-  // validates structure, diffs feature rows against the entry's copy, and
-  // re-embeds dirty subgraphs.
-  const EmbeddingCache::Entry& refresh_cache_entry(const JobGraph& graph,
-                                                   EmbeddingCache& cache) const;
-  // Recomputes `entry` for the nodes in `feat_dirty` (feature rows changed)
-  // and everything downstream of them in message flow.
-  void update_cache_entry(const JobGraph& graph,
-                          const std::vector<std::size_t>& feat_dirty,
-                          EmbeddingCache::Entry& entry,
-                          EmbeddingCacheStats& stats) const;
+  // Re-embeds the rows `r`'s diff found changed in every entry it holds,
+  // plus their ancestors in message flow, in one leaves-to-roots sweep: each
+  // MLP runs once per level over the dirty rows of all of those entries
+  // (embedding_cache.cpp).
+  void refresh_entries(EmbeddingCache::Refresh& r) const;
 
   GnnConfig config_;
   nn::Mlp proj_;    // feat_dim -> emb_dim feature lift

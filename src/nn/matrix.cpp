@@ -117,17 +117,26 @@ void Matrix::add_in_place(const Matrix& other) {
 
 void Matrix::axpy(double scale, const Matrix& other) {
   assert(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += scale * other.data_[i];
+  for (std::size_t i = 0; i < data_.size(); ++i) {
+    data_[i] += scale * other.data_[i];
+  }
 }
 
 Matrix Matrix::matmul(const Matrix& rhs) const {
-  assert(cols_ == rhs.rows_);
-  Matrix out(rows_, rhs.cols_);
+  Matrix out;
+  matmul_into(rhs, out);
+  return out;
+}
+
+void Matrix::matmul_into(const Matrix& rhs, Matrix& out) const {
+  assert(cols_ == rhs.rows_ && &out != this && &out != &rhs);
+  out.resize(rows_, rhs.cols_);
   const auto blocked = [&](auto n) {
     rows_times<decltype(n)::value, true, false>(data(), rows_, cols_,
                                                 rhs.data(), out.data());
   };
-  if (with_blocked_width(rhs.cols_, blocked)) return out;
+  if (with_blocked_width(rhs.cols_, blocked)) return;
+  out.zero();
   for (std::size_t i = 0; i < rows_; ++i) {
     const double* a = data_.data() + i * cols_;
     double* o = out.data() + i * rhs.cols_;
@@ -138,7 +147,6 @@ Matrix Matrix::matmul(const Matrix& rhs) const {
       for (std::size_t j = 0; j < rhs.cols_; ++j) o[j] += av * b[j];
     }
   }
-  return out;
 }
 
 void Matrix::matmul_transposed_acc(const Matrix& rhs, Matrix& dst) const {
@@ -188,17 +196,16 @@ void Matrix::transposed_matmul_acc(const Matrix& rhs, Matrix& dst) const {
   }
 }
 
-Matrix linear_forward(const Matrix& x, const Matrix& w, const Matrix& bias,
-                      bool leaky, double slope) {
+void linear_forward(const Matrix& x, const Matrix& w, const Matrix& bias,
+                    bool leaky, Matrix& out, double slope) {
   assert(bias.rows() == 1 && bias.cols() == w.cols());
-  Matrix out = x.matmul(w);
+  x.matmul_into(w, out);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += bias(0, c);
   }
   if (leaky) {
     for (double& v : out.raw()) v = v > 0.0 ? v : slope * v;
   }
-  return out;
 }
 
 double Matrix::sum() const {

@@ -42,6 +42,14 @@ class Matrix {
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
   void zero() { fill(0.0); }
+  // Reshapes to rows x cols in the same buffer, which only grows, so a
+  // matrix reused as an output allocates only when it outgrows every earlier
+  // shape. The values are unspecified afterwards.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
 
   bool same_shape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
@@ -63,6 +71,9 @@ class Matrix {
   // element sums its terms in k order from +0; zero entries of this matrix
   // contribute no term (so 0 * inf adds nothing).
   Matrix matmul(const Matrix& rhs) const;
+  // The same product written into `out`, resized to rows x n; `out` must be
+  // neither operand.
+  void matmul_into(const Matrix& rhs, Matrix& out) const;
   // dst += this * rhs^T. Each element's dot product is summed from +0 in k
   // order (every term, zeros included) before a single add into dst.
   void matmul_transposed_acc(const Matrix& rhs, Matrix& dst) const;
@@ -81,11 +92,12 @@ class Matrix {
   std::vector<double> data_;
 };
 
-// The forward of a dense layer: x * w, then bias (1 x w.cols()) added to every
-// row, then, when `leaky`, v > 0 ? v : slope * v. Tape::linear and
-// Mlp::forward both evaluate layers with it, so the tape and the incremental
-// embedding cache agree bit for bit.
-Matrix linear_forward(const Matrix& x, const Matrix& w, const Matrix& bias,
-                      bool leaky, double slope = 0.2);
+// The forward of a dense layer into `out` (resized to x.rows() x w.cols(),
+// never x itself): x * w, then bias (1 x w.cols()) added to every row, then,
+// when `leaky`, v > 0 ? v : slope * v. Tape::linear and Mlp::forward both
+// evaluate layers with it, so the tape and the incremental embedding cache
+// agree bit for bit.
+void linear_forward(const Matrix& x, const Matrix& w, const Matrix& bias,
+                    bool leaky, Matrix& out, double slope = 0.2);
 
 }  // namespace decima::nn

@@ -30,13 +30,15 @@ Var Mlp::apply(Tape& tape, Var x) const {
   return h;
 }
 
-Matrix Mlp::forward(const Matrix& x) const {
-  Matrix h = x;
+void Mlp::forward(const Matrix& x, Matrix& out, Scratch& scratch) const {
+  const Matrix* h = &x;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    h = linear_forward(h, weights_[l]->value, biases_[l]->value,
-                       /*leaky=*/l + 1 < weights_.size());
+    const bool last = l + 1 == weights_.size();
+    Matrix& dst = last ? out : scratch.hidden[l % 2];
+    linear_forward(*h, weights_[l]->value, biases_[l]->value,
+                   /*leaky=*/!last, dst);
+    h = &dst;
   }
-  return h;
 }
 
 void Mlp::init(Rng& rng) {

@@ -26,12 +26,20 @@ class Mlp {
   // Hidden activations are leaky ReLU; the output layer is linear.
   Var apply(Tape& tape, Var x) const;
 
-  // Tape-free numeric forward pass: each layer is nn::linear_forward, the
-  // function Tape::linear's forward calls, so the result matches apply()'s
-  // value bit for bit. Row r of the output depends only on
-  // row r of `x`. This is what the incremental embedding cache
-  // (src/gnn/embedding_cache.h) evaluates dirty rows with.
-  Matrix forward(const Matrix& x) const;
+  // The hidden-layer outputs of forward(), owned by its caller so that
+  // repeated passes reuse their buffers.
+  struct Scratch {
+    Matrix hidden[2];
+  };
+
+  // Tape-free numeric forward pass of `x` into `out` (resized to
+  // x.rows() x out_dim); `x` is read in place and must not be `out` or one
+  // of `scratch`'s buffers. Each layer is nn::linear_forward, the function
+  // Tape::linear's forward calls, so the result matches apply()'s value bit
+  // for bit, and row r of the output depends only on row r of `x`. This is
+  // what the incremental embedding cache (src/gnn/embedding_cache.h)
+  // evaluates dirty rows with.
+  void forward(const Matrix& x, Matrix& out, Scratch& scratch) const;
 
   // Initializes weights (He-style scaled uniform) from `rng`. Biases zero.
   void init(Rng& rng);

@@ -3,16 +3,17 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace decima::nn {
 
-int Tape::push(Matrix value, bool needs_grad,
-               std::function<void(Tape&, Node&)> fn) {
+template <typename Backward>
+int Tape::push(Matrix value, bool needs_grad, Backward&& fn) {
   needs_grad = needs_grad && track_gradients_;
   Node n;
   if (needs_grad) {
     n.grad = Matrix(value.rows(), value.cols());
-    n.backward_fn = std::move(fn);
+    n.backward_fn = std::forward<Backward>(fn);
   }
   n.value = std::move(value);
   n.needs_grad = needs_grad;
@@ -25,8 +26,13 @@ Var Tape::constant(Matrix value) {
 }
 
 Var Tape::param(Param& p) {
-  const int idx = push(p.value, track_gradients_, nullptr);
-  if (track_gradients_) nodes_[static_cast<std::size_t>(idx)].bound_param = &p;
+  if (!track_gradients_) {
+    const int idx = push(Matrix(), false, nullptr);
+    nodes_[static_cast<std::size_t>(idx)].borrowed = &p.value;
+    return Var{idx};
+  }
+  const int idx = push(p.value, true, nullptr);
+  nodes_[static_cast<std::size_t>(idx)].bound_param = &p;
   return Var{idx};
 }
 
@@ -90,7 +96,8 @@ Var Tape::scale(Var a, double c) {
 }
 
 Var Tape::linear(Var x, Var w, Var bias, bool leaky, double slope) {
-  Matrix out = linear_forward(value(x), value(w), value(bias), leaky, slope);
+  Matrix out;
+  linear_forward(value(x), value(w), value(bias), leaky, out, slope);
   const bool ng =
       node(x).needs_grad || node(w).needs_grad || node(bias).needs_grad;
   const int xi = x.idx, wi = w.idx, bi = bias.idx;

@@ -46,8 +46,10 @@ struct Var {
 class Tape {
  public:
   // track_gradients = false builds a forward-only graph (inference mode):
-  // parameters behave like constants, no gradient buffers or backward
-  // closures are allocated, and backward() must not be called.
+  // parameters behave like constants read in place (each Param must outlive
+  // the tape and keep its value while the tape is used), no gradient
+  // buffers or backward closures are built, and backward() must not be
+  // called.
   explicit Tape(bool track_gradients = true)
       : track_gradients_(track_gradients) {}
   Tape(const Tape&) = delete;
@@ -55,7 +57,8 @@ class Tape {
 
   // --- Leaves -------------------------------------------------------------
   Var constant(Matrix value);          // no gradient tracked
-  Var param(Param& p);                 // gradient accumulated into p.grad
+  // Gradient accumulated into p.grad; a forward-only tape borrows p.value.
+  Var param(Param& p);
 
   // --- Elementwise / linear ops -------------------------------------------
   Var matmul(Var a, Var b);
@@ -121,7 +124,10 @@ class Tape {
   Var entropy_segments(Var logits, std::vector<std::size_t> seg_start);
 
   // --- Access / backward ----------------------------------------------------
-  const Matrix& value(Var v) const { return nodes_[v.idx].value; }
+  const Matrix& value(Var v) const {
+    const Node& n = nodes_[v.idx];
+    return n.borrowed ? *n.borrowed : n.value;
+  }
   const Matrix& grad(Var v) const { return nodes_[v.idx].grad; }
   std::size_t num_nodes() const { return nodes_.size(); }
 
@@ -131,7 +137,9 @@ class Tape {
 
  private:
   struct Node {
-    Matrix value;
+    Matrix value;  // empty when borrowed
+    // A forward-only tape's param leaf reads the Param's value in place.
+    const Matrix* borrowed = nullptr;
     Matrix grad;
     Param* bound_param = nullptr;  // non-null for param leaves
     bool needs_grad = false;
@@ -139,7 +147,11 @@ class Tape {
     std::function<void(Tape&, Node&)> backward_fn;
   };
 
-  int push(Matrix value, bool needs_grad, std::function<void(Tape&, Node&)> fn);
+  // Appends a node. `fn` (a backward closure, or nullptr) becomes the
+  // node's std::function only when the node needs a gradient, so ops on a
+  // forward-only tape, or on constants, build no closure.
+  template <typename Backward>
+  int push(Matrix value, bool needs_grad, Backward&& fn);
   Node& node(Var v) { return nodes_[v.idx]; }
 
   bool track_gradients_ = true;

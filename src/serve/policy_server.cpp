@@ -316,9 +316,10 @@ void PolicyServer::bounded_batch_wait(Shard& sh) {
   if (config_.max_batch > 0) {
     target = std::min(target, static_cast<std::size_t>(config_.max_batch));
   }
-  // A lone session gains nothing from waiting; a queue already at target
-  // depth dispatches now.
-  if (target <= 1 || sh.queue.size() >= target) return;
+  // A queue already at target depth dispatches now. The dispatcher calls
+  // this only with a request queued, so this also returns for a lone
+  // session, which gains nothing from waiting.
+  if (sh.queue.size() >= target) return;
   const auto start = std::chrono::steady_clock::now();
   const auto deadline =
       start + std::chrono::microseconds(config_.batch_wait_us);

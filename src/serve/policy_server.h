@@ -315,7 +315,8 @@ class PolicyServer {
   // batch_wait_us while the queue is shallower than the shard's
   // open-session count (capped by max_batch), so low-load batches grow;
   // returns immediately when the queue is already deep, the shard is
-  // stopping, or a lone session could never be joined by another.
+  // stopping, or a lone session could never be joined by another. Called
+  // only with a request queued.
   void bounded_batch_wait(Shard& sh) REQUIRES(sh.mu);
   void close_session(const Session& session);
   // Builds the degraded (rejected/timed-out) answer from SJF-CP.

@@ -1,10 +1,11 @@
 // Exact heap-allocation counts on fixed states: one schedule() of each
 // packing heuristic, one extract_graphs(), the scheduler's and the
-// simulator's shares of one SJF-CP episode (ROADMAP item 3), and the
-// learned paths per decision and per replayed action on the benches'
-// 50-node-DAG workload. Counts depend on the seeded state and the standard
-// library's container growth, not on host speed, so any change to them, up
-// or down, must update the pins below with a line in CHANGES.md.
+// simulator's shares of one SJF-CP episode (ROADMAP item 3), the learned
+// paths per decision and per replayed action on the benches' 50-node-DAG
+// workload, and a served TPC-H episode. Counts depend on the seeded state
+// and the standard library's container growth, not on host speed, so any
+// change to them, up or down, must update the pins below with a line in
+// CHANGES.md.
 //
 // This binary replaces the global operator new to count; the library never
 // does.
@@ -17,12 +18,14 @@
 #include "bench_common.h"
 #include "gnn/features.h"
 #include "sched/heuristics.h"
+#include "serve/policy_server.h"
 #include "workload/arrivals.h"
 #include "workload/tpch.h"
 
 namespace {
 
-std::atomic<bool> g_counting{false};
+std::atomic<bool> g_counting{false};  // count on every thread
+thread_local bool t_counting = false;  // count on this thread
 std::atomic<long> g_allocations{0};
 std::atomic<long> g_bytes{0};
 
@@ -31,7 +34,7 @@ std::atomic<long> g_bytes{0};
 namespace {
 
 void* counted_malloc(std::size_t size) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
+  if (t_counting || g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     g_bytes.fetch_add(static_cast<long>(size), std::memory_order_relaxed);
   }
@@ -69,13 +72,19 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace decima {
 namespace {
 
-// Allocations made by `fn()` on this thread's watch.
+// Allocations made while `fn()` runs on this thread: by any thread, or by
+// this thread alone.
 template <typename Fn>
-long count_allocations(Fn&& fn) {
+long count_allocations(Fn&& fn, bool this_thread_only = false) {
   g_allocations.store(0);
   g_bytes.store(0);
-  g_counting.store(true);
+  if (this_thread_only) {
+    t_counting = true;
+  } else {
+    g_counting.store(true);
+  }
   fn();
+  t_counting = false;
   g_counting.store(false);
   return g_allocations.load();
 }
@@ -147,13 +156,17 @@ TEST(AllocCounts, OneExtractGraphsCall) {
   EXPECT_EQ(n, 2 * 126 + 1);
 }
 
-// Whole-episode view: every schedule() call `inner` makes in one episode.
+// Whole-episode view: every schedule() call `inner` makes in one episode,
+// counted as count_allocations counts.
 class CountingScheduler : public sim::Scheduler {
  public:
-  explicit CountingScheduler(sim::Scheduler& inner) : inner_(inner) {}
+  explicit CountingScheduler(sim::Scheduler& inner,
+                             bool this_thread_only = false)
+      : inner_(inner), this_thread_only_(this_thread_only) {}
   sim::Action schedule(const sim::ClusterEnv& env) override {
     sim::Action a;
-    allocations += count_allocations([&] { a = inner_.schedule(env); });
+    allocations += count_allocations([&] { a = inner_.schedule(env); },
+                                     this_thread_only_);
     ++decisions;
     return a;
   }
@@ -163,6 +176,7 @@ class CountingScheduler : public sim::Scheduler {
 
  private:
   sim::Scheduler& inner_;
+  bool this_thread_only_;
 };
 
 // The fixed state's 200 jobs in a Poisson stream (mean interarrival 15 s).
@@ -254,8 +268,8 @@ TEST(AllocCounts, GreedyEpisodePerInferencePath) {
     bool batched, cache;
     long allocations;
   };
-  for (const Arm& arm : {Arm{true, true, 300989}, Arm{true, false, 491591},
-                         Arm{false, false, 4591473}}) {
+  for (const Arm& arm : {Arm{true, true, 34034}, Arm{true, false, 342761},
+                         Arm{false, false, 1668273}}) {
     core::AgentConfig config;
     config.batched_inference = arm.batched;
     config.embed_cache = arm.cache;
@@ -279,7 +293,7 @@ TEST(AllocCounts, ReplayedEpisodePerReplayPath) {
     bool batched;
     long allocations;
   };
-  for (const Arm& arm : {Arm{true, 102858}, Arm{false, 632139}}) {
+  for (const Arm& arm : {Arm{true, 102858}, Arm{false, 630961}}) {
     core::AgentConfig config;
     config.seed = 37;
     config.batched_replay = arm.batched;
@@ -301,6 +315,49 @@ TEST(AllocCounts, ReplayedEpisodePerReplayPath) {
     const long tail = count_allocations([&] { agent.finish_replay(); });
     EXPECT_EQ(counting.allocations + tail, arm.allocations)
         << "batched " << arm.batched;
+  }
+}
+
+// A one-session served episode of 20 seeded TPC-H jobs on the benchmark's
+// serving cluster (50 executors, Poisson arrivals 30 s apart on average).
+// Each decision of the session's ServedScheduler is counted on every
+// thread, which is the whole served decision, and on the session thread
+// alone, which is what it costs outside decide_batch: the shard's
+// dispatcher runs that.
+TEST(AllocCounts, ServedEpisodePerThread) {
+  const auto policy = [] {
+    core::AgentConfig config;
+    config.seed = 42;
+    return std::make_unique<core::DecimaAgent>(config);
+  };
+  const auto jobs = [](int count) {
+    Rng rng(23);
+    auto specs = workload::sample_tpch_batch(rng, count);
+    return workload::continuous(std::move(specs), rng, 30.0);
+  };
+  // The serving and cache metrics register on first use, from whichever
+  // thread gets there first; a short served episode settles that before
+  // anything is counted.
+  {
+    serve::PolicyServer warm(policy());
+    serve::run_session(warm, executors(50), jobs(2));
+  }
+  struct Arm {
+    bool session_thread_only;
+    long allocations;
+  };
+  for (const Arm& arm : {Arm{false, 138733}, Arm{true, 30}}) {
+    serve::PolicyServer server(policy());
+    sim::ClusterEnv env(executors(50));
+    workload::load(env, jobs(20));
+    serve::ServedScheduler served(server);
+    CountingScheduler counting(served, arm.session_thread_only);
+    env.run(counting);
+    ASSERT_TRUE(env.all_done());
+    EXPECT_EQ(served.degradation().ok, served.decisions());
+    EXPECT_EQ(counting.decisions, 1978);
+    EXPECT_EQ(counting.allocations, arm.allocations)
+        << "session thread only " << arm.session_thread_only;
   }
 }
 

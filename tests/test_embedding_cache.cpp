@@ -143,6 +143,10 @@ TEST(EmbeddingCache, StructureCheckIsExactAcrossShapeObjects) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// One embed_episode_cached call refreshes every event's graphs together, one
+// MLP pass per level across all of them. Each batch below must give
+// embed_episode's rows bit for bit, and count in each cache what refreshing
+// its events one at a time would count.
 TEST(EmbeddingCache, EpisodeCachedMatchesEmbedEpisodePerSession) {
   Rng rng(5);
   gnn::GraphEmbedding gnn(gnn::GnnConfig{}, rng);
@@ -150,32 +154,80 @@ TEST(EmbeddingCache, EpisodeCachedMatchesEmbedEpisodePerSession) {
   auto s1 = synthetic_graphs(50, 3, 12);
   gnn::EmbeddingCache c0, c1;
 
-  for (int round = 0; round < 3; ++round) {
+  // Event t embeds *events[t] through caches[t].
+  const auto check = [&](const std::vector<std::vector<gnn::JobGraph>*>& events,
+                         const std::vector<gnn::EmbeddingCache*>& caches) {
     std::vector<const gnn::JobGraph*> graphs;
     std::vector<std::size_t> event_of_graph;
-    for (const auto& g : s0) {
-      graphs.push_back(&g);
-      event_of_graph.push_back(0);
+    for (std::size_t t = 0; t < events.size(); ++t) {
+      for (const auto& g : *events[t]) {
+        graphs.push_back(&g);
+        event_of_graph.push_back(t);
+      }
     }
-    for (const auto& g : s1) {
-      graphs.push_back(&g);
-      event_of_graph.push_back(1);
-    }
-
     nn::Tape tc(false), tf(false);
-    const auto ec = gnn.embed_episode_cached(tc, graphs, event_of_graph, 2,
-                                             {&c0, &c1});
-    const auto ef = gnn.embed_episode(tf, graphs, event_of_graph, 2);
-    expect_matrix_near(tc.value(ec.node_all), tf.value(ef.node_all));
-    expect_matrix_near(tc.value(ec.feat_all), tf.value(ef.feat_all));
-    expect_matrix_near(tc.value(ec.job_mat), tf.value(ef.job_mat));
-    expect_matrix_near(tc.value(ec.global_mat), tf.value(ef.global_mat));
+    const auto ec = gnn.embed_episode_cached(tc, graphs, event_of_graph,
+                                             events.size(), caches);
+    const auto ef = gnn.embed_episode(tf, graphs, event_of_graph,
+                                      events.size());
     EXPECT_EQ(ec.node_offset, ef.node_offset);
+    EXPECT_EQ(tc.value(ec.feat_all).raw(), tf.value(ef.feat_all).raw());
+    EXPECT_EQ(tc.value(ec.node_all).raw(), tf.value(ef.node_all).raw());
+    EXPECT_EQ(tc.value(ec.job_mat).raw(), tf.value(ef.job_mat).raw());
+    EXPECT_EQ(tc.value(ec.global_mat).raw(), tf.value(ef.global_mat).raw());
+  };
 
+  nn::Matrix s1_embedded;  // graph 1 of session 1 as last embedded
+  for (int round = 0; round < 3; ++round) {
+    check({&s0, &s1}, {&c0, &c1});
+    s1_embedded = s1[1].features;
     s0[0].features(3, 2) += 0.5;   // session 0 gets a dirty node
     s1[1].features(0, 0) -= 0.25;  // so does session 1
   }
   EXPECT_LT(c0.stats().nodes_recomputed, c0.stats().nodes_total);
+
+  // One batch, three outcomes over DAGs of different depths: session 0
+  // diff-refreshes one graph and reuses the other, session 1 reuses its
+  // three and builds a new, deeper graph.
+  s1.push_back(gnn::random_job_graph(70, 60));
+  s1.back().env_job = 3;
+  ASSERT_NE(s1.back().shape->levels.size(), s1[0].shape->levels.size());
+  ASSERT_NE(s0[0].shape->levels.size(), s1[0].shape->levels.size());
+  s1[1].features = s1_embedded;
+  {
+    const gnn::EmbeddingCacheStats b0 = c0.stats(), b1 = c1.stats();
+    check({&s0, &s1}, {&c0, &c1});
+    EXPECT_EQ(c0.stats().diff_refreshes - b0.diff_refreshes, 1u);
+    EXPECT_EQ(c0.stats().graphs_reused - b0.graphs_reused, 1u);
+    EXPECT_EQ(c1.stats().graphs_rebuilt - b1.graphs_rebuilt, 1u);
+    EXPECT_EQ(c1.stats().graphs_reused - b1.graphs_reused, 3u);
+  }
+
+  // One cache and one set of graphs passed for two events: both events key
+  // the same entries. The second event diffs against what the first left,
+  // so it finds them clean.
+  s0[1].features(7, 1) -= 0.5;
+  {
+    const gnn::EmbeddingCacheStats b = c0.stats();
+    check({&s0, &s0}, {&c0, &c0});
+    const gnn::EmbeddingCacheStats& a = c0.stats();
+    EXPECT_EQ(a.events - b.events, 2u);
+    EXPECT_EQ(a.graphs_seen - b.graphs_seen, 4u);
+    EXPECT_EQ(a.diff_refreshes - b.diff_refreshes, 1u);
+    EXPECT_EQ(a.graphs_reused - b.graphs_reused, 3u);
+    EXPECT_EQ(a.graphs_rebuilt, b.graphs_rebuilt);
+  }
+
+  // Two cacheless events share the call's scratch cache, and their
+  // synthetic graphs share keys (env_uid -1, env_job 0 and 1): the second
+  // event's graph 0 is the first's with one row changed (a diff refresh of
+  // the first's entry), its graph 1 has a structure of its own (a rebuild).
+  auto e0 = synthetic_graphs(300, 2, 20);
+  auto e1 = e0;
+  e1[0].features(4, 3) += 1.0;
+  e1[1] = gnn::random_job_graph(301, 25);
+  e1[1].env_job = 1;
+  check({&e0, &e1}, {nullptr, nullptr});
 }
 
 TEST(EmbeddingCache, ParamVersionChangeInvalidates) {
