@@ -1,7 +1,7 @@
 // Figure 18 (Appendix D): simulator fidelity.
 //
 // The paper compares simulated vs real Spark job durations (mean error <=5%
-// isolated, <=9% shared). We have no physical cluster, so per DESIGN.md the
+// isolated, <=9% shared). We have no physical cluster, so the
 // "real" system is the high-fidelity stochastic simulator (duration noise,
 // wave effect, moving delay ON — averaged over repetitions) and the
 // "simulator" is the deterministic expectation-mode engine the trainer uses.
@@ -48,7 +48,7 @@ int main() {
       "Figure 18 (Appendix D)",
       "Simulator fidelity: deterministic training simulator vs the\n"
       "high-fidelity stochastic engine standing in for 'real Spark'\n"
-      "(substitution documented in DESIGN.md). Paper: mean error <=5%\n"
+      "(no physical cluster here). Paper: mean error <=5%\n"
       "isolated, <=9% shared.");
 
   const int reps = std::max(5, bench::bench_runs(10));

@@ -61,7 +61,7 @@ int main() {
       "weighted fair. Paper: Decima matches the exhaustive search (and\n"
       "beats it slightly by adapting stage order at runtime).");
 
-  const int num_jobs = env_int("DECIMA_FIG22_JOBS", 6);  // 6! = 720 orderings
+  constexpr int num_jobs = 6;  // 6! = 720 orderings
   const sim::EnvConfig env = simplified_env(10);
   const auto sampler = bench::tpch_batch_sampler(num_jobs);
 
@@ -115,7 +115,7 @@ int main() {
                  return f;
                }()
             << " orderings per experiment, " << experiments
-            << " experiments; set DECIMA_FIG22_JOBS to scale)\n"
+            << " experiments)\n"
             << "paper shape: search < SJF-CP < weighted fair in the\n"
                "simplified setting; Decima within ~±10% of the search.\n";
   return 0;

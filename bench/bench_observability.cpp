@@ -67,10 +67,10 @@ int main() {
       "artifacts (writes BENCH_observability.json, obs_trace.json,\n"
       "obs_metrics.json).");
 
-  const int dag_jobs = env_int("DECIMA_OBS_JOBS", 3);
-  const int dag_nodes = env_int("DECIMA_OBS_NODES", 30);
-  const int sessions = env_int("DECIMA_OBS_SESSIONS", 4);
-  const int reps = env_int("DECIMA_OBS_REPS", 9);
+  constexpr int dag_jobs = 3;
+  constexpr int dag_nodes = 30;
+  constexpr int sessions = 4;
+  constexpr int reps = 9;
   sim::EnvConfig env;
   env.num_executors = 10;
 

@@ -77,9 +77,9 @@ int main() {
       "sessions — per-shard request queues, session shard affinity, adaptive\n"
       "bounded-wait batching (writes BENCH_serve_sharded.json).");
 
-  const int dag_jobs = env_int("DECIMA_SERVE_JOBS", 3);
-  const int dag_nodes = env_int("DECIMA_SERVE_NODES", 30);
-  const int wait_us = env_int("DECIMA_SERVE_WAIT_US", 200);
+  constexpr int dag_jobs = 3;
+  constexpr int dag_nodes = 30;
+  constexpr int wait_us = 200;
   sim::EnvConfig env;
   env.num_executors = 10;
 

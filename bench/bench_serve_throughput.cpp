@@ -130,12 +130,12 @@ int main() {
   // The random-DAG family of BENCH_train's 50-node-DAG workload, sized per
   // session so a full sweep stays in CI budget. Decisions are identical in
   // both modes; only wall-clock differs.
-  const int dag_jobs = env_int("DECIMA_SERVE_JOBS", 3);
-  const int dag_nodes = env_int("DECIMA_SERVE_NODES", 30);
+  constexpr int dag_jobs = 3;
+  constexpr int dag_nodes = 30;
   // Bounded wait for the batched rows: long enough to catch the other
   // sessions' next queries (inter-query gaps are tens of µs of simulator
   // event processing), short against the ~ms inference itself.
-  const int wait_us = env_int("DECIMA_SERVE_WAIT_US", 200);
+  constexpr int wait_us = 200;
   sim::EnvConfig env;
   env.num_executors = 10;
 

@@ -110,10 +110,9 @@ struct EmbeddingCache::Refresh {
   nn::Matrix in, out;
   nn::Mlp::Scratch mlp;
 
-  // The diff step for `graph`'s entry `e` in `cache`: checks the structure,
-  // diffs the feature rows, counts the outcome, and queues `e` with its
-  // changed rows unless it is clean. A structure change rebuilds `e` (an
-  // emb_dim `d` entry) with every row changed.
+  // The diff step for `graph`'s entry `e` in `cache`: diffs the feature
+  // rows, counts the outcome, and queues `e` with its changed rows unless it
+  // is clean. A new entry is built (emb_dim `d`) with every row changed.
   void diff(const JobGraph& graph, EmbeddingCache& cache, Entry& e,
             std::size_t d);
   // in row i = `field` row of rows[i].
@@ -134,16 +133,11 @@ void EmbeddingCache::Refresh::diff(const JobGraph& graph,
   const std::size_t g = graphs.size();
   const std::size_t first_row = feat_rows.size();
 
-  // An env's job keeps one shape for life, so identity settles the check
-  // for every graph it produces. Synthetic graphs (env_uid -1) may reuse a
-  // key with a shape of their own: equal children then mean an equal
-  // structure, since topo and levels derive from them.
-  const bool structure_matches =
-      !e.feats.empty() && e.feats.rows() == n && e.feats.cols() == fd &&
-      (e.shape == graph.shape || e.shape->children == graph.shape->children);
-  if (!structure_matches) {
-    // New job behind this key (or a different graph recycling it): every
-    // row is rewritten below, so the buffers are only reshaped.
+  // The entry is keyed by the graph's shape, so an existing entry already
+  // has the graph's structure.
+  if (!e.shape) {
+    // A job this cache has not seen: every row is written below, so the
+    // buffers are only sized.
     ++cache.stats_.graphs_rebuilt;
     CacheMetrics::get().misses.inc();
     e.shape = graph.shape;
@@ -155,6 +149,7 @@ void EmbeddingCache::Refresh::diff(const JobGraph& graph,
     e.FJ.resize(n, d);
     for (std::size_t v = 0; v < n; ++v) feat_rows.push_back({g, v});
   } else {
+    assert(e.feats.rows() == n && e.feats.cols() == fd);
     for (std::size_t v = 0; v < n; ++v) {
       const double* fresh = graph.features.data() + v * fd;
       if (!std::equal(fresh, fresh + fd, e.feats.data() + v * fd)) {
@@ -400,10 +395,10 @@ EpisodeEmbeddings GraphEmbedding::embed_episode_cached(
   r.glob_sum.zero();
 
   // A round claims graphs in order until one keys an entry that an earlier
-  // graph of the round holds (one cache passed for two events, or synthetic
-  // graphs sharing a key). The next round starts there and diffs against
-  // the entry as this one left it — what refreshing one graph at a time in
-  // graph order would see.
+  // graph of the round holds (one cache passed for two events, or copies of
+  // one graph sharing its shape). The next round starts there and diffs
+  // against the entry as this one left it — what refreshing one graph at a
+  // time in graph order would see.
   for (std::size_t first = 0; first < G;) {
     const std::uint64_t round = next_round();
     r.entry_of.clear();
@@ -413,8 +408,7 @@ EpisodeEmbeddings GraphEmbedding::embed_episode_cached(
     std::size_t end = first;
     for (; end < G; ++end) {
       EmbeddingCache& cache = *r.cache_of_event[event_of_graph[end]];
-      EmbeddingCache::Entry& e =
-          cache.entries_[{graphs[end]->env_uid, graphs[end]->env_job}];
+      EmbeddingCache::Entry& e = cache.entries_[graphs[end]->shape.get()];
       if (e.round == round) break;
       e.round = round;
       r.entry_of.push_back(&e);

@@ -3,7 +3,7 @@
 // Between two consecutive scheduling events only a handful of node features
 // change (task counts, executor counts), yet the agent re-embeds every job
 // DAG from scratch. This cache keeps the numeric forward activations of the
-// last embedding per (env, job) — proj(x_v), e_v, f(e_v), f'([proj, e_v]),
+// last embedding of each job — proj(x_v), e_v, f(e_v), f'([proj, e_v]),
 // the job summary y and f''(y) — and lets
 // GraphEmbedding::embed_episode_cached re-evaluate only nodes whose feature
 // rows changed, plus their ancestors in message flow. One call refreshes
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -47,7 +46,7 @@ struct EmbeddingCacheStats {
   std::uint64_t events = 0;            // events embedded through the cache
   std::uint64_t graphs_seen = 0;       // per-event per-graph refreshes
   std::uint64_t graphs_reused = 0;     // fully clean: no MLP work at all
-  std::uint64_t graphs_rebuilt = 0;    // new job / structure change: full
+  std::uint64_t graphs_rebuilt = 0;    // new job: a full build
   std::uint64_t diff_refreshes = 0;    // diff path that re-embedded rows
   std::uint64_t nodes_total = 0;       // nodes presented for embedding
   std::uint64_t nodes_recomputed = 0;  // nodes actually re-embedded
@@ -80,8 +79,10 @@ class EmbeddingCache {
   // from.
   struct Entry {
     nn::Matrix feats;  // features last embedded
-    // The job's shape (structure pin): its children, topological order and
-    // levels drive the dirty closure and the level sweep, the same levels
+    // The job's shape, null until the entry is first built. It is the
+    // entry's key, held so that no other shape can take its address while
+    // the entry lives; its children, topological order and levels drive the
+    // dirty closure and the level sweep, the same levels
     // GraphEmbedding::embed_episode sweeps by.
     std::shared_ptr<const sim::JobShape> shape;
 
@@ -100,7 +101,8 @@ class EmbeddingCache {
   // The batched refresh's per-thread working set (embedding_cache.cpp).
   struct Refresh;
 
-  std::map<std::pair<std::int64_t, int>, Entry> entries_;  // (env_uid, job)
+  // Keyed by JobGraph::shape: each env job has a shape object of its own.
+  std::map<const sim::JobShape*, Entry> entries_;
   std::uint64_t param_version_ = 0;
   bool has_param_version_ = false;
   std::uint64_t event_clock_ = 0;

@@ -17,7 +17,6 @@ std::vector<JobGraph> extract_graphs(const sim::ClusterEnv& env,
     const sim::JobState& job = env.jobs()[static_cast<std::size_t>(j)];
     JobGraph g;
     g.env_job = j;
-    g.env_uid = env.uid();
     const std::size_t n = job.spec.stages.size();
     g.features = nn::Matrix(n, static_cast<std::size_t>(config.dim()));
     g.shape = job.shape;

@@ -38,14 +38,10 @@ struct JobGraph {
   nn::Matrix features;  // n x feat_dim
   // Shared with the producing env's JobState (never a copy, never a
   // borrowed pointer), so a graph stays valid after its env is gone.
-  // Synthetic graphs build theirs with sim::JobShape::of.
+  // Synthetic graphs build theirs with sim::JobShape::of. Each env job has
+  // its own shape object, so the embedding cache keys its entries by it.
   std::shared_ptr<const sim::JobShape> shape;
   std::vector<bool> runnable;  // node-level action mask (A_t of §5.2)
-
-  // Embedding-cache identity (src/gnn/embedding_cache.h): env_uid names the
-  // producing ClusterEnv (-1 for synthetic graphs), and (env_uid, env_job)
-  // keys the cached activations.
-  std::int64_t env_uid = -1;
 };
 
 // Extracts graphs for all arrived, unfinished jobs. `observed_iat` feeds the

@@ -29,22 +29,23 @@ EpisodeEmbeddings stack_features(nn::Tape& tape,
   return out;
 }
 
+// The six transforms are Mlp's default §6.1 {32, 16} perceptrons.
 GraphEmbedding::GraphEmbedding(const GnnConfig& config, decima::Rng& rng)
     : config_(config),
       proj_("gnn/proj", static_cast<std::size_t>(config.feat_dim),
             static_cast<std::size_t>(config.emb_dim), {16}),
       f_node_("gnn/f_node", static_cast<std::size_t>(config.emb_dim),
-              static_cast<std::size_t>(config.emb_dim), config.hidden),
+              static_cast<std::size_t>(config.emb_dim)),
       g_node_("gnn/g_node", static_cast<std::size_t>(config.emb_dim),
-              static_cast<std::size_t>(config.emb_dim), config.hidden),
+              static_cast<std::size_t>(config.emb_dim)),
       f_job_("gnn/f_job", static_cast<std::size_t>(2 * config.emb_dim),
-             static_cast<std::size_t>(config.emb_dim), config.hidden),
+             static_cast<std::size_t>(config.emb_dim)),
       g_job_("gnn/g_job", static_cast<std::size_t>(config.emb_dim),
-             static_cast<std::size_t>(config.emb_dim), config.hidden),
+             static_cast<std::size_t>(config.emb_dim)),
       f_glob_("gnn/f_glob", static_cast<std::size_t>(config.emb_dim),
-              static_cast<std::size_t>(config.emb_dim), config.hidden),
+              static_cast<std::size_t>(config.emb_dim)),
       g_glob_("gnn/g_glob", static_cast<std::size_t>(config.emb_dim),
-              static_cast<std::size_t>(config.emb_dim), config.hidden) {
+              static_cast<std::size_t>(config.emb_dim)) {
   proj_.init(rng);
   f_node_.init(rng);
   g_node_.init(rng);

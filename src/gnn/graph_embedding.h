@@ -27,7 +27,6 @@ struct GnnConfig {
   int feat_dim = 5;
   int emb_dim = 8;
   bool two_level_aggregation = true;  // false = Fig. 19 ablation
-  std::vector<std::size_t> hidden = {32, 16};  // §6.1's layer sizes
   // true (default) runs embed() as a one-event embed_episode, which
   // evaluates each message-passing level as one row-batched matrix per MLP;
   // false keeps the original one-node-at-a-time reference implementation

@@ -105,11 +105,6 @@ class BinaryWriter {
     raw(s.data(), s.size());
   }
 
-  void doubles(const std::vector<double>& v) {
-    u64(v.size());
-    raw(v.data(), v.size() * sizeof(double));
-  }
-
   void matrix(const nn::Matrix& m) {
     u64(m.rows());
     u64(m.cols());
@@ -189,13 +184,6 @@ class BinaryReader {
     return ok() ? s : std::string{};
   }
 
-  std::vector<double> doubles() {
-    const std::uint64_t n = count();
-    std::vector<double> v(static_cast<std::size_t>(n));
-    raw(v.data(), v.size() * sizeof(double));
-    return ok() ? v : std::vector<double>{};
-  }
-
   nn::Matrix matrix() {
     const std::uint64_t rows = u64();
     const std::uint64_t cols = u64();
@@ -211,6 +199,8 @@ class BinaryReader {
   }
 
   bool ok() const { return ok_; }
+  // Sets the fail flag: for a value that reads whole but means nothing.
+  void fail() { ok_ = false; }
   // ok() and every byte before the CRC trailer was read (no trailing bytes).
   bool at_end() const { return ok_ && pos_ == end_; }
 

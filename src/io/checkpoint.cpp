@@ -27,16 +27,26 @@ core::AgentConfig read_agent_config(BinaryReader& r) {
   c.features.task_scale = r.f64();
   c.features.duration_scale = r.f64();
   c.features.iat_scale = r.f64();
-  c.emb_dim = static_cast<int>(r.u32());
+  const std::uint32_t emb_dim = r.u32();
   c.use_gnn = r.boolean();
   c.two_level_aggregation = r.boolean();
   c.parallelism_control = r.boolean();
-  c.limit_encoding = static_cast<core::LimitEncoding>(r.u32());
+  const std::uint32_t limit_encoding = r.u32();
   c.multi_resource = r.boolean();
   c.batched_inference = r.boolean();
   c.embed_cache = r.boolean();
   c.batched_replay = r.boolean();
   c.seed = r.u64();
+  // Checked before they are stored: a value no agent can take fails the
+  // read and leaves the defaults in place.
+  if (emb_dim < 1 || emb_dim > kMaxEmbDim ||
+      limit_encoding >
+          static_cast<std::uint32_t>(core::LimitEncoding::kStageLevel)) {
+    r.fail();
+    return c;
+  }
+  c.emb_dim = static_cast<int>(emb_dim);
+  c.limit_encoding = static_cast<core::LimitEncoding>(limit_encoding);
   return c;
 }
 

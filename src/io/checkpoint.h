@@ -34,6 +34,9 @@ constexpr std::uint32_t kTrainerMagic = 0x4454524Eu;  // "DTRN"
 constexpr std::uint32_t kPolicyVersion = 3;
 // Version 4: the same AgentConfig change and CRC-32 trailer.
 constexpr std::uint32_t kTrainerVersion = 4;
+// The largest emb_dim a file may name. The repo's models use 4 and 8; the
+// cap keeps a corrupt value from sizing an agent's matrices.
+constexpr std::uint32_t kMaxEmbDim = 1024;
 
 // --- Policy checkpoints ------------------------------------------------------
 
@@ -56,6 +59,8 @@ std::unique_ptr<core::DecimaAgent> load_policy_agent(const std::string& path);
 // --- Section helpers (shared with the trainer checkpoint) --------------------
 
 void write_agent_config(BinaryWriter& w, const core::AgentConfig& c);
+// Fails `r` when emb_dim lies outside 1..kMaxEmbDim or limit_encoding names
+// none of the three encodings.
 core::AgentConfig read_agent_config(BinaryReader& r);
 // Field-wise equality, perf knobs included: the batched and reference replay
 // accumulate gradients in different orders at the ulp level, so bit-exact

@@ -4,6 +4,14 @@
 
 namespace decima::nn {
 
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
+
 Adam::Adam(ParamSet* params, AdamConfig config)
     : params_(params), config_(config) {
   for (const Param* p : params_->params()) {
@@ -26,8 +34,8 @@ bool Adam::restore_state(long long steps_taken, std::vector<Matrix> m,
 
 void Adam::step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   const auto& ps = params_->params();
   for (std::size_t i = 0; i < ps.size(); ++i) {
     auto& value = ps[i]->value.raw();
@@ -35,11 +43,11 @@ void Adam::step() {
     auto& m = m_[i].raw();
     auto& v = v_[i].raw();
     for (std::size_t j = 0; j < value.size(); ++j) {
-      m[j] = config_.beta1 * m[j] + (1.0 - config_.beta1) * grad[j];
-      v[j] = config_.beta2 * v[j] + (1.0 - config_.beta2) * grad[j] * grad[j];
+      m[j] = kBeta1 * m[j] + (1.0 - kBeta1) * grad[j];
+      v[j] = kBeta2 * v[j] + (1.0 - kBeta2) * grad[j] * grad[j];
       const double mhat = m[j] / bc1;
       const double vhat = v[j] / bc2;
-      value[j] -= config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
+      value[j] -= config_.lr * mhat / (std::sqrt(vhat) + kEps);
     }
   }
   params_->bump_version();

@@ -6,11 +6,10 @@
 
 namespace decima::nn {
 
+// The moment decay rates (0.9, 0.999) and eps (1e-8) are Kingma & Ba's
+// defaults, fixed in adam.cpp.
 struct AdamConfig {
   double lr = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
 };
 
 class Adam {

@@ -2,7 +2,7 @@
 //
 // This is the numeric workhorse of the from-scratch neural-network substrate
 // (the paper used TensorFlow; Decima's model is ~12.7k parameters, so a
-// straightforward CPU implementation is fully adequate — see DESIGN.md §2).
+// straightforward CPU implementation is fully adequate).
 #pragma once
 
 #include <cassert>

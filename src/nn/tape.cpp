@@ -78,7 +78,8 @@ Var Tape::addn(const std::vector<Var>& xs) {
   std::vector<int> idxs;
   idxs.reserve(xs.size());
   for (Var v : xs) idxs.push_back(v.idx);
-  return Var{push(std::move(out), ng, [idxs](Tape& t, Node& self) {
+  return Var{push(std::move(out), ng,
+                  [idxs = std::move(idxs)](Tape& t, Node& self) {
     for (int i : idxs) {
       if (t.nodes_[i].needs_grad) t.nodes_[i].grad.add_in_place(self.grad);
     }
@@ -148,8 +149,10 @@ Var Tape::concat_cols(const std::vector<Var>& xs) {
     offset += m.cols();
   }
   std::vector<int> idxs;
+  idxs.reserve(xs.size());
   for (Var v : xs) idxs.push_back(v.idx);
-  return Var{push(std::move(out), ng, [idxs](Tape& t, Node& self) {
+  return Var{push(std::move(out), ng,
+                  [idxs = std::move(idxs)](Tape& t, Node& self) {
     std::size_t offset = 0;
     for (int i : idxs) {
       Node& ni = t.nodes_[i];
@@ -191,8 +194,10 @@ Var Tape::concat_scalars(const std::vector<Var>& xs) {
     ng = ng || node(xs[i]).needs_grad;
   }
   std::vector<int> idxs;
+  idxs.reserve(xs.size());
   for (Var v : xs) idxs.push_back(v.idx);
-  return Var{push(std::move(out), ng, [idxs](Tape& t, Node& self) {
+  return Var{push(std::move(out), ng,
+                  [idxs = std::move(idxs)](Tape& t, Node& self) {
     for (std::size_t i = 0; i < idxs.size(); ++i) {
       Node& ni = t.nodes_[idxs[i]];
       if (ni.needs_grad) ni.grad(0, 0) += self.grad(0, i);
@@ -253,7 +258,8 @@ Var Tape::concat_rows(const std::vector<Var>& xs) {
   std::vector<int> idxs;
   idxs.reserve(xs.size());
   for (Var v : xs) idxs.push_back(v.idx);
-  return Var{push(std::move(out), ng, [idxs](Tape& t, Node& self) {
+  return Var{push(std::move(out), ng,
+                  [idxs = std::move(idxs)](Tape& t, Node& self) {
     std::size_t r0 = 0;
     for (int i : idxs) {
       Node& ni = t.nodes_[i];
@@ -373,7 +379,8 @@ Var Tape::gather_concat_cols(const std::vector<Var>& xs,
   idxs.reserve(xs.size());
   for (Var v : xs) idxs.push_back(v.idx);
   return Var{push(std::move(out), ng,
-                  [idxs, picks = std::move(picks)](Tape& t, Node& self) {
+                  [idxs = std::move(idxs),
+                   picks = std::move(picks)](Tape& t, Node& self) {
     std::size_t c0 = 0;
     for (std::size_t s = 0; s < idxs.size(); ++s) {
       Node& ni = t.nodes_[idxs[s]];
@@ -419,7 +426,7 @@ Var Tape::log_prob_pick(Var logits, std::size_t pick) {
 
 Var Tape::entropy(Var logits) {
   const Matrix& L = value(logits);
-  const std::vector<double> p = softmax(L.raw().data(), L.cols());
+  std::vector<double> p = softmax(L.raw().data(), L.cols());
   double h = 0.0;
   for (double pi : p) {
     if (pi > 1e-12) h -= pi * std::log(pi);
@@ -428,7 +435,7 @@ Var Tape::entropy(Var logits) {
   out(0, 0) = h;
   const int ai = logits.idx;
   return Var{push(std::move(out), node(logits).needs_grad,
-                  [ai, p, h](Tape& t, Node& self) {
+                  [ai, p = std::move(p), h](Tape& t, Node& self) {
     Node& na = t.nodes_[ai];
     if (!na.needs_grad) return;
     const double g = self.grad(0, 0);

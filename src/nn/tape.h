@@ -51,7 +51,9 @@ class Tape {
   // buffers or backward closures are built, and backward() must not be
   // called.
   explicit Tape(bool track_gradients = true)
-      : track_gradients_(track_gradients) {}
+      : track_gradients_(track_gradients) {
+    nodes_.reserve(64);  // a one-event inference tape, without regrowth
+  }
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 

@@ -45,7 +45,8 @@ inline constexpr char kSpanServeBatch[] = "serve.dispatch_batch";
 // indexed instances of one name.
 // Requests answered by this shard's dispatcher.
 inline constexpr char kServeShardDecisions[] = "serve.shard.decisions";
-// Ring depth observed at each dispatch (gauge; the per-shard load signal).
+// Requests left in the shard's queue (its mutex-guarded deque) after each
+// dispatch claims its batch (gauge; the per-shard load signal).
 inline constexpr char kServeShardQueueDepth[] = "serve.shard.queue_depth";
 // Requests coalesced per dispatch on this shard.
 inline constexpr char kServeShardBatchSize[] = "serve.shard.batch_size";

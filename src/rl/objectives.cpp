@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace decima::rl {
 
 namespace {
 
-// Applies `interval_penalty(t0, t1)` over the K+1 action-aligned intervals.
+// Applies `penalty(t0, t1)` over the K+1 action-aligned intervals in time
+// order, so a penalty may carry state from one interval to the next.
 template <typename F>
 std::vector<double> per_interval(const sim::ClusterEnv& env, F&& penalty) {
   const auto& times = env.action_times();
@@ -35,11 +37,33 @@ double age_integral(double arrival, double finish, double t0, double t1) {
 }  // namespace
 
 std::vector<double> avg_jct_rewards(const sim::ClusterEnv& env) {
-  return env.action_rewards();
+  // J(t) steps +1 at each arrival and -1 at each completion; the integral
+  // walks the steps in time order. Steps that share an instant add
+  // count * 0.0 after the first, so their order among themselves changes no
+  // bit.
+  std::vector<std::pair<double, int>> steps;
+  for (const auto& j : env.jobs()) {
+    if (!j.arrived) continue;
+    steps.emplace_back(j.arrival, +1);
+    if (j.done()) steps.emplace_back(j.finish, -1);
+  }
+  std::sort(steps.begin(), steps.end());
+  std::size_t next = 0;
+  int count = 0;
+  return per_interval(env, [&](double t0, double t1) {
+    double area = 0.0;
+    double prev = t0;
+    for (; next < steps.size() && steps[next].first <= t1; ++next) {
+      area += count * (steps[next].first - prev);
+      count += steps[next].second;
+      prev = steps[next].first;
+    }
+    return area + count * (t1 - prev);
+  });
 }
 
 std::vector<double> makespan_rewards(const sim::ClusterEnv& env) {
-  return env.action_rewards_makespan();
+  return per_interval(env, [](double t0, double t1) { return t1 - t0; });
 }
 
 std::vector<double> tail_jct_rewards(const sim::ClusterEnv& env) {
@@ -71,9 +95,8 @@ std::vector<double> deadline_rewards(const sim::ClusterEnv& env,
       miss_at.push_back(deadline);
     }
   }
-  const auto base = env.action_rewards();
   const auto& times = env.action_times();
-  std::vector<double> out = base;
+  std::vector<double> out = avg_jct_rewards(env);
   double prev = 0.0;
   for (std::size_t k = 0; k < out.size(); ++k) {
     const double t =

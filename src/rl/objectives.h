@@ -14,7 +14,9 @@
 //
 // All generators return K+1 entries aligned with ClusterEnv::action_times()
 // (the final entry covers the span from the last action to episode end),
-// matching the convention in baseline.h.
+// matching the convention in baseline.h. They read only the action times
+// and the job table (arrival, finish), so the simulator keeps no reward
+// state of its own.
 #pragma once
 
 #include <vector>

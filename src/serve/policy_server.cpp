@@ -145,22 +145,17 @@ Session PolicyServer::open_session() {
   }
   const int shard_idx = static_cast<int>(id % shards_.size());
   Shard& sh = *shards_[static_cast<std::size_t>(shard_idx)];
-  gnn::EmbeddingCache* cache = nullptr;
   {
     util::MutexLock lk(sh.mu);
-    std::unique_ptr<gnn::EmbeddingCache>& slot = sh.caches[id];
-    slot = std::make_unique<gnn::EmbeddingCache>();
-    cache = slot.get();
     ++sh.open_sessions;
   }
-  return Session(this, id, shard_idx, cache);
+  return Session(this, id, shard_idx);
 }
 
 void PolicyServer::close_session(const Session& session) {
   Shard& sh = *shards_[static_cast<std::size_t>(session.shard_)];
   {
     util::MutexLock lk(sh.mu);
-    sh.caches.erase(session.id_);
     --sh.open_sessions;
   }
   // The shard's adaptive-wait target shrank: a dispatcher holding a shallow
@@ -175,9 +170,8 @@ Session& Session::operator=(Session&& other) noexcept {
     server_ = other.server_;
     id_ = other.id_;
     shard_ = other.shard_;
-    cache_ = other.cache_;
+    cache_ = std::move(other.cache_);
     other.server_ = nullptr;
-    other.cache_ = nullptr;
   }
   return *this;
 }
@@ -186,7 +180,7 @@ void Session::close() {
   if (server_ == nullptr) return;
   server_->close_session(*this);
   server_ = nullptr;
-  cache_ = nullptr;
+  cache_.reset();
 }
 
 const gnn::EmbeddingCacheStats& Session::cache_stats() const {
@@ -215,7 +209,7 @@ DecideResult PolicyServer::decide_with_status(Session& session,
   // done, and a claimed request is always awaited (Request, header).
   Request req;
   req.env = &env;
-  req.cache = own ? session.cache_ : nullptr;
+  req.cache = own ? session.cache_.get() : nullptr;
   if (obs::metrics_enabled()) {
     req.enqueue_tp = std::chrono::steady_clock::now();
     req.enqueue_timed = true;

@@ -5,10 +5,10 @@
 // answers scheduling queries for many concurrent cluster sessions. The
 // serving plane is sharded (ServeConfig::shards, default 1 — the reference
 // single-dispatcher path): each shard owns a dispatcher thread, a request
-// queue guarded by the shard mutex, a map of the embedding caches of the
-// sessions pinned to it, and its own load counters/histograms in the obs
-// registry (serve.shard.* — docs/observability.md). Sessions get stable shard
-// affinity so their incremental embedding caches stay hot on one dispatcher.
+// queue guarded by the shard mutex, and its own load counters/histograms in
+// the obs registry (serve.shard.* — docs/observability.md). Sessions get
+// stable shard affinity so their incremental embedding caches stay hot on
+// one dispatcher.
 // Within a shard the dispatcher drains pending requests and scores them in
 // ONE forward evaluation (DecimaAgent::decide_batch — cross-session
 // batching, the serving analogue of episode-batched replay). Decisions are
@@ -58,7 +58,6 @@
 #include <mutex>  // std::once_flag only — locks live in util/sync.h
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/agent.h"
@@ -151,11 +150,12 @@ struct DecideResult {
 class PolicyServer;
 
 // A served session's identity: its shard affinity and its incremental
-// embedding cache, owned by the server for exactly the handle's lifetime.
-// Obtained from PolicyServer::open_session(); movable, not copyable; closes
-// (and frees the cache) on destruction or close(). A Session must not
-// outlive its server, and is single-threaded like the session it names:
-// one thread drives decide_with_status(session, env) at a time.
+// embedding cache, which the handle owns. Obtained from
+// PolicyServer::open_session(); movable, not copyable; closes (and frees
+// the cache) on destruction or close(). A Session must not outlive its
+// server, and is single-threaded like the session it names: one thread
+// drives decide_with_status(session, env) at a time, and the shard's
+// dispatcher touches the cache only while that call waits on its request.
 class Session {
  public:
   Session() = default;
@@ -180,16 +180,18 @@ class Session {
 
  private:
   friend class PolicyServer;
-  Session(PolicyServer* server, std::uint64_t id, int shard,
-          gnn::EmbeddingCache* cache)
-      : server_(server), id_(id), shard_(shard), cache_(cache) {}
+  Session(PolicyServer* server, std::uint64_t id, int shard)
+      : server_(server),
+        id_(id),
+        shard_(shard),
+        cache_(std::make_unique<gnn::EmbeddingCache>()) {}
 
   PolicyServer* server_ = nullptr;
   std::uint64_t id_ = 0;
   int shard_ = 0;
-  // Owned by the server's shard (stable address in the shard's cache map);
-  // only the shard dispatcher touches it while a request is in flight.
-  gnn::EmbeddingCache* cache_ = nullptr;
+  // On the heap, so moving the handle leaves the cache where the dispatcher
+  // last saw it.
+  std::unique_ptr<gnn::EmbeddingCache> cache_;
 };
 
 class PolicyServer {
@@ -211,7 +213,7 @@ class PolicyServer {
   PolicyServer& operator=(const PolicyServer&) = delete;
 
   // Registers a new session: assigns it a shard (round-robin, stable for the
-  // session's lifetime) and an embedding cache owned by that shard. The
+  // session's lifetime) and gives the handle a fresh embedding cache. The
   // handle unregisters itself on destruction. Sessions opened on a stopped
   // server are valid but every query answers kStopped.
   Session open_session() EXCLUDES(mu_);
@@ -285,10 +287,10 @@ class PolicyServer {
     bool done = false;
   };
 
-  // One dispatcher shard: request queue, caches of the sessions pinned
-  // here, local ladder accounting, and the shard's obs instruments. The
-  // mutex guards the queue and the claim/withdraw/done handoff, and
-  // carries the done/work signaling.
+  // One dispatcher shard: request queue, open-session count, local ladder
+  // accounting, and the shard's obs instruments. The mutex guards the queue
+  // and the claim/withdraw/done handoff, and carries the done/work
+  // signaling.
   struct Shard {
     util::Mutex mu;
     util::CondVar work_cv;  // dispatcher waits: work, stop, or batch growth
@@ -296,8 +298,6 @@ class PolicyServer {
     std::deque<Request*> queue GUARDED_BY(mu);  // unclaimed, oldest first
     bool stopping GUARDED_BY(mu) = false;
     ServeStats st GUARDED_BY(mu);  // snapshot_swaps unused (server-level)
-    std::unordered_map<std::uint64_t, std::unique_ptr<gnn::EmbeddingCache>>
-        caches GUARDED_BY(mu);
     int open_sessions GUARDED_BY(mu) = 0;
 
     // Per-shard obs instruments (serve.shard.*, registered once at server
@@ -326,7 +326,8 @@ class PolicyServer {
   const ServeConfig config_;
 
   // Server-level state: the hot-swappable snapshot and session numbering.
-  // Shard-local state (queue, caches, ladder stats) lives in each Shard.
+  // Shard-local state (queue, session count, ladder stats) lives in each
+  // Shard.
   mutable util::Mutex mu_;
   // The live snapshot. shared_ptr so a batch / policy() caller can pin it
   // across the unlocked inference while swap_policy retires it.
@@ -379,7 +380,7 @@ class ServedScheduler : public sim::Scheduler {
  private:
   PolicyServer& server_;
   // The session handle: this scheduler is the session, so its lifetime is
-  // exactly the handle's (shard affinity + server-owned embedding cache).
+  // exactly the handle's (shard affinity + its embedding cache).
   Session session_;
   std::size_t decisions_ = 0;
   SessionDegradation degradation_;

@@ -1,7 +1,6 @@
 #include "sim/cluster_env.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <stdexcept>
@@ -12,11 +11,6 @@ ClusterEnv::ClusterEnv(EnvConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
       fault_rng_(config_.faults.seed) {
-  // Envs are constructed from many threads (rollout workers, session
-  // threads); relaxed is enough because the uid is only ever compared for
-  // equality by the embedding cache (docs/concurrency.md).
-  static std::atomic<std::int64_t> uid_counter{1};
-  uid_ = uid_counter.fetch_add(1, std::memory_order_relaxed);
   if (config_.num_executors <= 0) {
     throw std::invalid_argument("num_executors must be positive");
   }
@@ -163,7 +157,6 @@ void ClusterEnv::handle_arrival(const Event& e) {
   // Jobs may be added out of arrival order; active_ stays in index order.
   active_.insert(std::lower_bound(active_.begin(), active_.end(), e.job),
                  e.job);
-  record_job_count_change(now_, +1);
 }
 
 bool ClusterEnv::handle_task_finish(const Event& e) {
@@ -206,7 +199,6 @@ bool ClusterEnv::handle_task_finish(const Event& e) {
       job.finish = now_;
       active_.erase(std::find(active_.begin(), active_.end(), e.job));
       ++jobs_done_;
-      record_job_count_change(now_, -1);
     }
     needs_scheduling = true;
   }
@@ -476,48 +468,6 @@ double ClusterEnv::sample_task_duration(const JobState& job, int stage,
   }
   d /= faults.speed_of(executor_id);
   return d;
-}
-
-void ClusterEnv::record_job_count_change(Time t, int delta) {
-  job_count_changes_.emplace_back(t, delta);
-}
-
-std::vector<double> ClusterEnv::action_rewards() const {
-  // Integrate J(t) (number of jobs in system) over each inter-action
-  // interval. job_count_changes_ is naturally time-sorted.
-  std::vector<double> rewards;
-  rewards.reserve(action_times_.size() + 1);
-  std::size_t ci = 0;
-  int count = 0;
-  Time prev = 0.0;
-  auto integrate_to = [&](Time t) {
-    double area = 0.0;
-    while (ci < job_count_changes_.size() &&
-           job_count_changes_[ci].first <= t) {
-      area += count * (job_count_changes_[ci].first - prev);
-      count += job_count_changes_[ci].second;
-      prev = job_count_changes_[ci].first;
-      ++ci;
-    }
-    area += count * (t - prev);
-    prev = t;
-    return area;
-  };
-  for (Time t : action_times_) rewards.push_back(-integrate_to(t));
-  rewards.push_back(-integrate_to(now_));  // tail: last action -> episode end
-  return rewards;
-}
-
-std::vector<double> ClusterEnv::action_rewards_makespan() const {
-  std::vector<double> rewards;
-  rewards.reserve(action_times_.size() + 1);
-  Time prev = 0.0;
-  for (Time t : action_times_) {
-    rewards.push_back(-(t - prev));
-    prev = t;
-  }
-  rewards.push_back(-(now_ - prev));
-  return rewards;
 }
 
 }  // namespace decima::sim

@@ -7,10 +7,10 @@
 // Each effect can be disabled independently (used by the fidelity study,
 // Fig. 18, and the simplified optimality study, Fig. 22 / App. H).
 //
-// The environment also logs everything RL training needs: action timestamps,
-// the number-of-jobs-in-system timeline (for r_k = −(t_k − t_{k−1})·J_k), a
-// full task-placement trace (for Gantt charts and invariant tests), and
-// scheduler decision latencies (Fig. 15b).
+// The environment also logs everything RL training needs: action timestamps
+// (the rewards of src/rl/objectives.h integrate over the intervals between
+// them), a full task-placement trace (for Gantt charts and invariant tests),
+// and scheduler decision latencies (Fig. 15b).
 #pragma once
 
 #include <cstdint>
@@ -170,12 +170,6 @@ class ClusterEnv {
   // Indices of the arrived, unfinished jobs, ascending.
   const std::vector<int>& active_jobs() const { return active_; }
 
-  // --- Embedding-cache identity (src/gnn/embedding_cache.h) ----------------
-  // Unique id of this env instance (from a process-wide counter), so cached
-  // per-job activations are never mistaken for another env's job that happens
-  // to share an index.
-  std::int64_t uid() const { return uid_; }
-
   int free_executor_count() const { return free_count_; }
   // 0 for a class the cluster does not have.
   int free_executor_count_of_class(int cls) const {
@@ -193,14 +187,9 @@ class ClusterEnv {
   const std::vector<TaskRecord>& trace() const { return trace_; }
 
   // --- RL support -----------------------------------------------------------
+  // When each scheduling action was taken; src/rl/objectives.h turns the
+  // intervals between them into rewards.
   const std::vector<Time>& action_times() const { return action_times_; }
-  // r_k = −∫_{t_{k−1}}^{t_k} J(t) dt  (average-JCT objective, §5.3). Index k
-  // aligns with action_times(). A final pseudo-reward covering the span from
-  // the last action to the episode end is appended so late queueing is
-  // penalized too.
-  std::vector<double> action_rewards() const;
-  // Makespan objective: r_k = −(t_k − t_{k−1}).
-  std::vector<double> action_rewards_makespan() const;
 
   // --- Instrumentation -----------------------------------------------------
   // Wall-clock seconds each Scheduler::schedule() call took (Fig. 15b).
@@ -261,14 +250,12 @@ class ClusterEnv {
   void for_each_free(Fn&& fn) const;
   double sample_task_duration(const JobState& job, int stage, bool first_wave,
                               int executor_id);
-  void record_job_count_change(Time t, int delta);
 
   EnvConfig config_;
   Rng rng_;
   // Straggler draws come from this separate stream so a plan with
   // stragglers.prob == 0 leaves rng_'s sequence untouched.
   Rng fault_rng_;
-  std::int64_t uid_ = 0;
   Time now_ = 0.0;
   int event_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
@@ -285,7 +272,6 @@ class ClusterEnv {
   std::vector<int> eligible_;
   std::vector<TaskRecord> trace_;
   std::vector<Time> action_times_;
-  std::vector<std::pair<Time, int>> job_count_changes_;  // (time, delta)
   std::vector<double> decision_latencies_;
   std::vector<double> event_intervals_;
   Time last_scheduling_event_ = -1.0;

@@ -4,7 +4,7 @@
 // (2, 5, 10, 20, 50, 100 GB) and drives all single-resource experiments from
 // those profiles. We do not have the authors' profiling data, so this module
 // synthesizes a deterministic DAG template per (query, size) pair that
-// preserves the scheduling-relevant properties (see DESIGN.md §2):
+// preserves the scheduling-relevant properties:
 //   - distinct DAG shapes per query (chains, fan-ins, diamonds; stage counts
 //     matching the spread visible in Fig. 1),
 //   - heavy-tailed work distribution across the size mix (≈23% of jobs carry

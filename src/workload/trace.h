@@ -3,8 +3,7 @@
 // The paper (§7.3) uses ~20,000 production jobs where 59% of DAGs have four
 // or more stages and some have hundreds, with per-task CPU/memory requests
 // and bursty arrivals. The public trace is not available offline, so this
-// generator reproduces those aggregate properties from a seeded model
-// (substitution documented in DESIGN.md §2):
+// generator reproduces those aggregate properties from a seeded model:
 //   - DAG size: 41% small (1-3 stages), 59% ≥ 4, Pareto tail up to `max_stages`;
 //   - task counts & durations: heavy-tailed lognormals;
 //   - memory requests: mixture favoring small requests with occasional

@@ -237,16 +237,15 @@ class PausingScheduler : public sim::Scheduler {
 // bytes inside env.run() but outside schedule(). Dispatch allocates
 // nothing, and the trace is reserved for every task up front; what is left
 // is the doubling growth of the event queue, the active-job list and the
-// per-episode logs (action times, latencies, event intervals, job-count
-// changes).
+// per-episode logs (action times, latencies, event intervals).
 TEST(AllocCounts, SjfCpEpisodeSimulatorShare) {
   sim::ClusterEnv env(FixedState::config());
   load_poisson_episode(env);
   PausingScheduler sched;
   const long n = count_allocations([&] { env.run(sched); });
   ASSERT_TRUE(env.all_done());
-  EXPECT_EQ(n, 65);
-  EXPECT_EQ(g_bytes.load(), 3766868);
+  EXPECT_EQ(n, 55);
+  EXPECT_EQ(g_bytes.load(), 3750500);
 }
 
 // The benches' 50-node-DAG workload: 5 seeded DAGs arriving at t = 0.
@@ -268,8 +267,8 @@ TEST(AllocCounts, GreedyEpisodePerInferencePath) {
     bool batched, cache;
     long allocations;
   };
-  for (const Arm& arm : {Arm{true, true, 34034}, Arm{true, false, 342761},
-                         Arm{false, false, 1668273}}) {
+  for (const Arm& arm : {Arm{true, true, 31752}, Arm{true, false, 335589},
+                         Arm{false, false, 1464572}}) {
     core::AgentConfig config;
     config.batched_inference = arm.batched;
     config.embed_cache = arm.cache;
@@ -293,7 +292,7 @@ TEST(AllocCounts, ReplayedEpisodePerReplayPath) {
     bool batched;
     long allocations;
   };
-  for (const Arm& arm : {Arm{true, 102858}, Arm{false, 630961}}) {
+  for (const Arm& arm : {Arm{true, 101888}, Arm{false, 618314}}) {
     core::AgentConfig config;
     config.seed = 37;
     config.batched_replay = arm.batched;
@@ -346,7 +345,7 @@ TEST(AllocCounts, ServedEpisodePerThread) {
     bool session_thread_only;
     long allocations;
   };
-  for (const Arm& arm : {Arm{false, 138733}, Arm{true, 30}}) {
+  for (const Arm& arm : {Arm{false, 128016}, Arm{true, 30}}) {
     serve::PolicyServer server(policy());
     sim::ClusterEnv env(executors(50));
     workload::load(env, jobs(20));

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "io/binary.h"
 #include "io/checkpoint.h"
 #include "rl/reinforce.h"
+#include "serve/policy_server.h"
 
 namespace decima {
 namespace {
@@ -204,6 +206,69 @@ void sweep_byte_flips(const std::string& full, const std::string& bad,
   ASSERT_TRUE(f.good());
   f.close();
   EXPECT_EQ(file_bytes(bad), bytes);
+}
+
+std::uint32_t u32_at(const std::string& bytes, std::size_t offset) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, sizeof v);
+  return v;
+}
+
+// Writes `bytes` to `path` with the u32 at `offset` replaced by `value` and
+// the CRC-32 trailer recomputed, so the checksum passes and only the
+// field's meaning is wrong.
+void write_patched(const std::string& path, std::string bytes,
+                   std::size_t offset, std::uint32_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  io::Crc32 crc;
+  crc.update(bytes.data(), body);
+  const std::uint32_t sum = crc.value();
+  std::memcpy(bytes.data() + body, &sum, sizeof sum);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// A file with a valid checksum whose config names an emb_dim outside
+// 1..kMaxEmbDim, or no limit encoding, is refused by every loader.
+TEST(PolicyCheckpoint, RejectsOutOfRangeConfigFields) {
+  core::AgentConfig ac;
+  ac.seed = 11;
+  core::DecimaAgent agent(ac);
+  const std::string full = tmp_path("policy_fields_full.ckpt");
+  const std::string bad = tmp_path("policy_fields_bad.ckpt");
+  ASSERT_TRUE(io::save_policy(agent, full));
+  const std::string bytes = file_bytes(full);
+  // The 12-byte header, two booleans and three doubles precede emb_dim;
+  // three more booleans precede limit_encoding.
+  constexpr std::size_t kEmbDimAt = 12 + 2 * 4 + 3 * 8;
+  constexpr std::size_t kLimitEncodingAt = kEmbDimAt + 4 + 3 * 4;
+  ASSERT_EQ(u32_at(bytes, kEmbDimAt), 8u);
+  ASSERT_EQ(u32_at(bytes, kLimitEncodingAt), 0u);
+
+  const auto before = all_values(agent.params());
+  struct Patch {
+    std::size_t at;
+    std::uint32_t value;
+  };
+  for (const Patch& p :
+       {Patch{kEmbDimAt, 0}, Patch{kEmbDimAt, io::kMaxEmbDim + 1},
+        Patch{kEmbDimAt, 0x80000000u}, Patch{kLimitEncodingAt, 3},
+        Patch{kLimitEncodingAt, 7}}) {
+    write_patched(bad, bytes, p.at, p.value);
+    EXPECT_EQ(io::load_policy_agent(bad), nullptr)
+        << "offset " << p.at << " value " << p.value;
+    EXPECT_FALSE(io::load_policy(agent, bad))
+        << "offset " << p.at << " value " << p.value;
+    EXPECT_EQ(serve::PolicyServer::from_checkpoint(bad), nullptr)
+        << "offset " << p.at << " value " << p.value;
+  }
+  EXPECT_EQ(all_values(agent.params()), before);
+  // The patching is sound: the original value written back loads.
+  write_patched(bad, bytes, kEmbDimAt, 8);
+  EXPECT_NE(io::load_policy_agent(bad), nullptr);
+  EXPECT_TRUE(io::load_policy(agent, bad));
+  EXPECT_NE(serve::PolicyServer::from_checkpoint(bad), nullptr);
 }
 
 TEST(PolicyCheckpoint, EveryTruncationIsRejected) {

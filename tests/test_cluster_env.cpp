@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "fnv1a.h"
 #include "sched/heuristics.h"
 #include "sim/cluster_env.h"
 #include "sim/validate.h"
@@ -167,30 +167,6 @@ TEST(ClusterEnv, RunnableNodesTracksFrontier) {
   EXPECT_TRUE(env.runnable_nodes().empty());  // all done
 }
 
-TEST(ClusterEnv, ActionRewardPenalizesQueuedJobs) {
-  ClusterEnv env(basic_config(1));
-  env.add_job(one_stage_job("a", 1, 1.0), 0.0);
-  env.add_job(one_stage_job("b", 1, 1.0), 0.0);
-  sched::FifoScheduler fifo;
-  env.run(fifo);
-  const auto rewards = env.action_rewards();
-  double total = 0.0;
-  for (double r : rewards) total += r;
-  // Integral of J(t): 2 jobs during [0,1), 1 job during [1,2) => -(2+1) = -3.
-  EXPECT_NEAR(total, -3.0, 1e-9);
-}
-
-TEST(ClusterEnv, MakespanRewardSumsToNegativeMakespan) {
-  ClusterEnv env(basic_config(2));
-  env.add_job(one_stage_job("a", 4, 1.0), 0.0);
-  sched::FifoScheduler fifo;
-  env.run(fifo);
-  const auto rewards = env.action_rewards_makespan();
-  double total = 0.0;
-  for (double r : rewards) total += r;
-  EXPECT_NEAR(total, -env.makespan(), 1e-9);
-}
-
 TEST(ClusterEnv, EarlyTerminationStopsAtTau) {
   ClusterEnv env(basic_config(1));
   env.add_job(one_stage_job("long", 100, 1.0), 0.0);
@@ -341,27 +317,6 @@ StressEpisode stress_episode(const StressCase& c) {
   }
   return e;
 }
-
-// FNV-1a over 64 bits, fed each value least significant byte first so the
-// hash does not depend on the host's byte order.
-class Fnv1a64 {
- public:
-  void u64(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h_ = (h_ ^ ((v >> (8 * b)) & 0xFFu)) * 0x100000001b3ULL;
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 // Every simulated outcome of an episode: each TaskRecord field, the action
 // times, the event intervals, each job's finish, last parallelism limit and

@@ -37,10 +37,8 @@ std::vector<gnn::JobGraph> synthetic_graphs(std::uint64_t seed, int count,
                                             int nodes) {
   std::vector<gnn::JobGraph> graphs;
   for (int i = 0; i < count; ++i) {
-    gnn::JobGraph g =
-        gnn::random_job_graph(seed + static_cast<std::uint64_t>(i), nodes);
-    g.env_job = i;  // distinct cache keys (env_uid stays -1)
-    graphs.push_back(std::move(g));
+    graphs.push_back(
+        gnn::random_job_graph(seed + static_cast<std::uint64_t>(i), nodes));
   }
   return graphs;
 }
@@ -118,29 +116,33 @@ TEST(EmbeddingCache, EmbedCachedOnEmptyListReturnsEmpty) {
   EXPECT_EQ(cache.stats().graphs_seen, 0u);
 }
 
-// Synthetic graphs all carry env_uid -1, so two graphs with shapes of their
-// own can meet under one key. Equal children through a distinct shape object
-// keep the entry; a different structure with the same node count rebuilds.
-TEST(EmbeddingCache, StructureCheckIsExactAcrossShapeObjects) {
+// Entries are keyed by shape object. A graph with a shape object of its own
+// gets an entry of its own, even when its structure and features equal a
+// cached graph's; a copy of a graph shares its shape, so it finds the
+// original's entry.
+TEST(EmbeddingCache, DistinctShapeObjectsGetDistinctEntries) {
   Rng rng(5);
   gnn::GraphEmbedding gnn(gnn::GnnConfig{}, rng);
   gnn::EmbeddingCache cache;
   const gnn::JobGraph first = gnn::random_job_graph(300, 20);
   expect_cached_matches_full(gnn, {first}, cache);
   EXPECT_EQ(cache.stats().graphs_rebuilt, 1u);
+  EXPECT_EQ(cache.size(), 1u);
 
   const gnn::JobGraph twin = gnn::random_job_graph(300, 20);
   ASSERT_NE(twin.shape, first.shape);
+  ASSERT_EQ(twin.shape->children, first.shape->children);
+  ASSERT_EQ(twin.features.raw(), first.features.raw());
   expect_cached_matches_full(gnn, {twin}, cache);
-  EXPECT_EQ(cache.stats().graphs_rebuilt, 1u);
-  EXPECT_EQ(cache.stats().graphs_reused, 1u);
-
-  gnn::JobGraph other = gnn::random_job_graph(301, 20);
-  other.features = twin.features;  // only the structure differs
-  ASSERT_NE(other.shape->children, twin.shape->children);
-  expect_cached_matches_full(gnn, {other}, cache);
   EXPECT_EQ(cache.stats().graphs_rebuilt, 2u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().graphs_reused, 0u);
+  EXPECT_EQ(cache.size(), 2u);
+
+  const gnn::JobGraph copy = first;
+  expect_cached_matches_full(gnn, {copy}, cache);
+  EXPECT_EQ(cache.stats().graphs_rebuilt, 2u);
+  EXPECT_EQ(cache.stats().graphs_reused, 1u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 // One embed_episode_cached call refreshes every event's graphs together, one
@@ -190,7 +192,6 @@ TEST(EmbeddingCache, EpisodeCachedMatchesEmbedEpisodePerSession) {
   // diff-refreshes one graph and reuses the other, session 1 reuses its
   // three and builds a new, deeper graph.
   s1.push_back(gnn::random_job_graph(70, 60));
-  s1.back().env_job = 3;
   ASSERT_NE(s1.back().shape->levels.size(), s1[0].shape->levels.size());
   ASSERT_NE(s0[0].shape->levels.size(), s1[0].shape->levels.size());
   s1[1].features = s1_embedded;
@@ -218,15 +219,14 @@ TEST(EmbeddingCache, EpisodeCachedMatchesEmbedEpisodePerSession) {
     EXPECT_EQ(a.graphs_rebuilt, b.graphs_rebuilt);
   }
 
-  // Two cacheless events share the call's scratch cache, and their
-  // synthetic graphs share keys (env_uid -1, env_job 0 and 1): the second
-  // event's graph 0 is the first's with one row changed (a diff refresh of
-  // the first's entry), its graph 1 has a structure of its own (a rebuild).
+  // Two cacheless events share the call's scratch cache. The second event's
+  // graph 0 is a copy of the first's, sharing its shape, with one row
+  // changed (a diff refresh of the first's entry); its graph 1 has a shape
+  // of its own (a new entry).
   auto e0 = synthetic_graphs(300, 2, 20);
   auto e1 = e0;
   e1[0].features(4, 3) += 1.0;
   e1[1] = gnn::random_job_graph(301, 25);
-  e1[1].env_job = 1;
   check({&e0, &e1}, {nullptr, nullptr});
 }
 

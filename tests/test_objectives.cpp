@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "fnv1a.h"
 #include "rl/objectives.h"
 #include "sched/heuristics.h"
+#include "workload/arrivals.h"
+#include "workload/tpch.h"
 
 namespace decima::rl {
 namespace {
@@ -116,12 +119,88 @@ TEST(Objectives, UnfinishedJobsCountedByTail) {
   EXPECT_NEAR(total, -50.0, 1e-6);
 }
 
-TEST(Objectives, MakespanMatchesEnvHelper) {
+TEST(Objectives, ActionRewardPenalizesQueuedJobs) {
   const auto env = two_sequential_jobs();
-  const auto a = makespan_rewards(env);
-  const auto b = env.action_rewards_makespan();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
+  const auto rewards = avg_jct_rewards(env);
+  double total = 0.0;
+  for (double r : rewards) total += r;
+  // Integral of J(t): 2 jobs during [0,1), 1 job during [1,2) => -(2+1) = -3.
+  EXPECT_NEAR(total, -3.0, 1e-9);
+}
+
+TEST(Objectives, MakespanRewardSumsToNegativeMakespan) {
+  sim::ClusterEnv env(config(2));
+  env.add_job(job("a", 4, 1.0), 0.0);
+  sched::FifoScheduler fifo;
+  env.run(fifo);
+  const auto rewards = makespan_rewards(env);
+  double total = 0.0;
+  for (double r : rewards) total += r;
+  EXPECT_NEAR(total, -env.makespan(), 1e-9);
+}
+
+// Every objective's reward vector, bit for bit.
+void hash_rewards(const sim::ClusterEnv& env, Fnv1a64& h) {
+  DeadlineConfig tight;
+  tight.slack = 1.5;
+  for (const auto& rewards :
+       {avg_jct_rewards(env), makespan_rewards(env), tail_jct_rewards(env),
+        deadline_rewards(env, DeadlineConfig{}),
+        deadline_rewards(env, tight)}) {
+    h.u64(rewards.size());
+    for (double r : rewards) h.f64(r);
+  }
+}
+
+// Twelve seeded TPC-H jobs on 10 executors under SJF-CP, with stragglers
+// and duration noise. Jobs arrive in pairs that share an instant, the first
+// three at t = 0.
+sim::ClusterEnv noisy_episode(sim::Time until) {
+  Rng rng(29);
+  sim::EnvConfig c;
+  c.num_executors = 10;
+  c.seed = rng.fork();
+  c.duration_noise = 0.3;
+  c.faults.stragglers = {0.1, 4.0};
+  c.faults.seed = rng.fork();
+  auto jobs =
+      workload::continuous(workload::sample_tpch_batch(rng, 12), rng, 25.0);
+  for (std::size_t i = 1; i < jobs.size(); i += 2) {
+    jobs[i].arrival = jobs[i - 1].arrival;
+  }
+  jobs[0].arrival = jobs[1].arrival = jobs[2].arrival = 0.0;
+  sim::ClusterEnv env(c);
+  workload::load(env, jobs);
+  sched::SjfCpScheduler sjf;
+  env.run(sjf, until);
+  return env;
+}
+
+// The rewards of every objective on three episodes: the noisy one run to
+// completion and cut at t = 100 (jobs still queued, others not yet
+// arrived), and one where jobs arrive at the instant others finish. The
+// constant was computed when the simulator still kept its own job-count
+// log for these rewards; like ClusterEnv.TraceFingerprintIsPinned it
+// depends on libstdc++'s <random> distributions.
+TEST(Objectives, RewardBitsArePinned) {
+  Fnv1a64 h;
+  const sim::ClusterEnv full = noisy_episode(sim::kInfTime);
+  ASSERT_TRUE(full.all_done());
+  hash_rewards(full, h);
+  const sim::ClusterEnv cut = noisy_episode(100.0);
+  ASSERT_FALSE(cut.all_done());
+  hash_rewards(cut, h);
+
+  sim::ClusterEnv ties(config(1));
+  ties.add_job(job("a", 1, 1.0), 0.0);
+  ties.add_job(job("b", 2, 1.0), 0.0);
+  ties.add_job(job("c", 1, 1.0), 1.0);  // arrives as a finishes
+  ties.add_job(job("d", 1, 2.0), 3.0);  // arrives as b finishes
+  sched::FifoScheduler fifo;
+  ties.run(fifo);
+  ASSERT_TRUE(ties.all_done());
+  hash_rewards(ties, h);
+  EXPECT_EQ(h.value(), 0xcf741949f7e724f0ULL);
 }
 
 }  // namespace
