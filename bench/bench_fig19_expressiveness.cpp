@@ -96,9 +96,9 @@ double train_and_test(bool two_level, int iterations, int batch,
       nn::Tape tape(false);
       const auto emb = gnn.embed(tape, {d.graph});
       const double pred_a = tape.value(readout.apply(
-          tape, tape.row(emb.node_all, d.branch_a)))(0, 0);
+          tape, tape.rows(emb.node_all, {d.branch_a})))(0, 0);
       const double pred_b = tape.value(readout.apply(
-          tape, tape.row(emb.node_all, d.branch_b)))(0, 0);
+          tape, tape.rows(emb.node_all, {d.branch_b})))(0, 0);
       const std::size_t picked = pred_a >= pred_b ? d.branch_a : d.branch_b;
       correct += picked == d.argmax ? 1 : 0;
     }
@@ -113,18 +113,21 @@ double train_and_test(bool two_level, int iterations, int batch,
       const auto emb = gnn.embed(tape, {d.graph});
       const std::size_t n = d.graph.features.rows();
       std::vector<nn::Var> rows(n);
-      for (std::size_t v = 0; v < n; ++v) rows[v] = tape.row(emb.node_all, v);
+      for (std::size_t v = 0; v < n; ++v) {
+        rows[v] = tape.rows(emb.node_all, {v});
+      }
       // Squared-error gradient: each node's prediction scaled by its
-      // d(loss)/d(pred), summed, then ONE backward pass per DAG (backward
-      // never clears interior grads, so a pass per node would re-propagate
-      // every earlier node's seed).
+      // d(loss)/d(pred) (a matmul by a 1 x 1 constant), summed, then ONE
+      // backward pass per DAG (backward never clears interior grads, so a
+      // pass per node would re-propagate every earlier node's seed).
       std::vector<nn::Var> terms;
       terms.reserve(n);
       for (std::size_t v = 0; v < n; ++v) {
         nn::Var pred = readout.apply(tape, rows[v]);
         const double err = tape.value(pred)(0, 0) - d.cp[v] / 10.0;
-        terms.push_back(tape.scale(
-            pred, 2.0 * err / (batch * static_cast<double>(n))));
+        const double dloss = 2.0 * err / (batch * static_cast<double>(n));
+        terms.push_back(
+            tape.matmul(pred, tape.constant(nn::Matrix(1, 1, dloss))));
       }
       tape.backward(tape.addn(terms));
     }

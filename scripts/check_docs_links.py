@@ -4,7 +4,8 @@
 Scans inline markdown links [text](target); external schemes and pure
 anchors are skipped, #fragments are stripped before checking that the target
 exists relative to the file containing the link. Run from anywhere; exits
-non-zero listing every dead link. CI runs this as the docs link-check step.
+non-zero listing every dead link. CI runs this as the docs link-check step,
+and ctest runs it as the `check_docs_links` test.
 """
 import pathlib
 import re

@@ -13,6 +13,13 @@ namespace {
 // per possible limit value up to this many executors.
 constexpr std::size_t kMaxSeparateLimitOutputs = 128;
 
+// The w_sep output that scores parallelism limit l; limits past the last
+// output share it.
+std::size_t separate_limit_output(int l) {
+  return std::min<std::size_t>(static_cast<std::size_t>(l - 1),
+                               kMaxSeparateLimitOutputs - 1);
+}
+
 // Events per batched-replay tape: an episode is scored in chunks of this
 // many scheduling events (one backward per chunk), so the tape's working set
 // stays cache-resident. 8 was the throughput sweet spot on the 50-node-DAG
@@ -266,40 +273,38 @@ DecimaAgent::Scores DecimaAgent::score_batch(
 
   // --- Parallelism head: every event's candidate limits in one pass ---------
   if (config_.parallelism_control) {
+    s.limit_starts.resize(K);
+    std::size_t total_l = 0;
+    for (std::size_t t = 0; t < K; ++t) {
+      s.limit_starts[t] = total_l;
+      total_l += events[t].limit_values.size();
+    }
     if (config_.limit_encoding == LimitEncoding::kSeparateOutputs) {
       // One w_sep pass over the per-event [y_i, z] rows; each event's logits
-      // are picked out of its output row.
-      std::vector<std::size_t> ev_events(K);
-      for (std::size_t t = 0; t < K; ++t) ev_events[t] = t;
+      // are gathered out of its output row into the limit column.
+      std::vector<std::size_t> ev_events(K), outputs;
+      outputs.reserve(total_l);
+      for (std::size_t t = 0; t < K; ++t) {
+        ev_events[t] = t;
+        for (int l : events[t].limit_values) {
+          outputs.push_back(t * kMaxSeparateLimitOutputs +
+                            separate_limit_output(l));
+        }
+      }
       const nn::Var all = w_sep_.apply(
           tape, tape.gather_concat_cols({emb.job_mat, emb.global_mat},
                                         {chosen_graph, std::move(ev_events)}));
-      for (std::size_t t = 0; t < K; ++t) {
-        Event& ev = events[t];
-        std::vector<nn::Var> scores;
-        scores.reserve(ev.limit_values.size());
-        for (int l : ev.limit_values) {
-          const std::size_t idx = std::min<std::size_t>(
-              static_cast<std::size_t>(l - 1), kMaxSeparateLimitOutputs - 1);
-          scores.push_back(tape.element(all, t, idx));
-        }
-        s.limit_rows.push_back(tape.concat_scalars(scores));
-        ev.limit_choice =
-            choose(how, tape.value(s.limit_rows.back()).raw().data(),
-                   ev.limit_values.size(), ev.limit_choice, rng, "limit");
-      }
+      s.limit =
+          tape.rows(tape.reshape(all, K * kMaxSeparateLimitOutputs, 1),
+                    std::move(outputs));
     } else {
       const bool stage_level =
           config_.limit_encoding == LimitEncoding::kStageLevel;
       std::vector<std::size_t> l_graphs, l_events, l_nodes;
-      s.limit_starts.resize(K);
-      std::size_t total_l = 0;
-      for (const Event& ev : events) total_l += ev.limit_values.size();
       nn::Matrix l_all(total_l, 1);
       std::size_t r = 0;
       for (std::size_t t = 0; t < K; ++t) {
         const Event& ev = events[t];
-        s.limit_starts[t] = r;
         const std::size_t node_row =
             emb.node_offset[chosen_graph[t]] +
             static_cast<std::size_t>(
@@ -327,13 +332,13 @@ DecimaAgent::Scores DecimaAgent::score_batch(
       w_picks.push_back(std::move(ident));
       s.limit =
           w_.apply(tape, tape.gather_concat_cols(srcs, std::move(w_picks)));
-      for (std::size_t t = 0; t < K; ++t) {
-        Event& ev = events[t];
-        ev.limit_choice = choose(how, tape.value(s.limit).raw().data() +
-                                          s.limit_starts[t],
-                                 ev.limit_values.size(), ev.limit_choice, rng,
-                                 "limit");
-      }
+    }
+    for (std::size_t t = 0; t < K; ++t) {
+      Event& ev = events[t];
+      ev.limit_choice = choose(how, tape.value(s.limit).raw().data() +
+                                        s.limit_starts[t],
+                               ev.limit_values.size(), ev.limit_choice, rng,
+                               "limit");
     }
   }
 
@@ -403,24 +408,14 @@ void DecimaAgent::finish_replay() {
   }
 
   if (config_.parallelism_control) {
-    if (config_.limit_encoding == LimitEncoding::kSeparateOutputs) {
-      std::vector<nn::Var> lps;
-      lps.reserve(K);
-      for (std::size_t t = 0; t < K; ++t) {
-        lps.push_back(tape.log_prob_pick(
-            s.limit_rows[t], static_cast<std::size_t>(events[t].limit_choice)));
-      }
-      loss_parts.push_back(tape.matmul(tape.concat_scalars(lps), neg_w_col));
-    } else {
-      std::vector<std::size_t> l_picks(K);
-      for (std::size_t t = 0; t < K; ++t) {
-        l_picks[t] = static_cast<std::size_t>(events[t].limit_choice);
-      }
-      loss_parts.push_back(tape.matmul(
-          tape.log_prob_pick_segments(s.limit, s.limit_starts,
-                                      std::move(l_picks)),
-          neg_w_col));
+    std::vector<std::size_t> l_picks(K);
+    for (std::size_t t = 0; t < K; ++t) {
+      l_picks[t] = static_cast<std::size_t>(events[t].limit_choice);
     }
+    loss_parts.push_back(tape.matmul(
+        tape.log_prob_pick_segments(s.limit, s.limit_starts,
+                                    std::move(l_picks)),
+        neg_w_col));
   }
 
   if (s.cls.valid()) {
@@ -465,13 +460,18 @@ sim::Action DecimaAgent::schedule_reference(
   }
   const nn::Var job_mat = emb.job_mat;
   const nn::Var glob = emb.global_mat;
+  // n copies of row r of a, beside n rows of per-option inputs.
+  const auto tile = [&tape](nn::Var a, std::size_t r, std::size_t n) {
+    return tape.rows(a, std::vector<std::size_t>(n, r));
+  };
 
   // --- Stage selection: softmax over q(x_v, e_v, y_i, z) -------------------
   // Candidates are generated in graph order, so each graph's candidates form
   // a contiguous run; gather them into per-graph blocks and score all
   // candidates with a single q pass over one candidates x (feat + 3d) matrix.
   // The q function sees x_v alongside the embeddings, so the no-GNN ablation
-  // still has the raw signal.
+  // still has the raw signal. Each head's logits are one column, a single
+  // segment of the replay losses.
   std::vector<nn::Var> blocks;
   for (std::size_t start = 0; start < candidates.size();) {
     const std::size_t g = static_cast<std::size_t>(candidates[start].graph);
@@ -487,13 +487,12 @@ sim::Action DecimaAgent::schedule_reference(
     const nn::Var x = tape.rows(emb.feat_all, picks);
     const nn::Var e = tape.rows(emb.node_all, std::move(picks));
     blocks.push_back(
-        tape.concat_cols({x, e, tape.broadcast_row(job_mat, g, m),
-                          tape.broadcast_row(glob, 0, m)}));
+        tape.concat_cols({x, e, tile(job_mat, g, m), tile(glob, 0, m)}));
     start = i;
   }
   const nn::Var q_in =
       blocks.size() == 1 ? blocks[0] : tape.concat_rows(blocks);
-  const nn::Var node_logits = tape.as_row(q_.apply(tape, q_in));
+  const nn::Var node_logits = q_.apply(tape, q_in);
   const int node_choice =
       choose(mode_, tape.value(node_logits).raw().data(), candidates.size(),
              replayed ? replayed->node_choice : 0, &sample_rng_, "node");
@@ -511,35 +510,31 @@ sim::Action DecimaAgent::schedule_reference(
     assert(!limit_values.empty());
     const std::size_t cg = static_cast<std::size_t>(chosen.graph);
     if (config_.limit_encoding == LimitEncoding::kSeparateOutputs) {
-      const nn::Var in = tape.concat_cols({tape.row(job_mat, cg), glob});
-      const nn::Var all = w_sep_.apply(tape, in);
-      std::vector<nn::Var> scores;
-      scores.reserve(limit_values.size());
-      for (int l : limit_values) {
-        const std::size_t idx = std::min<std::size_t>(
-            static_cast<std::size_t>(l - 1), kMaxSeparateLimitOutputs - 1);
-        scores.push_back(tape.element(all, 0, idx));
-      }
-      limit_logits = tape.concat_scalars(scores);
+      const nn::Var all = w_sep_.apply(
+          tape, tape.concat_cols({tape.rows(job_mat, {cg}), glob}));
+      std::vector<std::size_t> outputs;
+      outputs.reserve(limit_values.size());
+      for (int l : limit_values) outputs.push_back(separate_limit_output(l));
+      limit_logits =
+          tape.rows(tape.reshape(all, kMaxSeparateLimitOutputs, 1),
+                    std::move(outputs));
     } else {
       // All candidate limits scored in one w pass: the rows differ only in
-      // the scalar limit feature, so broadcast the embedding columns.
+      // the scalar limit feature, so tile the embedding rows.
       const std::size_t nl = limit_values.size();
       const nn::Var lvar =
           tape.constant(limit_feature_col(limit_values, total_execs));
       std::vector<nn::Var> parts;
       if (config_.limit_encoding == LimitEncoding::kStageLevel) {
-        parts = {tape.broadcast_row(emb.node_all,
-                                    emb.node_offset[cg] +
-                                        static_cast<std::size_t>(chosen.node),
-                                    nl),
-                 tape.broadcast_row(job_mat, cg, nl),
-                 tape.broadcast_row(glob, 0, nl), lvar};
+        parts = {tile(emb.node_all,
+                      emb.node_offset[cg] +
+                          static_cast<std::size_t>(chosen.node),
+                      nl),
+                 tile(job_mat, cg, nl), tile(glob, 0, nl), lvar};
       } else {
-        parts = {tape.broadcast_row(job_mat, cg, nl),
-                 tape.broadcast_row(glob, 0, nl), lvar};
+        parts = {tile(job_mat, cg, nl), tile(glob, 0, nl), lvar};
       }
-      limit_logits = tape.as_row(w_.apply(tape, tape.concat_cols(parts)));
+      limit_logits = w_.apply(tape, tape.concat_cols(parts));
     }
     limit_choice =
         choose(mode_, tape.value(limit_logits).raw().data(),
@@ -560,9 +555,9 @@ sim::Action DecimaAgent::schedule_reference(
     const std::size_t nc = class_values.size();
     const std::size_t cg = static_cast<std::size_t>(chosen.graph);
     const nn::Var cvar = tape.constant(class_feature_mat(env, class_values));
-    class_logits = tape.as_row(class_head_.apply(
-        tape, tape.concat_cols({tape.broadcast_row(job_mat, cg, nc),
-                                tape.broadcast_row(glob, 0, nc), cvar})));
+    class_logits = class_head_.apply(
+        tape,
+        tape.concat_cols({tile(job_mat, cg, nc), tile(glob, 0, nc), cvar}));
     class_choice =
         choose(mode_, tape.value(class_logits).raw().data(),
                class_values.size(), replayed ? replayed->class_choice : 0,
@@ -576,24 +571,28 @@ sim::Action DecimaAgent::schedule_reference(
   action.exec_class = exec_class;
 
   if (train) {
-    // Accumulate −A_k ∇log π − β ∇H into the parameter gradients.
+    // Accumulate −A_k ∇log π − β ∇H into the parameter gradients, each term
+    // weighted by a 1 x 1 matmul as finish_replay weights its columns.
     const double weight = replay_weights_[replay_cursor_];
+    const auto log_prob = [&tape](nn::Var logits, int choice) {
+      return tape.log_prob_pick_segments(
+          logits, {0}, {static_cast<std::size_t>(choice)});
+    };
     std::vector<nn::Var> logps;
-    logps.push_back(
-        tape.log_prob_pick(node_logits, static_cast<std::size_t>(node_choice)));
+    logps.push_back(log_prob(node_logits, node_choice));
     if (config_.parallelism_control && limit_choice >= 0 &&
         limit_values.size() > 1) {
-      logps.push_back(tape.log_prob_pick(
-          limit_logits, static_cast<std::size_t>(limit_choice)));
+      logps.push_back(log_prob(limit_logits, limit_choice));
     }
     if (multi && class_values.size() > 1) {
-      logps.push_back(tape.log_prob_pick(
-          class_logits, static_cast<std::size_t>(class_choice)));
+      logps.push_back(log_prob(class_logits, class_choice));
     }
-    nn::Var loss = tape.scale(tape.addn(logps), -weight);
+    nn::Var loss = tape.matmul(tape.addn(logps),
+                               tape.constant(nn::Matrix(1, 1, -weight)));
     if (entropy_weight_ > 0.0 && candidates.size() > 1) {
       loss = tape.add(
-          loss, tape.scale(tape.entropy(node_logits), -entropy_weight_));
+          loss, tape.matmul(tape.entropy_segments(node_logits, {0}),
+                            tape.constant(nn::Matrix(1, 1, -entropy_weight_))));
     }
     tape.backward(loss);
     ++replay_cursor_;

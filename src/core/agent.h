@@ -181,9 +181,8 @@ class DecimaAgent : public sim::Scheduler {
   struct Scores {
     nn::Var node;  // candidates x 1 q logits
     std::vector<std::size_t> node_starts;
-    nn::Var limit;  // limits x 1 w logits (scalar-input and stage-level)
+    nn::Var limit;  // limits x 1 w (or w_sep) logits
     std::vector<std::size_t> limit_starts;
-    std::vector<nn::Var> limit_rows;  // per-event 1 x n w_sep logits
     nn::Var cls;  // classes x 1, multi-class events only
     std::vector<std::size_t> class_starts;
     std::vector<std::size_t> class_events;  // event of each class segment

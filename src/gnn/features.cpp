@@ -27,14 +27,13 @@ std::vector<JobGraph> extract_graphs(const sim::ClusterEnv& env,
       const auto& st = job.stages[v];
       const double remaining =
           static_cast<double>(spec.num_tasks - st.finished);
-      g.features(v, 0) = remaining / config.task_scale;
-      g.features(v, 1) = config.use_task_duration
-                             ? spec.task_duration / config.duration_scale
-                             : 0.0;
+      g.features(v, 0) = remaining / kTaskScale;
+      g.features(v, 1) =
+          config.use_task_duration ? spec.task_duration / kDurationScale : 0.0;
       g.features(v, 2) = static_cast<double>(job.executors) / total_execs;
       g.features(v, 3) = free_execs / total_execs;
       g.features(v, 4) = local;
-      if (config.iat_hint) g.features(v, 5) = observed_iat / config.iat_scale;
+      if (config.iat_hint) g.features(v, 5) = observed_iat / kIatScale;
       g.runnable[v] = st.runnable();
     }
     out.push_back(std::move(g));

@@ -19,13 +19,15 @@
 
 namespace decima::gnn {
 
+// Normalization scales: the raw remaining tasks, task duration and
+// interarrival time are divided by these.
+constexpr double kTaskScale = 200.0;
+constexpr double kDurationScale = 10.0;
+constexpr double kIatScale = 100.0;
+
 struct FeatureConfig {
   bool use_task_duration = true;  // false = Appendix J (unseen jobs)
   bool iat_hint = false;          // true = Table 2's interarrival-time input
-  // Normalization scales (divide raw values by these).
-  double task_scale = 200.0;
-  double duration_scale = 10.0;
-  double iat_scale = 100.0;
 
   int dim() const { return iat_hint ? 6 : 5; }
 };

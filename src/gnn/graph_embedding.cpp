@@ -62,7 +62,7 @@ std::vector<nn::Var> GraphEmbedding::node_sweep_reference(
   const nn::Var x = tape.constant(graph.features);
   std::vector<nn::Var> proj(n), emb(n);
   for (std::size_t v = 0; v < n; ++v) {
-    proj[v] = proj_.apply(tape, tape.row(x, v));
+    proj[v] = proj_.apply(tape, tape.rows(x, {v}));
   }
   // Reverse topological sweep: every node's children are embedded before the
   // node itself, which realizes the leaves-to-roots message passing of

@@ -5,9 +5,6 @@ namespace decima::io {
 void write_agent_config(BinaryWriter& w, const core::AgentConfig& c) {
   w.boolean(c.features.use_task_duration);
   w.boolean(c.features.iat_hint);
-  w.f64(c.features.task_scale);
-  w.f64(c.features.duration_scale);
-  w.f64(c.features.iat_scale);
   w.u32(static_cast<std::uint32_t>(c.emb_dim));
   w.boolean(c.use_gnn);
   w.boolean(c.two_level_aggregation);
@@ -24,9 +21,6 @@ core::AgentConfig read_agent_config(BinaryReader& r) {
   core::AgentConfig c;
   c.features.use_task_duration = r.boolean();
   c.features.iat_hint = r.boolean();
-  c.features.task_scale = r.f64();
-  c.features.duration_scale = r.f64();
-  c.features.iat_scale = r.f64();
   const std::uint32_t emb_dim = r.u32();
   c.use_gnn = r.boolean();
   c.two_level_aggregation = r.boolean();
@@ -54,9 +48,6 @@ bool inference_compatible(const core::AgentConfig& a,
                           const core::AgentConfig& b) {
   return a.features.use_task_duration == b.features.use_task_duration &&
          a.features.iat_hint == b.features.iat_hint &&
-         a.features.task_scale == b.features.task_scale &&
-         a.features.duration_scale == b.features.duration_scale &&
-         a.features.iat_scale == b.features.iat_scale &&
          a.emb_dim == b.emb_dim && a.use_gnn == b.use_gnn &&
          a.two_level_aggregation == b.two_level_aggregation &&
          a.parallelism_control == b.parallelism_control &&
@@ -134,8 +125,8 @@ bool load_policy(core::DecimaAgent& agent, const std::string& path) {
   BinaryReader r(path);
   if (!r.open_header(kPolicyMagic, kPolicyVersion)) return false;
   // Parameter names/shapes are verified below, but shape-preserving config
-  // differences (feature scales) would silently change what the weights
-  // mean — reject those too.
+  // differences (a masked task-duration feature) would silently change what
+  // the weights mean — reject those too.
   const core::AgentConfig config = read_agent_config(r);
   if (!r.ok() || !inference_compatible(config, agent.config())) return false;
   // Stage + check exact exhaustion before committing: trailing garbage is

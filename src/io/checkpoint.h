@@ -29,11 +29,12 @@ namespace decima::io {
 
 constexpr std::uint32_t kPolicyMagic = 0x44504F4Cu;   // "DPOL"
 constexpr std::uint32_t kTrainerMagic = 0x4454524Eu;  // "DTRN"
-// Version 3: AgentConfig serialization lost two retired fields (the replay
-// chunk size and the limit step), and the file gained its CRC-32 trailer.
-constexpr std::uint32_t kPolicyVersion = 3;
-// Version 4: the same AgentConfig change and CRC-32 trailer.
-constexpr std::uint32_t kTrainerVersion = 4;
+// Version 4: AgentConfig serialization lost the three feature scales, which
+// are constants now (gnn/features.h). Version 3 dropped the replay chunk size
+// and the limit step and added the CRC-32 trailer.
+constexpr std::uint32_t kPolicyVersion = 4;
+// Version 5: the same AgentConfig change as policy version 4.
+constexpr std::uint32_t kTrainerVersion = 5;
 // The largest emb_dim a file may name. The repo's models use 4 and 8; the
 // cap keeps a corrupt value from sizing an agent's matrices.
 constexpr std::uint32_t kMaxEmbDim = 1024;
@@ -46,8 +47,8 @@ bool save_policy(const core::DecimaAgent& agent, const std::string& path);
 // Loads parameter values into `agent`. The checkpoint's parameter list must
 // match the agent's ParamSet name-for-name and shape-for-shape, and the
 // embedded config must be inference-compatible with the agent's (see below —
-// shape-preserving knobs like feature scales still change what the weights
-// mean); returns false (agent untouched) otherwise.
+// shape-preserving knobs like the task-duration mask still change what the
+// weights mean); returns false (agent untouched) otherwise.
 bool load_policy(core::DecimaAgent& agent, const std::string& path);
 
 // Constructs an agent from the checkpoint's embedded config and loads the

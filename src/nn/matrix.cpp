@@ -115,13 +115,6 @@ void Matrix::add_in_place(const Matrix& other) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Matrix::axpy(double scale, const Matrix& other) {
-  assert(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scale * other.data_[i];
-  }
-}
-
 Matrix Matrix::matmul(const Matrix& rhs) const {
   Matrix out;
   matmul_into(rhs, out);
@@ -206,12 +199,6 @@ void linear_forward(const Matrix& x, const Matrix& w, const Matrix& bias,
   if (leaky) {
     for (double& v : out.raw()) v = v > 0.0 ? v : slope * v;
   }
-}
-
-double Matrix::sum() const {
-  double s = 0.0;
-  for (double v : data_) s += v;
-  return s;
 }
 
 double Matrix::squared_norm() const {

@@ -57,8 +57,6 @@ class Matrix {
 
   // this += other (shapes must match).
   void add_in_place(const Matrix& other);
-  // this += scale * other.
-  void axpy(double scale, const Matrix& other);
 
   // The three products of a dense layer, forward and backward. Widths 8, 16
   // and 32 (the output width; for matmul_transposed_acc, rhs.rows()) run
@@ -83,7 +81,6 @@ class Matrix {
   // that product at the ulp level.
   void transposed_matmul_acc(const Matrix& rhs, Matrix& dst) const;
 
-  double sum() const;
   double squared_norm() const;
 
  private:

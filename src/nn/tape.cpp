@@ -86,16 +86,6 @@ Var Tape::addn(const std::vector<Var>& xs) {
   })};
 }
 
-Var Tape::scale(Var a, double c) {
-  Matrix out = value(a);
-  for (double& v : out.raw()) v *= c;
-  const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad,
-                  [ai, c](Tape& t, Node& self) {
-    if (t.nodes_[ai].needs_grad) t.nodes_[ai].grad.axpy(c, self.grad);
-  })};
-}
-
 Var Tape::linear(Var x, Var w, Var bias, bool leaky, double slope) {
   Matrix out;
   linear_forward(value(x), value(w), value(bias), leaky, out, slope);
@@ -168,43 +158,6 @@ Var Tape::concat_cols(const std::vector<Var>& xs) {
   })};
 }
 
-Var Tape::row(Var a, std::size_t r) {
-  const Matrix& A = value(a);
-  assert(r < A.rows());
-  Matrix out(1, A.cols());
-  for (std::size_t c = 0; c < A.cols(); ++c) out(0, c) = A(r, c);
-  const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad,
-                  [ai, r](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    if (!na.needs_grad) return;
-    for (std::size_t c = 0; c < self.grad.cols(); ++c) {
-      na.grad(r, c) += self.grad(0, c);
-    }
-  })};
-}
-
-Var Tape::concat_scalars(const std::vector<Var>& xs) {
-  assert(!xs.empty());
-  Matrix out(1, xs.size());
-  bool ng = false;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    assert(value(xs[i]).size() == 1);
-    out(0, i) = value(xs[i])(0, 0);
-    ng = ng || node(xs[i]).needs_grad;
-  }
-  std::vector<int> idxs;
-  idxs.reserve(xs.size());
-  for (Var v : xs) idxs.push_back(v.idx);
-  return Var{push(std::move(out), ng,
-                  [idxs = std::move(idxs)](Tape& t, Node& self) {
-    for (std::size_t i = 0; i < idxs.size(); ++i) {
-      Node& ni = t.nodes_[idxs[i]];
-      if (ni.needs_grad) ni.grad(0, 0) += self.grad(0, i);
-    }
-  })};
-}
-
 Var Tape::sum_rows(Var a) {
   const Matrix& A = value(a);
   Matrix out(1, A.cols());
@@ -221,19 +174,6 @@ Var Tape::sum_rows(Var a) {
         na.grad(r, c) += self.grad(0, c);
       }
     }
-  })};
-}
-
-Var Tape::element(Var a, std::size_t r, std::size_t c) {
-  const Matrix& A = value(a);
-  assert(r < A.rows() && c < A.cols());
-  Matrix out(1, 1);
-  out(0, 0) = A(r, c);
-  const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad,
-                  [ai, r, c](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    if (na.needs_grad) na.grad(r, c) += self.grad(0, 0);
   })};
 }
 
@@ -318,29 +258,9 @@ Var Tape::segment_sum_rows(Var a, std::vector<std::size_t> seg,
   })};
 }
 
-Var Tape::broadcast_row(Var a, std::size_t r, std::size_t n) {
+Var Tape::reshape(Var a, std::size_t rows, std::size_t cols) {
   const Matrix& A = value(a);
-  assert(r < A.rows());
-  Matrix out(n, A.cols());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < A.cols(); ++c) out(i, c) = A(r, c);
-  }
-  const int ai = a.idx;
-  return Var{push(std::move(out), node(a).needs_grad,
-                  [ai, r](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    if (!na.needs_grad) return;
-    for (std::size_t i = 0; i < self.grad.rows(); ++i) {
-      for (std::size_t c = 0; c < self.grad.cols(); ++c) {
-        na.grad(r, c) += self.grad(i, c);
-      }
-    }
-  })};
-}
-
-Var Tape::as_row(Var a) {
-  const Matrix& A = value(a);
-  Matrix out(1, A.size(), A.raw());
+  Matrix out(rows, cols, A.raw());
   const int ai = a.idx;
   return Var{push(std::move(out), node(a).needs_grad,
                   [ai](Tape& t, Node& self) {
@@ -397,64 +317,13 @@ Var Tape::gather_concat_cols(const std::vector<Var>& xs,
   })};
 }
 
-Var Tape::log_prob_pick(Var logits, std::size_t pick) {
-  const Matrix& L = value(logits);
-  assert(L.rows() == 1 && pick < L.cols());
-  double max_logit = L(0, 0);
-  for (std::size_t c = 1; c < L.cols(); ++c) {
-    max_logit = std::max(max_logit, L(0, c));
-  }
-  double denom = 0.0;
-  for (std::size_t c = 0; c < L.cols(); ++c) {
-    denom += std::exp(L(0, c) - max_logit);
-  }
-  const double log_z = max_logit + std::log(denom);
-  Matrix out(1, 1);
-  out(0, 0) = L(0, pick) - log_z;
-  const int ai = logits.idx;
-  return Var{push(std::move(out), node(logits).needs_grad,
-                  [ai, pick, log_z](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    if (!na.needs_grad) return;
-    const double g = self.grad(0, 0);
-    for (std::size_t c = 0; c < na.value.cols(); ++c) {
-      const double p = std::exp(na.value(0, c) - log_z);
-      na.grad(0, c) += g * ((c == pick ? 1.0 : 0.0) - p);
-    }
-  })};
-}
-
-Var Tape::entropy(Var logits) {
-  const Matrix& L = value(logits);
-  std::vector<double> p = softmax(L.raw().data(), L.cols());
-  double h = 0.0;
-  for (double pi : p) {
-    if (pi > 1e-12) h -= pi * std::log(pi);
-  }
-  Matrix out(1, 1);
-  out(0, 0) = h;
-  const int ai = logits.idx;
-  return Var{push(std::move(out), node(logits).needs_grad,
-                  [ai, p = std::move(p), h](Tape& t, Node& self) {
-    Node& na = t.nodes_[ai];
-    if (!na.needs_grad) return;
-    const double g = self.grad(0, 0);
-    // dH/dl_j = -p_j (log p_j + H)
-    for (std::size_t c = 0; c < p.size(); ++c) {
-      const double logp = p[c] > 1e-12 ? std::log(p[c]) : -27.6;
-      na.grad(0, c) += g * (-p[c] * (logp + h));
-    }
-  })};
-}
-
 Var Tape::log_prob_pick_segments(Var logits, std::vector<std::size_t> seg_start,
                                  std::vector<std::size_t> picks) {
   const Matrix& L = value(logits);
   assert(L.cols() == 1);
   assert(seg_start.size() == picks.size());
   const std::size_t S = seg_start.size();
-  // Per segment: the exact max/denom/log_z sequence of log_prob_pick, so the
-  // segmented op is bitwise-identical to one log_prob_pick per segment.
+  // Per segment: log_z = max + log(Σ exp(l - max)), in row order.
   std::vector<double> log_z(S);
   Matrix out(1, S);
   for (std::size_t s = 0; s < S; ++s) {
@@ -496,7 +365,7 @@ Var Tape::entropy_segments(Var logits, std::vector<std::size_t> seg_start) {
   const Matrix& L = value(logits);
   assert(L.cols() == 1);
   const std::size_t S = seg_start.size();
-  // Same probability/entropy sequence as entropy() per segment.
+  // Each segment's probabilities are softmax()'s, the ones the heads pick by.
   std::vector<double> probs(L.rows());
   std::vector<double> ent(S);
   Matrix out(1, S);
@@ -504,18 +373,9 @@ Var Tape::entropy_segments(Var logits, std::vector<std::size_t> seg_start) {
     const std::size_t lo = seg_start[s];
     const std::size_t hi = s + 1 < S ? seg_start[s + 1] : L.rows();
     assert(lo < hi && hi <= L.rows());
-    double max_logit = L(lo, 0);
-    for (std::size_t r = lo + 1; r < hi; ++r) {
-      max_logit = std::max(max_logit, L(r, 0));
-    }
-    double denom = 0.0;
-    for (std::size_t r = lo; r < hi; ++r) {
-      probs[r] = std::exp(L(r, 0) - max_logit);
-      denom += probs[r];
-    }
+    softmax(L.data() + lo, hi - lo, probs.data() + lo);
     double h = 0.0;
     for (std::size_t r = lo; r < hi; ++r) {
-      probs[r] /= denom;
       if (probs[r] > 1e-12) h -= probs[r] * std::log(probs[r]);
     }
     ent[s] = h;
@@ -533,7 +393,7 @@ Var Tape::entropy_segments(Var logits, std::vector<std::size_t> seg_start) {
       const std::size_t lo = seg_start[s];
       const std::size_t hi = s + 1 < S ? seg_start[s + 1] : na.value.rows();
       const double g = self.grad(0, s);
-      // dH/dl_r = -p_r (log p_r + H), as in the per-event entropy op.
+      // dH/dl_r = -p_r (log p_r + H).
       for (std::size_t r = lo; r < hi; ++r) {
         const double logp = probs[r] > 1e-12 ? std::log(probs[r]) : -27.6;
         na.grad(r, 0) += g * (-probs[r] * (logp + ent[s]));
@@ -544,6 +404,11 @@ Var Tape::entropy_segments(Var logits, std::vector<std::size_t> seg_start) {
 
 std::vector<double> softmax(const double* logits, std::size_t n) {
   std::vector<double> out(n);
+  softmax(logits, n, out.data());
+  return out;
+}
+
+void softmax(const double* logits, std::size_t n, double* out) {
   double max_logit = logits[0];
   for (std::size_t c = 1; c < n; ++c) {
     max_logit = std::max(max_logit, logits[c]);
@@ -553,8 +418,7 @@ std::vector<double> softmax(const double* logits, std::size_t n) {
     out[c] = std::exp(logits[c] - max_logit);
     denom += out[c];
   }
-  for (double& v : out) v /= denom;
-  return out;
+  for (std::size_t c = 0; c < n; ++c) out[c] /= denom;
 }
 
 void Tape::backward(Var output, double seed) {

@@ -33,9 +33,12 @@ struct Param {
 class Tape;
 
 // Softmax probabilities of logits[0, n): max-shifted exponentials over their
-// sum. Tape::entropy and every policy head's greedy and sampled picks read
-// this one sequence, so the probabilities they compare agree bit for bit.
+// sum. Its two readers, the policy heads' greedy and sampled picks (`choose`
+// in core/agent.cpp) and Tape::entropy_segments, read this one sequence, so
+// the probabilities they compare agree bit for bit.
 std::vector<double> softmax(const double* logits, std::size_t n);
+// The same probabilities written to out[0, n).
+void softmax(const double* logits, std::size_t n, double* out);
 
 // Lightweight handle to a node on the tape.
 struct Var {
@@ -66,7 +69,6 @@ class Tape {
   Var matmul(Var a, Var b);
   Var add(Var a, Var b);               // same shape
   Var addn(const std::vector<Var>& xs);// elementwise sum, same shapes
-  Var scale(Var a, double c);
 
   // Affine layer x @ W + bias (bias 1 x cols, broadcast over rows) with an
   // optional leaky-ReLU, as one tape node (one materialized matrix + grad).
@@ -77,23 +79,22 @@ class Tape {
 
   // --- Shape ops ------------------------------------------------------------
   Var concat_cols(const std::vector<Var>& xs);  // all same row count
-  Var row(Var a, std::size_t r);                // 1 x cols slice
-  Var concat_scalars(const std::vector<Var>& xs);  // n scalars -> 1 x n
   Var sum_rows(Var a);                          // n x m -> 1 x m
-  Var element(Var a, std::size_t r, std::size_t c);  // 1 x 1 slice
 
   // --- Row-batched shape ops -------------------------------------------------
   // These let callers assemble one large n x m operand (a single matmul per
   // MLP layer) instead of n separate 1 x m tape nodes — the batched GNN and
   // policy-scoring hot paths are built on them.
   Var concat_rows(const std::vector<Var>& xs);  // all same col count; vstack
-  // Gather: out row i = a row picks[i] (repeats allowed).
+  // Gather: out row i = a row picks[i] (repeats allowed, so n equal picks
+  // tile one row n times).
   Var rows(Var a, std::vector<std::size_t> picks);
   // out(seg[r], :) += a(r, :) for every row r; out has num_segments rows.
   Var segment_sum_rows(Var a, std::vector<std::size_t> seg,
                        std::size_t num_segments);
-  Var broadcast_row(Var a, std::size_t r, std::size_t n);  // tile row r, n rows
-  Var as_row(Var a);  // row-major reshape to 1 x size (e.g. n x 1 -> logits)
+  // Row-major reshape to rows x cols (rows * cols == a's size), e.g. a
+  // K x m output to one K*m x 1 column that rows() can gather from.
+  Var reshape(Var a, std::size_t rows, std::size_t cols);
   // Fused gather + column concat: out row r = [xs[0] row picks[0][r],
   // xs[1] row picks[1][r], ...]. One materialized node instead of one rows()
   // per source plus a concat_cols — the policy heads of the episode-batched
@@ -103,26 +104,19 @@ class Tape {
                          std::vector<std::vector<std::size_t>> picks);
 
   // --- Losses ---------------------------------------------------------------
-  // log softmax(logits)[pick]; logits is 1 x n. Returns a 1 x 1 scalar.
-  Var log_prob_pick(Var logits, std::size_t pick);
-
-  // Entropy of softmax(logits) for a 1 x n logits row. Returns 1 x 1.
-  // Used as an exploration bonus during policy-gradient training.
-  Var entropy(Var logits);
-
-  // --- Segment-batched losses -----------------------------------------------
-  // The episode-batched REINFORCE replay stacks every scheduling event's
-  // logits into one n x 1 column (the natural output shape of a row-batched
-  // scoring MLP) and evaluates all per-event softmax losses in a single tape
-  // node. Segment s spans rows [seg_start[s], seg_start[s+1]) (the last one
-  // ends at n); per segment the math is identical to log_prob_pick / entropy,
-  // so the results match the per-event ops bit for bit.
+  // The REINFORCE losses over logits stacked into one n x 1 column (the
+  // natural output shape of a row-batched scoring MLP): segment s spans rows
+  // [seg_start[s], seg_start[s+1]) (the last one ends at n), one scheduling
+  // event's softmax each, all evaluated in a single tape node. The batched
+  // replay passes every event of a chunk; the per-action reference path
+  // passes one segment, {0}.
   //
   // Returns 1 x S with entry s = log softmax(segment s)[picks[s]] (picks are
   // segment-local indices).
   Var log_prob_pick_segments(Var logits, std::vector<std::size_t> seg_start,
                              std::vector<std::size_t> picks);
-  // Returns 1 x S with entry s = H(softmax(segment s)).
+  // Returns 1 x S with entry s = H(softmax(segment s)), the exploration
+  // bonus of policy-gradient training.
   Var entropy_segments(Var logits, std::vector<std::size_t> seg_start);
 
   // --- Access / backward ----------------------------------------------------

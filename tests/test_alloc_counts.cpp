@@ -268,7 +268,7 @@ TEST(AllocCounts, GreedyEpisodePerInferencePath) {
     long allocations;
   };
   for (const Arm& arm : {Arm{true, true, 31752}, Arm{true, false, 335589},
-                         Arm{false, false, 1464572}}) {
+                         Arm{false, false, 1539328}}) {
     core::AgentConfig config;
     config.batched_inference = arm.batched;
     config.embed_cache = arm.cache;
@@ -292,7 +292,7 @@ TEST(AllocCounts, ReplayedEpisodePerReplayPath) {
     bool batched;
     long allocations;
   };
-  for (const Arm& arm : {Arm{true, 101888}, Arm{false, 618314}}) {
+  for (const Arm& arm : {Arm{true, 101888}, Arm{false, 626580}}) {
     core::AgentConfig config;
     config.seed = 37;
     config.batched_replay = arm.batched;

@@ -60,6 +60,12 @@ Param make_param(const std::string& name, std::size_t r, std::size_t c,
   return p;
 }
 
+// c * x for a 1 x 1 x: a matmul by a 1 x 1 constant, as the replay losses
+// are weighted.
+Var scaled(Tape& t, Var x, double c) {
+  return t.matmul(x, t.constant(Matrix(1, 1, c)));
+}
+
 TEST(Autodiff, MatmulGradient) {
   Param a = make_param("a", 1, 4, 1);
   Param b = make_param("b", 4, 3, 2);
@@ -74,7 +80,7 @@ TEST(Autodiff, AddAndScale) {
   Param a = make_param("a", 1, 1, 4);
   Param b = make_param("b", 1, 1, 5);
   const double err = grad_check({&a, &b}, [&](Tape& t) {
-    return t.add(t.scale(t.param(a), 2.5), t.param(b));
+    return t.add(scaled(t, t.param(a), 2.5), t.param(b));
   });
   EXPECT_LT(err, 1e-6);
 }
@@ -102,12 +108,14 @@ TEST(Autodiff, ConcatColsGradient) {
 }
 
 TEST(Autodiff, RowAndElementGradient) {
+  // Rows are gathered with rows(), a repeated pick tiling row 1; an element
+  // is a row of the matrix reshaped to one column.
   Param a = make_param("a", 3, 3, 20);
   Param w = make_param("w", 3, 1, 21);
   const double err = grad_check({&a, &w}, [&](Tape& t) {
-    Var r = t.row(t.param(a), 1);
-    Var e = t.element(t.param(a), 2, 2);
-    return t.add(t.matmul(r, t.param(w)), e);
+    Var r = t.rows(t.param(a), {1, 0, 1});
+    Var e = t.rows(t.reshape(t.param(a), 9, 1), {8});  // a(2, 2)
+    return t.add(t.sum_rows(t.matmul(r, t.param(w))), e);
   });
   EXPECT_LT(err, 1e-6);
 }
@@ -126,16 +134,17 @@ TEST(Autodiff, ConcatScalarsAndLogProbPick) {
   Param b = make_param("b", 1, 1, 25);
   Param c = make_param("c", 1, 1, 26);
   const double err = grad_check({&a, &b, &c}, [&](Tape& t) {
-    Var logits = t.concat_scalars({t.param(a), t.param(b), t.param(c)});
-    return t.log_prob_pick(logits, 1);
+    Var logits =
+        t.reshape(t.concat_cols({t.param(a), t.param(b), t.param(c)}), 3, 1);
+    return t.log_prob_pick_segments(logits, {0}, {1});
   });
   EXPECT_LT(err, 1e-6);
 }
 
 TEST(Autodiff, EntropyGradient) {
-  Param a = make_param("a", 1, 5, 27);
+  Param a = make_param("a", 5, 1, 27);
   const double err = grad_check({&a}, [&](Tape& t) {
-    return t.entropy(t.param(a));
+    return t.entropy_segments(t.param(a), {0});
   });
   EXPECT_LT(err, 1e-5);
 }
@@ -145,14 +154,14 @@ TEST(Autodiff, SharedParamAccumulates) {
   Param a = make_param("a", 1, 1, 28);
   const double err = grad_check({&a}, [&](Tape& t) {
     Var x = t.param(a);
-    return t.add(t.scale(x, 2.0), t.scale(x, 3.0));  // f = 5a
+    return t.add(scaled(t, x, 2.0), scaled(t, x, 3.0));  // f = 5a
   });
   EXPECT_LT(err, 1e-8);
   // And the absolute value: df/da = 5.
   a.zero_grad();
   Tape t;
   Var x = t.param(a);
-  Var out = t.add(t.scale(x, 2.0), t.scale(x, 3.0));
+  Var out = t.add(scaled(t, x, 2.0), scaled(t, x, 3.0));
   t.backward(out);
   EXPECT_NEAR(a.grad(0, 0), 5.0, 1e-12);
 }
@@ -161,54 +170,46 @@ TEST(Autodiff, BackwardSeedScalesGradient) {
   Param a = make_param("a", 1, 1, 29);
   a.zero_grad();
   Tape t;
-  Var out = t.scale(t.param(a), 4.0);
+  Var out = scaled(t, t.param(a), 4.0);
   t.backward(out, -2.5);
   EXPECT_NEAR(a.grad(0, 0), -10.0, 1e-12);
 }
 
 TEST(Autodiff, LogProbMatchesSoftmax) {
   Tape t;
-  Var logits = t.constant(Matrix(1, 3, {1.0, 2.0, 3.0}));
+  Var logits = t.constant(Matrix(3, 1, {1.0, 2.0, 3.0}));
   const auto p = softmax(t.value(logits).raw().data(), 3);
-  const Var lp = t.log_prob_pick(logits, 2);
+  const Var lp = t.log_prob_pick_segments(logits, {0}, {2});
   EXPECT_NEAR(t.value(lp)(0, 0), std::log(p[2]), 1e-12);
 }
 
 TEST(Autodiff, SegmentedLogProbMatchesPerSegment) {
-  // A stacked 3-segment logits column vs three per-segment log_prob_picks:
-  // values and gradients must agree exactly.
+  // A stacked 3-segment logits column against each segment's softmax in
+  // closed form: entry s is log p_s[pick_s], and row i of segment s gets
+  // w_s (1[i = pick_s] - p_s[i]). The one-row segment gets exactly zero.
   Param logits = make_param("logits", 7, 1, 44);
-  const std::vector<std::size_t> starts = {0, 3, 4};
+  const std::vector<std::size_t> starts = {0, 3, 4};  // segment 1: one row
   const std::vector<std::size_t> picks = {2, 0, 1};
   const std::vector<std::size_t> ends = {3, 4, 7};
   const Matrix weights(3, 1, {0.7, -1.3, 0.4});
 
   logits.zero_grad();
-  Tape ts;
-  const Var seg = ts.log_prob_pick_segments(ts.param(logits), starts, picks);
-  ts.backward(ts.matmul(seg, ts.constant(weights)));
-  const Matrix seg_grad = logits.grad;
-  const Matrix seg_val = ts.value(seg);
-
-  logits.zero_grad();
-  Tape tr;
-  const Var col = tr.param(logits);
-  std::vector<Var> lps;
+  Tape t;
+  const Var seg = t.log_prob_pick_segments(t.param(logits), starts, picks);
+  t.backward(t.matmul(seg, t.constant(weights)));
   for (std::size_t s = 0; s < starts.size(); ++s) {
-    std::vector<Var> rows;
-    for (std::size_t r = starts[s]; r < ends[s]; ++r) {
-      rows.push_back(tr.element(col, r, 0));
+    const std::size_t n = ends[s] - starts[s];
+    const auto p = softmax(logits.value.data() + starts[s], n);
+    EXPECT_NEAR(t.value(seg)(0, s), std::log(p[picks[s]]), 1e-12);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double want =
+          weights(s, 0) * ((i == picks[s] ? 1.0 : 0.0) - p[i]);
+      EXPECT_NEAR(logits.grad(starts[s] + i, 0), want, 1e-12)
+          << "row " << starts[s] + i;
     }
-    lps.push_back(tr.scale(
-        tr.log_prob_pick(tr.concat_scalars(rows), picks[s]), weights(s, 0)));
   }
-  tr.backward(tr.addn(lps));
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    EXPECT_NEAR(seg_val(0, s), tr.value(lps[s])(0, 0) / weights(s, 0), 1e-12);
-  }
-  for (std::size_t i = 0; i < logits.grad.raw().size(); ++i) {
-    EXPECT_NEAR(seg_grad.raw()[i], logits.grad.raw()[i], 1e-14) << "row " << i;
-  }
+  EXPECT_EQ(t.value(seg)(0, 1), 0.0);
+  EXPECT_EQ(logits.grad(3, 0), 0.0);
 
   const double err = grad_check({&logits}, [&](Tape& t) {
     return t.matmul(t.log_prob_pick_segments(t.param(logits), starts, picks),
@@ -218,39 +219,31 @@ TEST(Autodiff, SegmentedLogProbMatchesPerSegment) {
 }
 
 TEST(Autodiff, SegmentedEntropyMatchesPerSegment) {
+  // Entry s is H_s = -sum_i p_s[i] log p_s[i], and row i of segment s gets
+  // -w_s p_s[i] (log p_s[i] + H_s). The one-row segment gets exactly zero.
   Param logits = make_param("logits", 6, 1, 45);
-  const std::vector<std::size_t> starts = {0, 2, 5};  // last segment size 1
+  const std::vector<std::size_t> starts = {0, 2, 5};  // segment 2: one row
   const std::vector<std::size_t> ends = {2, 5, 6};
   const Matrix weights(3, 1, {1.0, -0.5, 2.0});
 
   logits.zero_grad();
-  Tape ts;
-  const Var seg = ts.entropy_segments(ts.param(logits), starts);
-  ts.backward(ts.matmul(seg, ts.constant(weights)));
-  const Matrix seg_grad = logits.grad;
-  const Matrix seg_val = ts.value(seg);
-  // Singleton segment: zero entropy and zero gradient, exactly.
-  EXPECT_EQ(seg_val(0, 2), 0.0);
-
-  logits.zero_grad();
-  Tape tr;
-  const Var col = tr.param(logits);
-  std::vector<Var> hs;
+  Tape t;
+  const Var seg = t.entropy_segments(t.param(logits), starts);
+  t.backward(t.matmul(seg, t.constant(weights)));
   for (std::size_t s = 0; s < starts.size(); ++s) {
-    std::vector<Var> rows;
-    for (std::size_t r = starts[s]; r < ends[s]; ++r) {
-      rows.push_back(tr.element(col, r, 0));
+    const std::size_t n = ends[s] - starts[s];
+    const auto p = softmax(logits.value.data() + starts[s], n);
+    double h = 0.0;
+    for (double pi : p) h -= pi * std::log(pi);
+    EXPECT_NEAR(t.value(seg)(0, s), h, 1e-12);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double want = -weights(s, 0) * p[i] * (std::log(p[i]) + h);
+      EXPECT_NEAR(logits.grad(starts[s] + i, 0), want, 1e-12)
+          << "row " << starts[s] + i;
     }
-    hs.push_back(
-        tr.scale(tr.entropy(tr.concat_scalars(rows)), weights(s, 0)));
   }
-  tr.backward(tr.addn(hs));
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    EXPECT_NEAR(seg_val(0, s), tr.value(hs[s])(0, 0) / weights(s, 0), 1e-12);
-  }
-  for (std::size_t i = 0; i < logits.grad.raw().size(); ++i) {
-    EXPECT_NEAR(seg_grad.raw()[i], logits.grad.raw()[i], 1e-14) << "row " << i;
-  }
+  EXPECT_EQ(t.value(seg)(0, 2), 0.0);
+  EXPECT_EQ(logits.grad(5, 0), 0.0);
 
   const double err = grad_check({&logits}, [&](Tape& t) {
     return t.matmul(t.entropy_segments(t.param(logits), starts),

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "fnv1a.h"
 #include "gnn/graph_embedding.h"
 #include "rl/reinforce.h"
 #include "workload/tpch.h"
@@ -384,6 +386,75 @@ TEST(BatchedEquivalence, BatchedReplayDeterministicAcrossThreadCounts) {
   ASSERT_EQ(p1.size(), p8.size());
   for (std::size_t i = 0; i < p1.size(); ++i) {
     EXPECT_EQ(p1[i], p8[i]) << "param " << i;
+  }
+}
+
+// Three seeded training iterations and one greedy episode on a tiny TPC-H
+// workload, for every limit encoding with one and two executor classes, on
+// the batched and the per-action reference path. Each case's hash covers
+// the trained parameters and the greedy episode's job completion times, so
+// a change to any tape op, head or loss that moves a bit on any of the
+// twelve paths changes it. Like ClusterEnv.TraceFingerprintIsPinned it
+// depends on libstdc++'s <random> distributions.
+TEST(BatchedEquivalence, TrainingBitsArePinnedPerLimitEncoding) {
+  using E = core::LimitEncoding;
+  struct Case {
+    E encoding;
+    bool multi_resource;
+    bool batched;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {E::kScalarInput, false, true, 0x5d25a402e213e6c3ULL},
+      {E::kScalarInput, false, false, 0x9d09decfb150a6b3ULL},
+      {E::kScalarInput, true, true, 0x0c8f7a11d3a1b6c9ULL},
+      {E::kScalarInput, true, false, 0x73d2fe16032709d9ULL},
+      {E::kSeparateOutputs, false, true, 0xabebc9630c4334f6ULL},
+      {E::kSeparateOutputs, false, false, 0x130c3e0cd5748791ULL},
+      {E::kSeparateOutputs, true, true, 0xfb7b07f9f5e9b8f4ULL},
+      {E::kSeparateOutputs, true, false, 0x8baab4e973b500f4ULL},
+      {E::kStageLevel, false, true, 0x9cc8821492215930ULL},
+      {E::kStageLevel, false, false, 0x6b6e6b1246906734ULL},
+      {E::kStageLevel, true, true, 0x1ceb997f2af31477ULL},
+      {E::kStageLevel, true, false, 0x3f80da7f44333969ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("encoding " + std::to_string(static_cast<int>(c.encoding)) +
+                 (c.multi_resource ? ", two classes" : ", one class") +
+                 (c.batched ? ", batched" : ", reference"));
+    const bool multi = c.multi_resource;
+    rl::TrainConfig tc = train_config(2);
+    tc.num_iterations = 3;
+    tc.episodes_per_iter = 2;
+    tc.env.num_executors = 4;
+    if (multi) tc.env.classes = {{0.5, "s"}, {1.0, "l"}};
+    tc.sampler = [multi](std::uint64_t seed) {
+      Rng rng(seed);
+      std::vector<sim::JobSpec> jobs = workload::sample_tpch_batch(rng, 2);
+      if (multi) {
+        for (auto& j : jobs) workload::assign_memory_requests(j, rng);
+      }
+      return workload::batched(std::move(jobs));
+    };
+    core::AgentConfig ac;
+    ac.seed = 33;
+    ac.limit_encoding = c.encoding;
+    ac.multi_resource = multi;
+    ac.batched_inference = c.batched;
+    ac.batched_replay = c.batched;
+    core::DecimaAgent agent(ac);
+    rl::ReinforceTrainer trainer(agent, tc);
+    trainer.train();
+
+    Fnv1a64 h;
+    for (double v : flat_params(agent)) h.f64(v);
+    agent.set_mode(core::Mode::kGreedy);
+    sim::ClusterEnv env(tc.env);
+    workload::load(env, tc.sampler(77));
+    env.run(agent);
+    ASSERT_TRUE(env.all_done());
+    for (const sim::JobState& j : env.jobs()) h.f64(j.jct());
+    EXPECT_EQ(h.value(), c.hash) << std::hex << "0x" << h.value();
   }
 }
 

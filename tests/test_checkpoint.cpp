@@ -113,12 +113,12 @@ TEST(PolicyCheckpoint, RejectsStructuralMismatch) {
       << "failed load must not mutate";
 
   // Shape-preserving but meaning-changing config: same parameter structure,
-  // different feature normalization — the weights would silently misread
+  // the task-duration feature masked — the weights would silently misread
   // their inputs, so the load must refuse.
-  core::AgentConfig scaled = ac;
-  scaled.features.task_scale = 1.0;
-  core::DecimaAgent rescaled(scaled);
-  EXPECT_FALSE(io::load_policy(rescaled, path));
+  core::AgentConfig masked = ac;
+  masked.features.use_task_duration = false;
+  core::DecimaAgent unseen(masked);
+  EXPECT_FALSE(io::load_policy(unseen, path));
 }
 
 TEST(PolicyCheckpoint, RejectsCorruptFiles) {
@@ -239,9 +239,9 @@ TEST(PolicyCheckpoint, RejectsOutOfRangeConfigFields) {
   const std::string bad = tmp_path("policy_fields_bad.ckpt");
   ASSERT_TRUE(io::save_policy(agent, full));
   const std::string bytes = file_bytes(full);
-  // The 12-byte header, two booleans and three doubles precede emb_dim;
-  // three more booleans precede limit_encoding.
-  constexpr std::size_t kEmbDimAt = 12 + 2 * 4 + 3 * 8;
+  // The 12-byte header and two booleans precede emb_dim; three more
+  // booleans precede limit_encoding.
+  constexpr std::size_t kEmbDimAt = 12 + 2 * 4;
   constexpr std::size_t kLimitEncodingAt = kEmbDimAt + 4 + 3 * 4;
   ASSERT_EQ(u32_at(bytes, kEmbDimAt), 8u);
   ASSERT_EQ(u32_at(bytes, kLimitEncodingAt), 0u);

@@ -68,8 +68,8 @@ TEST(Features, ValuesMatchState) {
   ASSERT_EQ(g.features.rows(), 2u);
   ASSERT_EQ(g.features.cols(), 5u);
   // Stage 0: 8 tasks remaining (none finished), duration 2.
-  EXPECT_NEAR(g.features(0, 0), 8.0 / fc.task_scale, 1e-12);
-  EXPECT_NEAR(g.features(0, 1), 2.0 / fc.duration_scale, 1e-12);
+  EXPECT_NEAR(g.features(0, 0), 8.0 / kTaskScale, 1e-12);
+  EXPECT_NEAR(g.features(0, 1), 2.0 / kDurationScale, 1e-12);
   // 2 executors on the job out of 4.
   EXPECT_NEAR(g.features(0, 2), 0.5, 1e-12);
   // 2 free of 4.
@@ -105,7 +105,7 @@ TEST(Features, IatHintFeeds6thColumn) {
   const auto graphs = extract_graphs(env, fc, /*observed_iat=*/45.0);
   ASSERT_EQ(graphs.size(), 1u);
   ASSERT_EQ(graphs[0].features.cols(), 6u);
-  EXPECT_NEAR(graphs[0].features(0, 5), 45.0 / fc.iat_scale, 1e-12);
+  EXPECT_NEAR(graphs[0].features(0, 5), 45.0 / kIatScale, 1e-12);
 }
 
 TEST(Features, GraphStructureMirrorsSpec) {

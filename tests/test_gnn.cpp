@@ -141,13 +141,15 @@ TEST(GraphEmbedding, GradientsReachAllTransforms) {
   params.zero_grads();
   nn::Tape tape;
   const auto emb = gnn.embed(tape, {diamond_graph()});
-  // Scalar loss touching node, job, and global embeddings.
-  nn::Var loss = tape.element(
-      tape.concat_cols({tape.row(emb.node_all, 0), tape.row(emb.job_mat, 0),
-                        emb.global_mat}),
-      0, 0);
-  nn::Var loss2 = tape.element(emb.global_mat, 0, 3);
-  tape.backward(tape.add(loss, loss2));
+  // Scalar loss e_0[0] + z[3], read out of one [e_0, y_0, z] row.
+  const std::size_t d = 8;
+  nn::Matrix readout(3 * d, 1);
+  readout(0, 0) = 1.0;
+  readout(2 * d + 3, 0) = 1.0;
+  tape.backward(tape.matmul(
+      tape.concat_cols({tape.rows(emb.node_all, {0}),
+                        tape.rows(emb.job_mat, {0}), emb.global_mat}),
+      tape.constant(std::move(readout))));
   int with_grad = 0;
   for (const auto* p : params.params()) {
     if (p->grad.squared_norm() > 0.0) ++with_grad;

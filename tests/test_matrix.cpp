@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "nn/matrix.h"
 #include "util/rng.h"
@@ -213,27 +214,24 @@ TEST(MatrixExactBits, TransposedMatmulAcc) {
   }
 }
 
-TEST(Matrix, AddAndAxpy) {
+TEST(Matrix, AddInPlace) {
   Matrix a(1, 3, {1, 2, 3});
   Matrix b(1, 3, {10, 20, 30});
   a.add_in_place(b);
-  EXPECT_DOUBLE_EQ(a(0, 2), 33.0);
-  a.axpy(0.5, b);
-  EXPECT_DOUBLE_EQ(a(0, 0), 11.0 + 5.0);
+  EXPECT_EQ(a.raw(), (std::vector<double>{11, 22, 33}));
 }
 
-TEST(Matrix, SumAndNorm) {
+TEST(Matrix, SquaredNorm) {
   Matrix a(1, 3, {3, 4, 0});
-  EXPECT_DOUBLE_EQ(a.sum(), 7.0);
   EXPECT_DOUBLE_EQ(a.squared_norm(), 25.0);
 }
 
 TEST(Matrix, FillZero) {
   Matrix a(2, 2, 5.0);
   a.zero();
-  EXPECT_DOUBLE_EQ(a.sum(), 0.0);
+  EXPECT_EQ(a.raw(), std::vector<double>(4, 0.0));
   a.fill(2.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 8.0);
+  EXPECT_EQ(a.raw(), std::vector<double>(4, 2.0));
 }
 
 TEST(Matrix, ShapeChecks) {

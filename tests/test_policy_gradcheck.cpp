@@ -26,24 +26,25 @@ gnn::JobGraph make_graph(Rng& rng, int n) {
   return g;
 }
 
-// Builds log pi(node = pick) over all nodes of two DAGs using the full GNN.
-double forward_logp(gnn::GraphEmbedding& gnn, nn::Mlp& q,
-                    const std::vector<gnn::JobGraph>& graphs,
-                    std::size_t pick, nn::Tape& tape) {
+// log pi(node = pick) over all nodes of two DAGs, through the full GNN and
+// the chain the production scorer uses: one gather_concat_cols of every
+// node's [x_v, e_v, y_i, z] row, one q pass, one softmax segment.
+nn::Var logp(gnn::GraphEmbedding& gnn, nn::Mlp& q,
+             const std::vector<gnn::JobGraph>& graphs, std::size_t pick,
+             nn::Tape& tape) {
   const auto emb = gnn.embed(tape, graphs);
-  std::vector<nn::Var> scores;
+  std::vector<std::size_t> node_rows, graph_rows;
   for (std::size_t g = 0; g < graphs.size(); ++g) {
     for (std::size_t v = 0; v < graphs[g].runnable.size(); ++v) {
-      const std::size_t r = emb.node_offset[g] + v;
-      const nn::Var in = tape.concat_cols(
-          {tape.row(emb.feat_all, r), tape.row(emb.node_all, r),
-           tape.row(emb.job_mat, g), emb.global_mat});
-      scores.push_back(q.apply(tape, in));
+      node_rows.push_back(emb.node_offset[g] + v);
+      graph_rows.push_back(g);
     }
   }
-  const nn::Var logits = tape.concat_scalars(scores);
-  const nn::Var lp = tape.log_prob_pick(logits, pick);
-  return tape.value(lp)(0, 0);
+  std::vector<std::size_t> event_rows(node_rows.size(), 0);
+  const nn::Var in = tape.gather_concat_cols(
+      {emb.feat_all, emb.node_all, emb.job_mat, emb.global_mat},
+      {node_rows, node_rows, std::move(graph_rows), std::move(event_rows)});
+  return tape.log_prob_pick_segments(q.apply(tape, in), {0}, {pick});
 }
 
 class PolicyGradcheck : public ::testing::TestWithParam<int> {};
@@ -69,19 +70,7 @@ TEST_P(PolicyGradcheck, FullPipelineMatchesFiniteDifferences) {
   params.zero_grads();
   {
     nn::Tape tape;
-    const auto emb = gnn.embed(tape, graphs);
-    std::vector<nn::Var> scores;
-    for (std::size_t g = 0; g < graphs.size(); ++g) {
-      for (std::size_t v = 0; v < graphs[g].runnable.size(); ++v) {
-        const std::size_t r = emb.node_offset[g] + v;
-        const nn::Var in = tape.concat_cols(
-            {tape.row(emb.feat_all, r), tape.row(emb.node_all, r),
-             tape.row(emb.job_mat, g), emb.global_mat});
-        scores.push_back(q.apply(tape, in));
-      }
-    }
-    const nn::Var logits = tape.concat_scalars(scores);
-    tape.backward(tape.log_prob_pick(logits, pick));
+    tape.backward(logp(gnn, q, graphs, pick, tape));
   }
   const std::vector<double> analytic = params.flat_grads();
 
@@ -111,10 +100,10 @@ TEST_P(PolicyGradcheck, FullPipelineMatchesFiniteDifferences) {
     const double orig = flat_values[idx];
     set_flat(idx, orig + eps);
     nn::Tape t1(false);
-    const double f_plus = forward_logp(gnn, q, graphs, pick, t1);
+    const double f_plus = t1.value(logp(gnn, q, graphs, pick, t1))(0, 0);
     set_flat(idx, orig - eps);
     nn::Tape t2(false);
-    const double f_minus = forward_logp(gnn, q, graphs, pick, t2);
+    const double f_minus = t2.value(logp(gnn, q, graphs, pick, t2))(0, 0);
     set_flat(idx, orig);
     const double numeric = (f_plus - f_minus) / (2 * eps);
     const double scale =
